@@ -91,7 +91,9 @@ def _config_option(fn):
 
 def _threads_option(fn):
     return click.option("--threads", type=int, default=None,
-                        help="Worker threads (default: machine parallelism).")(fn)
+                        help="Size of bench's replicate pool (default: machine "
+                             "parallelism). screen accepts it and leaves "
+                             "parallelism to BLAS.")(fn)
 
 
 def _resolve_threads(threads):
@@ -196,7 +198,8 @@ def simulate(ctx, **_kwargs):
 @click.option("--components-out", type=click.Path(), default=None)
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--fpr-max-p", type=int, default=500,
-              help="Refuse the O(p^2 n^2) jackknife path beyond this many columns.")
+              help="Refuse fpr mode beyond this many columns: it runs one O(p^2 n^2) "
+                   "sign pass that yields both tau and the jackknife omega^2.")
 @_threads_option
 @_config_option
 @click.pass_context
@@ -229,7 +232,6 @@ def screen(ctx, **_kwargs):
         except InvalidInputError as exc:
             raise click.UsageError(str(exc))
 
-    threads = _resolve_threads(params["threads"])
     try:
         data = read_data_csv(params["data_path"])
         jack = None
@@ -237,9 +239,9 @@ def screen(ctx, **_kwargs):
             if data.p > params["fpr_max_p"]:
                 raise InvalidInputError(
                     f"p={data.p} exceeds --fpr-max-p={params['fpr_max_p']}; "
-                    "the jackknife path costs O(p^2 n^2)")
-            jack = jackknife_matrix(data, threads=threads)
-        corr = estimator_matrix(data, params["estimator"], threads=threads)
+                    "fpr mode runs one O(p^2 n^2) sign pass for tau and omega^2")
+            jack = jackknife_matrix(data)
+        corr = estimator_matrix(data, params["estimator"], jack=jack)
         gammas = threshold_matrix(tspec, data.n, data.p, jack=jack)
         edges = screen_edges(corr, gammas)
         write_edges_tsv(params["out"], edges, corr)

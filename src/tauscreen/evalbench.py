@@ -20,6 +20,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .rankcorr import (
     DataMatrix,
+    JackknifeVarMatrix,
     jackknife_matrix,
     kendall_matrix,
     pearson_matrix,
@@ -83,10 +84,21 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class ExperimentResult:
+    """Per-replicate metrics of an experiment. In fpr mode ``f_per_replicate``
+    holds each replicate's false-positive budget f (it varies with the
+    replicate's ground truth in scenarios A and B); otherwise it is None."""
+
     spec: ExperimentSpec
     per_replicate: tuple[ConfusionMetrics, ...]
-    f_used: float | None
+    f_per_replicate: tuple[float, ...] | None
     q_convention: str | None
+
+    @property
+    def f_used(self) -> float | None:
+        """Mean false-positive budget over the replicates (fpr mode)."""
+        if self.f_per_replicate is None:
+            return None
+        return float(np.mean(self.f_per_replicate))
 
     @property
     def mean_fpr(self) -> float:
@@ -118,6 +130,8 @@ class ExperimentResult:
         }
         if self.spec.threshold.mode == "fpr":
             out["f_used"] = self.f_used
+            out["f_min"] = min(self.f_per_replicate)
+            out["f_max"] = max(self.f_per_replicate)
             out["q"] = self.spec.threshold.q
             out["q_convention"] = self.q_convention
         elif self.spec.threshold.mode == "rate":
@@ -128,9 +142,13 @@ class ExperimentResult:
         return out
 
 
-def estimator_matrix(data: DataMatrix, estimator: str, threads: int = 1):
+def estimator_matrix(data: DataMatrix, estimator: str, jack: JackknifeVarMatrix | None = None):
+    """The screened correlation estimate. A jackknife matrix that carries tau
+    (as :func:`jackknife_matrix` returns it) spares the kendall estimator its
+    own sign pass."""
     if estimator == "kendall":
-        return sine_transform(kendall_matrix(data, threads=threads))
+        tau = jack.tau if jack is not None and jack.tau is not None else kendall_matrix(data)
+        return sine_transform(tau)
     if estimator == "pearson":
         return pearson_matrix(data)
     raise InvalidInputError(f"unknown estimator {estimator!r}")
@@ -148,19 +166,19 @@ def _resolve_fpr_budget(spec: ThresholdSpec, gt: GroundTruth) -> tuple[Threshold
     return ThresholdSpec.fpr(f=f), f, "q-times-true-nonedges"
 
 
-def _run_replicate(spec: ExperimentSpec, r: int, threads: int = 1):
+def _run_replicate(spec: ExperimentSpec, r: int):
     try:
         rng = RngStream(spec.base_seed ^ r)
         gt = generate_ground_truth(spec.sim, rng)
         data = sample(gt, spec.sim, rng)
-        corr = estimator_matrix(data, spec.estimator, threads=1)
         tspec = spec.threshold
         f_used = None
         convention = None
         jack = None
         if tspec.mode == "fpr":
             tspec, f_used, convention = _resolve_fpr_budget(tspec, gt)
-            jack = jackknife_matrix(data, threads=threads)
+            jack = jackknife_matrix(data)
+        corr = estimator_matrix(data, spec.estimator, jack=jack)
         gammas = threshold_matrix(tspec, spec.sim.n, spec.sim.p, jack=jack)
         est = screen_edges(corr, gammas)
         return confusion(est, gt.edges), f_used, convention
@@ -175,11 +193,12 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(lambda r: _run_replicate(spec, r), indices))
     else:
-        rows = [_run_replicate(spec, r, threads=threads) for r in indices]
+        rows = [_run_replicate(spec, r) for r in indices]
     metrics = tuple(m for m, _, _ in rows)
-    f_used = rows[0][1]
+    f_values = tuple(f for _, f, _ in rows)
     convention = rows[0][2]
-    return ExperimentResult(spec=spec, per_replicate=metrics, f_used=f_used,
+    return ExperimentResult(spec=spec, per_replicate=metrics,
+                            f_per_replicate=None if f_values[0] is None else f_values,
                             q_convention=convention)
 
 
@@ -268,15 +287,18 @@ def auc_points(fpr, tpr) -> float:
 
 
 EXPERIMENT_CSV_COLUMNS = ("replicate", "q_or_gamma", "estimator", "scenario",
-                          "tp", "fp", "tn", "fn", "fpr", "fnr", "edge_count")
+                          "tp", "fp", "tn", "fn", "fpr", "fnr", "edge_count", "f_used")
 
 
 def experiment_rows(result: ExperimentResult, q_or_gamma: float) -> list[tuple]:
+    """One row per replicate; ``f_used`` is that replicate's budget f in fpr
+    mode and empty otherwise."""
     spec = result.spec
+    f_values = result.f_per_replicate or ("",) * len(result.per_replicate)
     rows = []
-    for r, m in enumerate(result.per_replicate):
+    for r, (m, f) in enumerate(zip(result.per_replicate, f_values)):
         rows.append((r, q_or_gamma, spec.estimator, spec.sim.scenario,
-                     m.tp, m.fp, m.tn, m.fn, m.fpr, m.fnr, m.edge_count))
+                     m.tp, m.fp, m.tn, m.fn, m.fpr, m.fnr, m.edge_count, f))
     return rows
 
 

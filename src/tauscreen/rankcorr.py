@@ -16,7 +16,6 @@ Conventions
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,9 +103,14 @@ class CorrMatrix:
 
 @dataclass(frozen=True, eq=False)
 class JackknifeVarMatrix:
-    """Pairwise leave-one-out variance estimates; diagonal fixed at 0."""
+    """Pairwise leave-one-out variance estimates; diagonal fixed at 0.
+
+    ``tau`` optionally carries the raw Kendall's tau matrix of the same data;
+    :func:`jackknife_matrix` fills it from the pass that built the variances.
+    """
 
     entries: np.ndarray
+    tau: CorrMatrix | None = None
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=np.float64)
@@ -116,6 +120,13 @@ class JackknifeVarMatrix:
             raise InvalidInputError("variance matrix must be symmetric")
         if np.any(e < 0):
             raise InvalidInputError("variance estimates must be nonnegative")
+        if self.tau is not None:
+            if not isinstance(self.tau, CorrMatrix) or self.tau.kind != "kendall-raw":
+                raise InvalidInputError("tau must be a kendall-raw CorrMatrix")
+            if self.tau.dim != e.shape[0]:
+                raise InvalidInputError(
+                    f"tau is {self.tau.dim}x{self.tau.dim}, variances are "
+                    f"{e.shape[0]}x{e.shape[0]}")
         object.__setattr__(self, "entries", e)
 
     @property
@@ -236,73 +247,79 @@ def _sign_flat(values: np.ndarray) -> np.ndarray:
     return flat
 
 
-def _pair_chunks(p: int, chunk: int = 512):
-    pairs = [(j, k) for j in range(p) for k in range(j + 1, p)]
-    for start in range(0, len(pairs), chunk):
-        yield pairs[start : start + chunk]
+def _dense_ranks(values: np.ndarray) -> np.ndarray:
+    """p x n float32 dense ranks, one row per column of ``values``.
 
-
-def _sign_gram(values: np.ndarray, rows) -> np.ndarray:
-    """Sum of A_i @ A_i.T over rows i, where A_i = sign(cols - col_i).
-
-    Entry (j, k) accumulates the full double sum of sign products for the
-    column pair; every partial sum is an exact integer.
+    Dense ranks keep every comparison (and every tie) of the column, and they
+    are exact in float32 for n < 2^24, so their differences carry the same
+    signs as the differences of the data.
     """
-    p = values.shape[1]
-    cols = np.ascontiguousarray(values.T)
-    total = np.zeros((p, p))
-    for i in rows:
-        a = np.sign(cols - cols[:, i][:, None]).astype(np.float32)
-        total += (a @ a.T).astype(np.float64)
-    return total
+    n, p = values.shape
+    ranks = np.empty((p, n), dtype=np.float32)
+    for j in range(p):
+        ranks[j] = np.unique(values[:, j], return_inverse=True)[1]
+    return ranks
 
 
-def kendall_matrix(data, threads: int = 1, cube_budget_bytes: int = DEFAULT_CUBE_BUDGET_BYTES) -> CorrMatrix:
-    """Pairwise Kendall's tau matrix (kind "kendall-raw", unit diagonal).
+def _sign_moments(values: np.ndarray, second: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Sign-product moments over the observations, one row at a time.
 
-    Three code paths, all bit-identical because every pairwise numerator is
-    an exact integer: a single matrix product over flattened per-column sign
-    tables (fastest; needs ~4 p n^2 bytes within ``cube_budget_bytes``), an
-    accumulation of one small sign matrix per observation (O(p n) memory),
-    and a per-pair O(n log n) fallback for very long samples.
+    For observation i let A_i = sign(cols - col_i) (p x n) and R_i = A_i A_i^T.
+    Returns s1 = sum_i R_i, the tau numerator of every column pair, and, when
+    ``second`` is set, s2 = sum_i R_i**2 (elementwise), the leave-one-out
+    second moment of the jackknife. Every R_i and partial sum is an exact
+    integer: R_i in float32 while n < 2^24, s2 in float64 while
+    n (n-1)^2 < 2^53. Without ``second``, row i only meets the rows after it
+    and s1 doubles the half sum, which is the same integer for half the work.
     """
-    dm = as_data_matrix(data)
-    n, p = dm.n, dm.p
-    out = np.eye(p)
-    if p == 1:
-        return CorrMatrix(out, "kendall-raw")
+    n = values.shape[0]
+    if n >= 1 << 24 or (second and n * (n - 1) ** 2 >= 1 << 53):
+        raise InvalidInputError(
+            f"n={n} is past the exact range of the sign kernel "
+            "(n < 2^24 for tau, n(n-1)^2 < 2^53 for the jackknife)")
+    ranks = _dense_ranks(values)
+    p = ranks.shape[0]
+    buf = np.empty(p * n, dtype=np.float32)
+    s1 = np.zeros((p, p))
+    s2 = np.zeros((p, p)) if second else None
+    for i in range(n):
+        lo = 0 if second else i + 1
+        a = buf[: p * (n - lo)].reshape(p, n - lo)
+        np.subtract(ranks[:, lo:], ranks[:, i : i + 1], out=a)
+        np.clip(a, -1.0, 1.0, out=a)  # = sign(a): rank differences are integers
+        r = (a @ a.T).astype(np.float64)
+        s1 += r
+        if second:
+            r *= r
+            s2 += r
+    if not second:
+        s1 *= 2.0
+    return s1, s2
 
-    if n <= _CUBE_MAX_N and 4 * p * n * n <= cube_budget_bytes:
-        flat = _sign_flat(dm.values)
-        total = (flat @ flat.T).astype(np.float64)  # exact integer sums
-    elif n <= 65536:
-        if threads > 1 and n >= 2 * threads:
-            bounds = np.linspace(0, n, threads + 1, dtype=int)
-            jobs = [range(bounds[t], bounds[t + 1]) for t in range(threads)]
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                parts = list(pool.map(lambda rows: _sign_gram(dm.values, rows), jobs))
-            total = sum(parts)
-        else:
-            total = _sign_gram(dm.values, range(n))
-    else:
-        cols = dm.values.T
 
-        def fill(chunk):
-            for j, k in chunk:
-                out[j, k] = out[k, j] = kendall_tau_fast(cols[j], cols[k])
-
-        chunks = list(_pair_chunks(p))
-        if threads > 1 and len(chunks) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(fill, chunks))
-        else:
-            for chunk in chunks:
-                fill(chunk)
-        return CorrMatrix(out, "kendall-raw")
-
+def _tau_from_numerator(total: np.ndarray, n: int) -> CorrMatrix:
     tau = total / (n * (n - 1))
     np.fill_diagonal(tau, 1.0)
     return CorrMatrix(tau, "kendall-raw")
+
+
+def kendall_matrix(data, cube_budget_bytes: int = DEFAULT_CUBE_BUDGET_BYTES) -> CorrMatrix:
+    """Pairwise Kendall's tau matrix (kind "kendall-raw", unit diagonal).
+
+    Two code paths chosen by size, bit-identical because every pairwise
+    numerator is an exact integer: a single matrix product over flattened
+    per-column sign tables (fastest at small n; needs n <= 4096 and ~4 p n^2
+    bytes within ``cube_budget_bytes``), and otherwise the row-by-row sign
+    kernel (O(p n) memory).
+    """
+    dm = as_data_matrix(data)
+    n, p = dm.n, dm.p
+    if n <= _CUBE_MAX_N and 4 * p * n * n <= cube_budget_bytes:
+        flat = _sign_flat(dm.values)
+        total = (flat @ flat.T).astype(np.float64)  # exact integer sums
+    else:
+        total, _ = _sign_moments(dm.values, second=False)
+    return _tau_from_numerator(total, n)
 
 
 def sine_transform(tau: CorrMatrix) -> CorrMatrix:
@@ -359,45 +376,21 @@ def jackknife_variance(data, j: int, jp: int) -> float:
     return 4.0 * (n - 1) / (n - 2) ** 2 * float(np.sum((loo - tau) ** 2))
 
 
-def _jackknife_accumulate(values: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
-    """Exact-integer accumulation of leave-one-out column sums and squares."""
-    p = values.shape[1]
-    cols = np.ascontiguousarray(values.T, dtype=np.float64)
-    s1 = np.zeros((p, p))
-    s2 = np.zeros((p, p))
-    for i in rows:
-        a = np.sign(cols - cols[:, i][:, None]).astype(np.float32)
-        r = (a @ a.T).astype(np.float64)  # exact integers for n < 2^24
-        s1 += r
-        s2 += r * r
-    return s1, s2
-
-
-def jackknife_matrix(data, threads: int = 1) -> JackknifeVarMatrix:
+def jackknife_matrix(data) -> JackknifeVarMatrix:
     """Leave-one-out tau variance estimates for every column pair.
 
-    Cost is O(p^2 n^2) overall, organized as n rank-1 style matrix products so
-    the heavy work runs in BLAS. All intermediate sums are exact integers,
-    which makes the result independent of thread count and scheduling.
+    One O(p^2 n^2) pass of the row-by-row sign kernel yields both moments, so
+    the result also carries the raw tau matrix (``.tau``), bit-identical to
+    :func:`kendall_matrix`. All intermediate sums are exact integers.
     """
     dm = as_data_matrix(data)
-    n, p = dm.n, dm.p
+    n = dm.n
     if n < 3:
         raise InvalidInputError("jackknife variance needs n >= 3")
-
-    if threads > 1 and n >= 2 * threads:
-        bounds = np.linspace(0, n, threads + 1, dtype=int)
-        jobs = [range(bounds[t], bounds[t + 1]) for t in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda rows: _jackknife_accumulate(dm.values, rows), jobs))
-        s1 = sum(part[0] for part in parts)
-        s2 = sum(part[1] for part in parts)
-    else:
-        s1, s2 = _jackknife_accumulate(dm.values, range(n))
-
+    s1, s2 = _sign_moments(dm.values, second=True)
     tau = s1 / (n * (n - 1))
     spread = s2 / (n - 1) ** 2 - 2.0 * tau * s1 / (n - 1) + n * tau * tau
     omega2 = 4.0 * (n - 1) / (n - 2) ** 2 * spread
     omega2 = np.maximum(omega2, 0.0)
     np.fill_diagonal(omega2, 0.0)
-    return JackknifeVarMatrix(omega2)
+    return JackknifeVarMatrix(omega2, tau=_tau_from_numerator(s1, n))

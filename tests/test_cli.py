@@ -18,7 +18,15 @@ from tauscreen import (
 )
 from tauscreen.cli import main
 from tauscreen.io import read_data_csv, read_matrix_csv, write_data_csv
-from tauscreen.screening import read_edges_tsv
+from tauscreen.rankcorr import jackknife_matrix, kendall_matrix, sine_transform
+from tauscreen.screening import (
+    connected_components,
+    read_edges_tsv,
+    screen_edges,
+    threshold_matrix,
+    write_edges_tsv,
+    write_partition_tsv,
+)
 
 
 @pytest.fixture
@@ -128,6 +136,36 @@ class TestScreen:
         assert comp.exists()
         summary = json.loads(result.output)
         assert "components" in summary
+
+
+    @pytest.mark.parametrize("ref_budget", [None, 0])
+    def test_fpr_one_sign_pass_matches_two_pass_reference(self, runner, tmp_path,
+                                                          sign_passes, ref_budget):
+        sim_dir = tmp_path / "sim"
+        invoke(runner, ["simulate", "--scenario", "B", "--n", "150", "--p", "20",
+                        "--base", "t", "--transform", "npn", "--seed", "8",
+                        "--out-dir", str(sim_dir)])
+        data_path = sim_dir / "sim_data.csv"
+        out = tmp_path / "edges.tsv"
+        sign_passes.clear()
+        result = invoke(runner, ["screen", "--data", str(data_path), "--fpr-q", "0.05",
+                                 "--components", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert sign_passes == ["_sign_moments"]
+        assert json.loads(result.output)["edge_count"] > 0
+
+        # reference: separate tau and jackknife passes, tau on either path
+        data = read_data_csv(data_path)
+        budget = {} if ref_budget is None else {"cube_budget_bytes": ref_budget}
+        corr = sine_transform(kendall_matrix(data, **budget))
+        jack = jackknife_matrix(data)
+        gammas = threshold_matrix(ThresholdSpec.fpr(q=0.05), data.n, data.p, jack=jack)
+        edges = screen_edges(corr, gammas)
+        ref_edges, ref_comp = tmp_path / "ref.tsv", tmp_path / "ref.components.tsv"
+        write_edges_tsv(ref_edges, edges, corr)
+        write_partition_tsv(ref_comp, connected_components(edges))
+        assert out.read_bytes() == ref_edges.read_bytes()
+        assert (tmp_path / "edges.tsv.components.tsv").read_bytes() == ref_comp.read_bytes()
 
 
 class TestIngestPrices:

@@ -112,6 +112,33 @@ class TestRunExperiment:
         assert agg["q"] == 0.1 and agg["q_convention"] == "q-times-true-nonedges"
 
 
+    def test_f_reported_per_replicate(self, tmp_path):
+        # scenario A redraws its graph per replicate, so f = q * |non-edges| varies
+        sim = SimConfig(scenario="A", n=30, p=100, seed=0)
+        spec = ExperimentSpec(sim=sim, threshold=ThresholdSpec.fpr(q=0.05),
+                              estimator="kendall", replicates=5, base_seed=3)
+        result = run_experiment(spec)
+        expect = [0.05 * generate_ground_truth(sim, RngStream(3 ^ r)).nonedge_count()
+                  for r in range(5)]
+        assert len(set(expect)) > 1
+        path = tmp_path / "rows.csv"
+        write_experiment_csv(path, experiment_rows(result, 0.05))
+        lines = path.read_text().splitlines()
+        col = lines[0].split(",").index("f_used")
+        assert [float(line.split(",")[col]) for line in lines[1:]] == expect
+        agg = result.aggregate()
+        assert agg["f_used"] == pytest.approx(np.mean(expect), rel=1e-15)
+        assert agg["f_min"] == min(expect) and agg["f_max"] == max(expect)
+
+    @pytest.mark.parametrize("estimator", ["kendall", "pearson"])
+    def test_fpr_replicate_makes_one_sign_pass(self, sign_passes, estimator):
+        sim = SimConfig(scenario="B", n=40, p=20, seed=0)
+        spec = ExperimentSpec(sim=sim, threshold=ThresholdSpec.fpr(q=0.2),
+                              estimator=estimator, replicates=3, base_seed=5)
+        run_experiment(spec, threads=1)
+        assert sign_passes == ["_sign_moments"] * 3
+
+
 class TestRocSweep:
     def test_extreme_grid_points(self):
         # n = 62 makes n(n-1)/2 odd, so a tie-free tau numerator is odd and
@@ -180,7 +207,8 @@ class TestWriters:
         path = tmp_path / "rows.csv"
         write_experiment_csv(path, experiment_rows(result, 0.4))
         lines = path.read_text().splitlines()
-        assert lines[0] == "replicate,q_or_gamma,estimator,scenario,tp,fp,tn,fn,fpr,fnr,edge_count"
+        assert lines[0] == ("replicate,q_or_gamma,estimator,scenario,tp,fp,tn,fn,fpr,fnr,"
+                            "edge_count,f_used")
         assert len(lines) == 3
         assert lines[1].split(",")[2] == "kendall"
 

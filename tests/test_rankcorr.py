@@ -11,6 +11,7 @@ from tauscreen import (
     DataMatrix,
     DegenerateColumnError,
     InvalidInputError,
+    JackknifeVarMatrix,
     RngStream,
     jackknife_matrix,
     jackknife_variance,
@@ -135,13 +136,6 @@ class TestKendallMatrix:
         fast = kendall_matrix(data).entries
         pairwise = kendall_matrix(data, cube_budget_bytes=0).entries
         assert np.array_equal(fast, pairwise)
-
-    def test_threads_do_not_change_result(self):
-        rng = np.random.default_rng(5)
-        data = rng.normal(size=(40, 6))
-        a = kendall_matrix(data, cube_budget_bytes=0, threads=1).entries
-        b = kendall_matrix(data, cube_budget_bytes=0, threads=4).entries
-        assert np.array_equal(a, b)
 
     def test_monotone_invariance_exact(self):
         rng = np.random.default_rng(6)
@@ -299,9 +293,120 @@ class TestJackknifeMatrix:
                 assert m[j, k] == pytest.approx(
                     jackknife_by_double_loop(data[:, j], data[:, k]), rel=1e-12, abs=1e-12)
 
-    def test_threads_identical(self):
-        rng = np.random.default_rng(19)
-        data = rng.normal(size=(24, 6))
-        a = jackknife_matrix(data, threads=1).entries
-        b = jackknife_matrix(data, threads=4).entries
-        assert np.array_equal(a, b)
+
+def _neighbours(x, count):
+    out = [float(x)]
+    for _ in range(count - 1):
+        out.append(float(np.nextafter(out[-1], np.inf)))
+    return out
+
+
+# Value pools for the kernel differential tests: heavy ties, a constant,
+# neighbouring doubles (one ulp apart: at 1.0, among subnormals and at
+# 1e300), which the rank mapping must keep apart, and spread values.
+VALUE_POOLS = (
+    [0.0, 1.0, 2.0],
+    [3.5],
+    _neighbours(1.0, 4),
+    _neighbours(-1e-323, 5),
+    _neighbours(1e300, 3),
+    [-2.5, -1.0, 0.0, 0.25, 7.0, 1e6],
+)
+
+
+@st.composite
+def data_matrices(draw, min_n=2, max_n=12, max_p=4):
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    p = draw(st.integers(min_value=1, max_value=max_p))
+    cols = []
+    for _ in range(p):
+        pool = draw(st.sampled_from(VALUE_POOLS))
+        cols.append(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    return np.array(cols, dtype=np.float64).T
+
+
+def assert_tau_matches_naive(data):
+    """Both kendall_matrix paths equal the naive pairwise tau bit for bit."""
+    p = data.shape[1]
+    cube = kendall_matrix(data).entries
+    rows = kendall_matrix(data, cube_budget_bytes=0).entries
+    assert cube.tobytes() == rows.tobytes()
+    assert np.all(np.diag(rows) == 1.0)
+    for j in range(p):
+        for k in range(j + 1, p):
+            assert rows[j, k] == kendall_tau_naive(data[:, j], data[:, k])
+
+
+def assert_jackknife_matches_reference(data):
+    p = data.shape[1]
+    jack = jackknife_matrix(data)
+    assert jack.tau.entries.tobytes() == kendall_matrix(data).entries.tobytes()
+    assert np.all(np.diag(jack.entries) == 0.0)
+    for j in range(p):
+        for k in range(j + 1, p):
+            assert jack.entries[j, k] == pytest.approx(
+                jackknife_variance(data, j, k), rel=1e-12, abs=1e-12)
+
+
+class TestKernelPaths:
+    """The cube path (default budget) and the row-by-row path
+    (``cube_budget_bytes=0``) against ``kendall_tau_naive`` and
+    ``jackknife_variance``."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data_matrices())
+    def test_tau_paths_match_naive(self, data):
+        assert_tau_matches_naive(data)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data_matrices(min_n=3))
+    def test_jackknife_matches_reference(self, data):
+        assert_jackknife_matches_reference(data)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_tiny_shapes(self, n, p):
+        rng = np.random.default_rng(100 * n + p)
+        for _ in range(20):
+            data = rng.integers(0, 2, size=(n, p)).astype(float)
+            assert_tau_matches_naive(data)
+            if n >= 3:
+                assert_jackknife_matches_reference(data)
+            else:
+                with pytest.raises(InvalidInputError):
+                    jackknife_matrix(data)
+
+    def test_constant_columns(self):
+        data = np.column_stack([np.full(9, 2.0), np.arange(9.0), np.full(9, -1.0)])
+        assert_tau_matches_naive(data)
+        assert_jackknife_matches_reference(data)
+        assert kendall_matrix(data, cube_budget_bytes=0).entries[0, 1] == 0.0
+
+    def test_ulp_neighbours_keep_their_order(self):
+        x = np.array(_neighbours(1.0, 8))
+        data = np.column_stack([x, x[::-1], np.arange(8.0)])
+        tau = kendall_matrix(data, cube_budget_bytes=0).entries
+        assert tau[0, 2] == 1.0 and tau[1, 2] == -1.0
+        assert_tau_matches_naive(data)
+        assert_jackknife_matches_reference(data)
+
+    def test_heavy_ties_wider_sample(self):
+        rng = np.random.default_rng(21)
+        data = rng.integers(0, 3, size=(70, 5)).astype(float)
+        assert_tau_matches_naive(data)
+        assert_jackknife_matches_reference(data)
+
+    def test_tau_field_is_validated(self):
+        tau = kendall_matrix(np.random.default_rng(22).normal(size=(10, 3)))
+        with pytest.raises(InvalidInputError):
+            JackknifeVarMatrix(np.zeros((2, 2)), tau=tau)
+        with pytest.raises(InvalidInputError):
+            JackknifeVarMatrix(np.zeros((3, 3)), tau=sine_transform(tau))
+        assert JackknifeVarMatrix(np.zeros((3, 3)), tau=tau).tau is tau
+
+    def test_refuses_n_past_the_exact_range(self):
+        # zero-stride views: the guard must fire before any per-row work
+        with pytest.raises(InvalidInputError, match="exact range"):
+            jackknife_matrix(np.broadcast_to(np.arange(2.0), (208065, 2)))
+        with pytest.raises(InvalidInputError, match="exact range"):
+            kendall_matrix(np.broadcast_to(np.arange(2.0), (1 << 24, 2)))
