@@ -348,8 +348,7 @@ def bench(ctx, **_kwargs):
         else:
             c1, kappa = _parse_rate(params["rate"])
             tspec = ThresholdSpec.rate(c1, kappa)
-            gamma_value = (2.0 / 3.0) * c1 * float(sim.n) ** (-kappa)
-            specs.append((gamma_value, tspec))
+            specs.append((tspec.rate_gamma(sim.n), tspec))
 
         rows = []
         table = []

@@ -64,6 +64,11 @@ def read_data_csv(path) -> DataMatrix:
             if not cell or not _is_number(cell):
                 raise InvalidInputError(f"{path}: row {i + 1}, column {j + 1}: bad value {cell!r}")
             values[i, j] = float(cell)
+    bad = np.argwhere(~np.isfinite(values))  # float() accepts nan and inf
+    if bad.size:
+        i, j = bad[0]
+        raise InvalidInputError(
+            f"{path}: row {i + 1}, column {j + 1}: bad value {rows[i][j].strip()!r}")
     return DataMatrix(values, labels=labels)
 
 

@@ -10,8 +10,9 @@ Conventions
 * tau is the literal pairwise average ``2/(n(n-1)) * sum_{i<i'} sign(dx*dy)``:
   tied pairs contribute 0 through ``sign(0) == 0`` and the denominator is
   always ``n(n-1)/2`` (no tie correction).
-* All pairwise statistics have exact integer numerators, so the fast and the
-  quadratic code paths agree bit-for-bit, independent of evaluation order.
+* All pairwise statistics have exact integer numerators, summed by one
+  row-by-row sign kernel, so the matrices agree bit-for-bit with the
+  quadratic pairwise references, independent of evaluation order.
 """
 
 from __future__ import annotations
@@ -23,12 +24,6 @@ import numpy as np
 from .errors import DegenerateColumnError, InvalidInputError
 
 CORR_KINDS = ("kendall-raw", "kendall-sine", "pearson")
-
-# The fastest matrix path materializes one n x n sign table per column; cap
-# its footprint (float32 bytes) before switching to the leaner paths.
-DEFAULT_CUBE_BUDGET_BYTES = 1 << 30
-# Above this n, n^2 partial sums would no longer be exact in float32.
-_CUBE_MAX_N = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,20 +228,6 @@ def kendall_tau_fast(x, y) -> float:
     return (2 * numerator) / (n * (n - 1))
 
 
-def _sign_flat(values: np.ndarray) -> np.ndarray:
-    """float32 matrix F[j] = ravel of the n x n sign table of column j.
-
-    Signs are taken in float64 before the narrowing cast; the cast is exact
-    because entries are -1, 0, or 1.
-    """
-    n, p = values.shape
-    flat = np.empty((p, n * n), dtype=np.float32)
-    for j in range(p):
-        col = values[:, j]
-        flat[j] = np.sign(col[:, None] - col[None, :]).ravel()
-    return flat
-
-
 def _dense_ranks(values: np.ndarray) -> np.ndarray:
     """p x n float32 dense ranks, one row per column of ``values``.
 
@@ -303,23 +284,14 @@ def _tau_from_numerator(total: np.ndarray, n: int) -> CorrMatrix:
     return CorrMatrix(tau, "kendall-raw")
 
 
-def kendall_matrix(data, cube_budget_bytes: int = DEFAULT_CUBE_BUDGET_BYTES) -> CorrMatrix:
+def kendall_matrix(data) -> CorrMatrix:
     """Pairwise Kendall's tau matrix (kind "kendall-raw", unit diagonal).
 
-    Two code paths chosen by size, bit-identical because every pairwise
-    numerator is an exact integer: a single matrix product over flattened
-    per-column sign tables (fastest at small n; needs n <= 4096 and ~4 p n^2
-    bytes within ``cube_budget_bytes``), and otherwise the row-by-row sign
-    kernel (O(p n) memory).
+    One pass of the row-by-row sign kernel: O(p^2 n^2) time, O(p n) memory,
+    and an exact integer numerator for every pair while n < 2^24.
     """
     dm = as_data_matrix(data)
-    n, p = dm.n, dm.p
-    if n <= _CUBE_MAX_N and 4 * p * n * n <= cube_budget_bytes:
-        flat = _sign_flat(dm.values)
-        total = (flat @ flat.T).astype(np.float64)  # exact integer sums
-    else:
-        total, _ = _sign_moments(dm.values, second=False)
-    return _tau_from_numerator(total, n)
+    return _tau_from_numerator(_sign_moments(dm.values, second=False)[0], dm.n)
 
 
 def sine_transform(tau: CorrMatrix) -> CorrMatrix:

@@ -150,6 +150,12 @@ class ThresholdSpec:
             return self.f
         return self.q * p * (p - 1) / 2.0
 
+    def rate_gamma(self, n: int) -> float:
+        """The rate rule's cutoff (2/3) * C1 * n^(-kappa) at sample size n."""
+        if self.mode != "rate":
+            raise InvalidInputError("rate_gamma is only meaningful in rate mode")
+        return (2.0 / 3.0) * self.c1 * float(n) ** (-self.kappa)
+
 
 def threshold_matrix(spec: ThresholdSpec, n: int, p: int, jack: JackknifeVarMatrix | None = None) -> np.ndarray:
     """Materialize the p x p matrix of per-pair cutoffs for a threshold rule.
@@ -161,8 +167,7 @@ def threshold_matrix(spec: ThresholdSpec, n: int, p: int, jack: JackknifeVarMatr
     if spec.mode == "fixed":
         out = np.full((p, p), spec.gamma, dtype=np.float64)
     elif spec.mode == "rate":
-        gamma = (2.0 / 3.0) * spec.c1 * float(n) ** (-spec.kappa)
-        out = np.full((p, p), gamma, dtype=np.float64)
+        out = np.full((p, p), spec.rate_gamma(n), dtype=np.float64)
     else:
         if jack is None:
             raise MissingInputError("fpr mode requires a jackknife variance matrix")
@@ -281,6 +286,28 @@ def write_edges_tsv(path, edges: EdgeSet, values: np.ndarray | CorrMatrix) -> No
             fh.write(f"{j + 1}\t{k + 1}\t{v[j, k]:.17g}\n")
 
 
+def _read_tsv_rows(path, header_prefix: str, what: str, kinds: tuple) -> list[list]:
+    """Cells parsed by ``kinds`` for each non-blank line after the header; a
+    malformed line raises an error naming its 1-based line number."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        if not fh.readline().startswith(header_prefix):
+            raise InvalidInputError(f"{path}: missing {what} TSV header")
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            cells = line.split("\t")
+            if len(cells) != len(kinds):
+                raise InvalidInputError(
+                    f"{path}: line {lineno} has {len(cells)} cells, expected {len(kinds)}")
+            try:
+                rows.append([kind(cell) for kind, cell in zip(kinds, cells)])
+            except ValueError as exc:
+                raise InvalidInputError(f"{path}: line {lineno}: {exc}") from None
+    return rows
+
+
 def read_edges_tsv(path, p: int | None = None) -> tuple[EdgeSet, dict[tuple[int, int], float]]:
     """Read an edge-list TSV; returns the edge set and the per-edge values.
 
@@ -289,18 +316,10 @@ def read_edges_tsv(path, p: int | None = None) -> tuple[EdgeSet, dict[tuple[int,
     """
     pairs = []
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("j\t"):
-            raise InvalidInputError(f"{path}: missing edge TSV header")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            a, b, val = line.split("\t")
-            j, k = int(a) - 1, int(b) - 1
-            pairs.append((j, k))
-            values[(j, k)] = float(val)
+    for a, b, val in _read_tsv_rows(path, "j\t", "edge", (int, int, float)):
+        j, k = a - 1, b - 1
+        pairs.append((j, k))
+        values[(j, k)] = val
     if p is None:
         p = max((k for _, k in pairs), default=0) + 1
     return EdgeSet(p, tuple(pairs)), values
@@ -316,15 +335,10 @@ def write_partition_tsv(path, part: Partition) -> None:
 
 def read_partition_tsv(path) -> Partition:
     labels = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("node\t"):
-            raise InvalidInputError(f"{path}: missing partition TSV header")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            node, label = line.split("\t")
-            labels[int(node) - 1] = int(label)
+    for node, label in _read_tsv_rows(path, "node\t", "partition", (int, int)):
+        labels[node - 1] = label
     p = max(labels) + 1 if labels else 0
+    missing = next((i for i in range(p) if i not in labels), None)
+    if missing is not None:
+        raise InvalidInputError(f"{path}: no line for node {missing + 1}")
     return Partition(p, tuple(labels[i] for i in range(p)))

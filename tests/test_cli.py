@@ -138,9 +138,8 @@ class TestScreen:
         assert "components" in summary
 
 
-    @pytest.mark.parametrize("ref_budget", [None, 0])
     def test_fpr_one_sign_pass_matches_two_pass_reference(self, runner, tmp_path,
-                                                          sign_passes, ref_budget):
+                                                          sign_passes):
         sim_dir = tmp_path / "sim"
         invoke(runner, ["simulate", "--scenario", "B", "--n", "150", "--p", "20",
                         "--base", "t", "--transform", "npn", "--seed", "8",
@@ -154,10 +153,9 @@ class TestScreen:
         assert sign_passes == ["_sign_moments"]
         assert json.loads(result.output)["edge_count"] > 0
 
-        # reference: separate tau and jackknife passes, tau on either path
+        # reference: separate tau and jackknife passes
         data = read_data_csv(data_path)
-        budget = {} if ref_budget is None else {"cube_budget_bytes": ref_budget}
-        corr = sine_transform(kendall_matrix(data, **budget))
+        corr = sine_transform(kendall_matrix(data))
         jack = jackknife_matrix(data)
         gammas = threshold_matrix(ThresholdSpec.fpr(q=0.05), data.n, data.p, jack=jack)
         edges = screen_edges(corr, gammas)
@@ -287,6 +285,21 @@ class TestDiagnose:
     def test_requires_inputs(self, runner):
         result = CliRunner().invoke(main, ["diagnose", "--n", "50", "--out", "r.json"])
         assert result.exit_code == 2
+
+    def test_malformed_edges_file_is_located_error(self, runner, tmp_path):
+        sim_dir = tmp_path / "sim"
+        invoke(runner, ["simulate", "--scenario", "D", "--n", "50", "--p", "20",
+                        "--seed", "0", "--out-dir", str(sim_dir)])
+        edges = sim_dir / "sim_edges.tsv"
+        edges.write_text(edges.read_text() + "3\t4\n")
+        line = len(edges.read_text().splitlines())
+        result = CliRunner().invoke(main, [
+            "diagnose", "--sigma", str(sim_dir / "sim_sigma.csv"),
+            "--precision", str(sim_dir / "sim_precision.csv"), "--edges", str(edges),
+            "--n", "50", "--out", str(tmp_path / "report.json")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not a raw traceback
+        assert f"error: {edges}: line {line} has 2 cells, expected 3" in result.output
 
 
 class TestPipelineConsistency:

@@ -51,6 +51,12 @@ class TestDataCsv:
         with pytest.raises(InvalidInputError, match="row 2"):
             read_data_csv(path)
 
+    def test_non_finite_cell_located(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x,y\n1,2\n3, nan\ninf,4\n")
+        with pytest.raises(InvalidInputError, match="row 2, column 2: bad value 'nan'"):
+            read_data_csv(path)
+
     def test_ragged_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("1,2\n3\n")

@@ -61,6 +61,7 @@ class TestThresholdMatrix:
         t = threshold_matrix(ThresholdSpec.rate(0.6, 0.25), n=16, p=3)
         off = t[~np.eye(3, dtype=bool)]
         assert np.allclose(off, 0.2, atol=1e-15)
+        assert np.all(off == ThresholdSpec.rate(0.6, 0.25).rate_gamma(16))
 
     def test_fixed(self):
         t = threshold_matrix(ThresholdSpec.fixed(0.5), n=10, p=4)
@@ -235,3 +236,21 @@ class TestSerialization:
         write_partition_tsv(path, part)
         assert read_partition_tsv(path).component_id == part.component_id
         assert path.read_text().splitlines()[0] == "node\tcomponent"
+
+    def test_malformed_edge_line_located(self, tmp_path):
+        path = tmp_path / "edges.tsv"
+        path.write_text("j\tj'\tvalue\n1\t2\t0.5\n2\t3\n")
+        with pytest.raises(InvalidInputError, match=r"edges\.tsv: line 3 has 2 cells"):
+            read_edges_tsv(path)
+        path.write_text("j\tj'\tvalue\n1\tx\t0.5\n")
+        with pytest.raises(InvalidInputError, match=r"edges\.tsv: line 2: .*'x'"):
+            read_edges_tsv(path)
+
+    def test_malformed_partition_located(self, tmp_path):
+        path = tmp_path / "part.tsv"
+        path.write_text("node\tcomponent\n1\t1\n3\t1\n")
+        with pytest.raises(InvalidInputError, match=r"part\.tsv: no line for node 2"):
+            read_partition_tsv(path)
+        path.write_text("node\tcomponent\n1\t1\n\n2\t1\t9\n")
+        with pytest.raises(InvalidInputError, match=r"part\.tsv: line 4 has 3 cells"):
+            read_partition_tsv(path)
