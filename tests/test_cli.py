@@ -18,7 +18,13 @@ from tauscreen import (
 )
 from tauscreen.cli import main
 from tauscreen.io import read_data_csv, read_matrix_csv, write_data_csv
-from tauscreen.rankcorr import jackknife_matrix, kendall_matrix, sine_transform
+from tauscreen.rankcorr import (
+    CorrMatrix,
+    jackknife_matrix,
+    kendall_matrix,
+    kendall_tau_fast,
+    sine_transform,
+)
 from tauscreen.screening import (
     connected_components,
     read_edges_tsv,
@@ -138,8 +144,9 @@ class TestScreen:
         assert "components" in summary
 
 
+    @pytest.mark.parametrize("ref_budget", [None, 0])
     def test_fpr_one_sign_pass_matches_two_pass_reference(self, runner, tmp_path,
-                                                          sign_passes):
+                                                          sign_passes, ref_budget):
         sim_dir = tmp_path / "sim"
         invoke(runner, ["simulate", "--scenario", "B", "--n", "150", "--p", "20",
                         "--base", "t", "--transform", "npn", "--seed", "8",
@@ -153,9 +160,21 @@ class TestScreen:
         assert sign_passes == ["_sign_moments"]
         assert json.loads(result.output)["edge_count"] > 0
 
-        # reference: separate tau and jackknife passes
+        # reference: separate tau and jackknife passes. ref_budget is the
+        # p x p kernel workspace the reference's tau may use: None places no
+        # limit (kendall_matrix), 0 allows none (each pair by the independent
+        # merge count of kendall_tau_fast).
         data = read_data_csv(data_path)
-        corr = sine_transform(kendall_matrix(data))
+        if ref_budget is None:
+            tau = kendall_matrix(data)
+        else:
+            tau = np.eye(data.p)
+            for j in range(data.p):
+                for k in range(j + 1, data.p):
+                    tau[j, k] = tau[k, j] = kendall_tau_fast(data.values[:, j],
+                                                             data.values[:, k])
+            tau = CorrMatrix(tau, "kendall-raw")
+        corr = sine_transform(tau)
         jack = jackknife_matrix(data)
         gammas = threshold_matrix(ThresholdSpec.fpr(q=0.05), data.n, data.p, jack=jack)
         edges = screen_edges(corr, gammas)
