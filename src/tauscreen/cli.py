@@ -9,6 +9,7 @@ deterministic functions of the flags and seed, byte-for-byte.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 
@@ -297,7 +298,9 @@ def ingest_prices_cmd(ctx, **_kwargs):
 @click.option("--q", default=None, help="Comma list of target FPR levels (table mode).")
 @click.option("--gamma", default=None, help="Comma list of fixed thresholds (table mode).")
 @click.option("--rate", default=None, help="'C1,KAPPA' rate threshold (table mode).")
-@click.option("--grid", default=None, help="'MIN,MAX,COUNT' threshold grid (sweep mode).")
+@click.option("--grid", default=None,
+              help="'MIN,MAX,COUNT' threshold grid (sweep mode); finite "
+                   "0 <= MIN <= MAX, COUNT an integer >= 1.")
 @click.option("--out-csv", type=click.Path(), default=None)
 @click.option("--out-json", type=click.Path(), default=None)
 @_threads_option
@@ -320,6 +323,12 @@ def bench(ctx, **_kwargs):
                 if len(parts) != 3:
                     raise click.UsageError("--grid expects 'MIN,MAX,COUNT'")
                 lo, hi, count = parts
+                if not (math.isfinite(lo) and math.isfinite(hi)):
+                    raise click.UsageError("--grid: MIN and MAX must be finite")
+                if not 0 <= lo <= hi:
+                    raise click.UsageError("--grid: need 0 <= MIN <= MAX")
+                if not (count.is_integer() and count >= 1):
+                    raise click.UsageError("--grid: COUNT must be an integer >= 1")
                 grid = tuple(np.linspace(lo, hi, int(count)).tolist())
             sweep = roc_sweep(sim, params["estimator"], params["replicates"],
                               params["seed"], grid=grid, threads=threads)

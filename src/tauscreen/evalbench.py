@@ -226,10 +226,22 @@ def _sweep_replicate(sim: SimConfig, estimator: str, base_seed: int, r: int,
         gt = generate_ground_truth(sim, rng)
         data = sample(gt, sim, rng)
         corr = estimator_matrix(data, estimator)
+        upper = np.triu_indices(sim.p, 1)
+        strength = np.abs(corr.entries[upper])
+        truth = np.zeros((sim.p, sim.p), dtype=bool)
+        pairs = np.array(gt.edges.edges, dtype=np.intp).reshape(-1, 2)
+        truth[pairs[:, 0], pairs[:, 1]] = True
+        true_strength = strength[truth[upper]]
+        total, edges = strength.size, true_strength.size
+        # side="right" counts the pairs with |corr| <= gamma, so what remains
+        # is the strict |corr| > gamma rule of screen_edges, ties included
+        points = np.asarray(grid, dtype=np.float64)
+        kept = total - np.searchsorted(np.sort(strength), points, side="right")
+        hits = edges - np.searchsorted(np.sort(true_strength), points, side="right")
         tprs, fprs = [], []
-        for gamma in grid:
-            est = screen_edges(corr, np.full((sim.p, sim.p), gamma))
-            m = confusion(est, gt.edges)
+        for k, tp in zip(kept.tolist(), hits.tolist()):
+            fp = k - tp
+            m = ConfusionMetrics.from_counts(tp, fp, total - edges - fp, edges - tp)
             tprs.append(1.0 - m.fnr)
             fprs.append(m.fpr)
         return tuple(tprs), tuple(fprs)
@@ -239,8 +251,14 @@ def _sweep_replicate(sim: SimConfig, estimator: str, base_seed: int, r: int,
 
 def roc_sweep(sim: SimConfig, estimator: str, replicates: int, base_seed: int,
               grid=None, threads: int = 1) -> SweepResult:
-    """One screening pass per grid value per replicate, reusing each
-    replicate's correlation matrix across the whole grid."""
+    """ROC points at every grid value from one sort per replicate.
+
+    Each replicate sorts the upper-triangle |corr| of its correlation matrix
+    once, and separately the strengths of its true edges; the kept and
+    true-positive counts at every grid value gamma are then binary searches
+    for the pairs with |corr| > gamma, the same strict rule as
+    :func:`screen_edges`.
+    """
     if estimator not in ESTIMATORS:
         raise InvalidInputError(f"estimator must be one of {ESTIMATORS}")
     if replicates < 1:
@@ -248,6 +266,8 @@ def roc_sweep(sim: SimConfig, estimator: str, replicates: int, base_seed: int,
     grid = default_grid() if grid is None else tuple(float(g) for g in grid)
     if len(grid) < 1:
         raise InvalidInputError("grid must be non-empty")
+    if not all(np.isfinite(grid)):
+        raise InvalidInputError("grid values must be finite")
     if any(g < 0 for g in grid) or list(grid) != sorted(grid):
         raise InvalidInputError("grid values must be >= 0 and ascending")
     indices = range(replicates)

@@ -286,9 +286,10 @@ def write_edges_tsv(path, edges: EdgeSet, values: np.ndarray | CorrMatrix) -> No
             fh.write(f"{j + 1}\t{k + 1}\t{v[j, k]:.17g}\n")
 
 
-def _read_tsv_rows(path, header_prefix: str, what: str, kinds: tuple) -> list[list]:
-    """Cells parsed by ``kinds`` for each non-blank line after the header; a
-    malformed line raises an error naming its 1-based line number."""
+def _read_tsv_rows(path, header_prefix: str, what: str, kinds: tuple) -> list[tuple[int, list]]:
+    """The 1-based line number and the cells parsed by ``kinds`` of each
+    non-blank line after the header; a malformed line raises an error naming
+    its line number."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         if not fh.readline().startswith(header_prefix):
@@ -302,7 +303,7 @@ def _read_tsv_rows(path, header_prefix: str, what: str, kinds: tuple) -> list[li
                 raise InvalidInputError(
                     f"{path}: line {lineno} has {len(cells)} cells, expected {len(kinds)}")
             try:
-                rows.append([kind(cell) for kind, cell in zip(kinds, cells)])
+                rows.append((lineno, [kind(cell) for kind, cell in zip(kinds, cells)]))
             except ValueError as exc:
                 raise InvalidInputError(f"{path}: line {lineno}: {exc}") from None
     return rows
@@ -311,18 +312,27 @@ def _read_tsv_rows(path, header_prefix: str, what: str, kinds: tuple) -> list[li
 def read_edges_tsv(path, p: int | None = None) -> tuple[EdgeSet, dict[tuple[int, int], float]]:
     """Read an edge-list TSV; returns the edge set and the per-edge values.
 
-    When ``p`` is omitted the node count is inferred as the largest index
-    present (isolated trailing nodes cannot be recovered from the file).
+    Each line must hold 1 <= j < j' (and j' <= p when ``p`` is given) and
+    name a pair no earlier line named. When ``p`` is omitted the node count is
+    inferred as the largest index present (isolated trailing nodes cannot be
+    recovered from the file).
     """
-    pairs = []
     values = {}
-    for a, b, val in _read_tsv_rows(path, "j\t", "edge", (int, int, float)):
-        j, k = a - 1, b - 1
-        pairs.append((j, k))
-        values[(j, k)] = val
+    first_line = {}
+    for lineno, (a, b, val) in _read_tsv_rows(path, "j\t", "edge", (int, int, float)):
+        if not 1 <= a < b or (p is not None and b > p):
+            bound = "" if p is None else f" <= p={p}"
+            raise InvalidInputError(
+                f"{path}: line {lineno}: edge ({a}, {b}) needs 1 <= j < j'{bound}")
+        if (a, b) in first_line:
+            raise InvalidInputError(
+                f"{path}: line {lineno}: duplicate edge ({a}, {b}), "
+                f"first on line {first_line[a, b]}")
+        first_line[a, b] = lineno
+        values[(a - 1, b - 1)] = val
     if p is None:
-        p = max((k for _, k in pairs), default=0) + 1
-    return EdgeSet(p, tuple(pairs)), values
+        p = max((k for _, k in values), default=0) + 1
+    return EdgeSet(p, tuple(values)), values
 
 
 def write_partition_tsv(path, part: Partition) -> None:
@@ -334,8 +344,16 @@ def write_partition_tsv(path, part: Partition) -> None:
 
 
 def read_partition_tsv(path) -> Partition:
+    """Read a node-to-component TSV: one line per node 1..p, in any order."""
     labels = {}
-    for node, label in _read_tsv_rows(path, "node\t", "partition", (int, int)):
+    first_line = {}
+    for lineno, (node, label) in _read_tsv_rows(path, "node\t", "partition", (int, int)):
+        if node < 1:
+            raise InvalidInputError(f"{path}: line {lineno}: node {node} must be >= 1")
+        if node in first_line:
+            raise InvalidInputError(
+                f"{path}: line {lineno}: duplicate node {node}, first on line {first_line[node]}")
+        first_line[node] = lineno
         labels[node - 1] = label
     p = max(labels) + 1 if labels else 0
     missing = next((i for i in range(p) if i not in labels), None)

@@ -2,7 +2,9 @@
 
 import pytest
 
+import tauscreen.evalbench as evalbench
 import tauscreen.rankcorr as rankcorr
+import tauscreen.screening as screening
 
 
 @pytest.fixture
@@ -17,4 +19,20 @@ def sign_passes(monkeypatch):
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(rankcorr, "_sign_moments", counted)
+    return calls
+
+
+@pytest.fixture
+def screen_calls(monkeypatch):
+    """One entry per ``screen_edges`` or ``confusion`` call made during the
+    test, by function name, through the names that ``screening`` and
+    ``evalbench`` bind."""
+    calls = []
+    for module, name in ((screening, "screen_edges"), (evalbench, "screen_edges"),
+                         (evalbench, "confusion")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
     return calls

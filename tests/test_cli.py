@@ -249,6 +249,38 @@ class TestBench:
         doc = json.loads((tmp_path / "s.json").read_text())
         assert 0.0 <= doc["auc"] <= 1.0
 
+    def test_sweep_threads_byte_identical(self, runner, tmp_path):
+        base = ["bench", "--mode", "sweep", "--scenario", "A", "--n", "30", "--p", "20",
+                "--replicates", "5", "--seed", "8", "--grid", "0,1,11"]
+        outs = []
+        for threads in ("1", "4"):
+            csv, js = tmp_path / f"s{threads}.csv", tmp_path / f"s{threads}.json"
+            result = invoke(runner, base + ["--threads", threads,
+                                            "--out-csv", str(csv), "--out-json", str(js)])
+            assert result.exit_code == 0
+            outs.append((csv.read_bytes(), js.read_bytes(), result.output))
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("grid,message", [
+        ("0,1,-1", "COUNT must be an integer >= 1"),
+        ("0,1,0", "COUNT must be an integer >= 1"),
+        ("0,1,2.5", "COUNT must be an integer >= 1"),
+        ("0,nan,5", "MIN and MAX must be finite"),
+        ("0,inf,3", "MIN and MAX must be finite"),
+        ("-0.5,1,3", "need 0 <= MIN <= MAX"),
+        ("0.8,0.2,3", "need 0 <= MIN <= MAX"),
+    ], ids=["count-negative", "count-zero", "count-fraction", "max-nan", "max-inf",
+            "min-negative", "min-above-max"])
+    def test_bad_grid_is_usage_error(self, runner, tmp_path, grid, message):
+        result = runner.invoke(main, ["bench", "--mode", "sweep", "--scenario", "C",
+                                      "--n", "20", "--p", "5", "--replicates", "1",
+                                      "--grid", grid,
+                                      "--out-csv", str(tmp_path / "s.csv"),
+                                      "--out-json", str(tmp_path / "s.json")])
+        assert result.exit_code == 2
+        assert message in result.output
+        assert not (tmp_path / "s.csv").exists()
+
     def test_config_file_with_flag_override(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scenario": "C", "n": 30, "p": 8, "replicates": 2,

@@ -168,10 +168,96 @@ class TestRocSweep:
         with pytest.raises(InvalidInputError):
             roc_sweep(sim, "kendall", 1, 0, grid=(-0.1, 0.5))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_grid_rejected(self, bad):
+        sim = SimConfig(scenario="C", n=20, p=5, seed=0)
+        with pytest.raises(InvalidInputError, match="finite"):
+            roc_sweep(sim, "kendall", 1, 0, grid=(0.1, bad))
+
     def test_default_grid(self):
         grid = default_grid()
         assert len(grid) == 50
         assert grid[0] == 0.0 and grid[-1] == 1.0
+
+
+def replicate_draw(sim, estimator, base_seed, r):
+    """Replicate r's truth and correlation estimate, drawn from
+    ``RngStream(base_seed ^ r)`` in the order the sweep draws them."""
+    rng = RngStream(base_seed ^ r)
+    gt = generate_ground_truth(sim, rng)
+    data = sample(gt, sim, rng)
+    return gt, estimator_matrix(data, estimator)
+
+
+def reference_sweep(sim, estimator, replicates, base_seed, grid):
+    """Per-replicate TPR and FPR tuples from one ``screen_edges`` and
+    ``confusion`` pass per grid value."""
+    tprs, fprs = [], []
+    for r in range(replicates):
+        gt, corr = replicate_draw(sim, estimator, base_seed, r)
+        rep_tpr, rep_fpr = [], []
+        for gamma in grid:
+            m = confusion(screen_edges(corr, np.full((sim.p, sim.p), gamma)), gt.edges)
+            rep_tpr.append(1.0 - m.fnr)
+            rep_fpr.append(m.fpr)
+        tprs.append(tuple(rep_tpr))
+        fprs.append(tuple(rep_fpr))
+    return tuple(tprs), tuple(fprs)
+
+
+def tie_grid(sim, estimator, replicates, base_seed):
+    """Every distinct upper-triangle |corr| value of every replicate, so each
+    grid point ties with some pair, plus repeated points, 0, 1 and 1.5."""
+    values = set()
+    for r in range(replicates):
+        _, corr = replicate_draw(sim, estimator, base_seed, r)
+        values.update(np.abs(corr.entries[np.triu_indices(sim.p, 1)]).tolist())
+    distinct = sorted(values)
+    return tuple(sorted(distinct + distinct[::5] + [0.0, 0.0, 1.0, 1.0, 1.5]))
+
+
+class TestSweepMatchesScreenLoop:
+    """The sort-once sweep against the per-grid-value screen loop it replaced;
+    rates must be equal, not close."""
+
+    @pytest.mark.parametrize("estimator", ["kendall", "pearson"])
+    @pytest.mark.parametrize("scenario,n,p", [("A", 30, 20), ("B", 25, 20),
+                                              ("C", 15, 12), ("D", 25, 20)])
+    def test_tie_at_every_grid_point(self, scenario, n, p, estimator):
+        sim = SimConfig(scenario=scenario, n=n, p=p, seed=0)
+        grid = tie_grid(sim, estimator, 2, 41)
+        sweep = roc_sweep(sim, estimator, replicates=2, base_seed=41, grid=grid)
+        assert (sweep.per_replicate_tpr, sweep.per_replicate_fpr) == reference_sweep(
+            sim, estimator, 2, 41, grid)
+
+    @pytest.mark.parametrize("estimator", ["kendall", "pearson"])
+    @pytest.mark.parametrize("scenario,p", [("A", 2), ("B", 10), ("C", 2), ("D", 10)])
+    def test_smallest_p(self, scenario, p, estimator):
+        sim = SimConfig(scenario=scenario, n=9, p=p, seed=0)
+        grid = tie_grid(sim, estimator, 3, 7)
+        sweep = roc_sweep(sim, estimator, replicates=3, base_seed=7, grid=grid)
+        assert (sweep.per_replicate_tpr, sweep.per_replicate_fpr) == reference_sweep(
+            sim, estimator, 3, 7, grid)
+
+    @pytest.mark.parametrize("estimator", ["kendall", "pearson"])
+    def test_no_true_edges(self, estimator):
+        # seed 7 draws no scenario-A edge on 15 pairs in any of the 3 replicates
+        sim = SimConfig(scenario="A", n=12, p=6, seed=0)
+        assert all(len(replicate_draw(sim, estimator, 7, r)[0].edges) == 0 for r in range(3))
+        grid = tie_grid(sim, estimator, 3, 7)
+        sweep = roc_sweep(sim, estimator, replicates=3, base_seed=7, grid=grid)
+        assert (sweep.per_replicate_tpr, sweep.per_replicate_fpr) == reference_sweep(
+            sim, estimator, 3, 7, grid)
+        assert set(sweep.mean_tpr) == {1.0}
+
+    def test_makes_no_screen_or_confusion_call(self, screen_calls):
+        sim = SimConfig(scenario="C", n=20, p=8, seed=0)
+        roc_sweep(sim, "kendall", replicates=2, base_seed=0, threads=2)
+        assert screen_calls == []
+        # the counter sees the table-mode replicate's calls
+        run_experiment(ExperimentSpec(sim=sim, threshold=ThresholdSpec.fixed(0.3),
+                                      replicates=1))
+        assert screen_calls == ["screen_edges", "confusion"]
 
 
 class TestAuc:

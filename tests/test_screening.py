@@ -254,3 +254,34 @@ class TestSerialization:
         path.write_text("node\tcomponent\n1\t1\n\n2\t1\t9\n")
         with pytest.raises(InvalidInputError, match=r"part\.tsv: line 4 has 3 cells"):
             read_partition_tsv(path)
+
+    @pytest.mark.parametrize("line,p,message", [
+        ("0\t2\t0.5", None, r"line 3: edge \(0, 2\) needs 1 <= j < j'$"),
+        ("2\t1\t0.5", None, r"line 3: edge \(2, 1\) needs 1 <= j < j'$"),
+        ("1\t4\t0.5", 3, r"line 3: edge \(1, 4\) needs 1 <= j < j' <= p=3"),
+    ], ids=["j-zero", "j-above-jprime", "jprime-above-p"])
+    def test_edge_out_of_range_located(self, tmp_path, line, p, message):
+        path = tmp_path / "edges.tsv"
+        path.write_text(f"j\tj'\tvalue\n1\t2\t0.5\n{line}\n")
+        with pytest.raises(InvalidInputError, match=r"edges\.tsv: " + message):
+            read_edges_tsv(path, p=p)
+
+    def test_duplicate_edge_located(self, tmp_path):
+        path = tmp_path / "edges.tsv"
+        path.write_text("j\tj'\tvalue\n1\t2\t0.5\n2\t3\t0.1\n1\t2\t0.7\n")
+        with pytest.raises(InvalidInputError,
+                           match=r"edges\.tsv: line 4: duplicate edge \(1, 2\), first on line 2"):
+            read_edges_tsv(path)
+
+    def test_duplicate_partition_node_located(self, tmp_path):
+        path = tmp_path / "part.tsv"
+        path.write_text("node\tcomponent\n1\t1\n1\t2\n2\t1\n")
+        with pytest.raises(InvalidInputError,
+                           match=r"part\.tsv: line 3: duplicate node 1, first on line 2"):
+            read_partition_tsv(path)
+
+    def test_partition_node_zero_located(self, tmp_path):
+        path = tmp_path / "part.tsv"
+        path.write_text("node\tcomponent\n0\t1\n1\t1\n")
+        with pytest.raises(InvalidInputError, match=r"part\.tsv: line 2: node 0 must be >= 1"):
+            read_partition_tsv(path)
