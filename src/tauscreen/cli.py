@@ -312,6 +312,11 @@ def bench(ctx, **_kwargs):
     for key in ("scenario", "out_csv", "out_json"):
         if params.get(key) is None:
             raise click.UsageError(f"--{key.replace('_', '-')} is required")
+    # checked after _merge: config-file values bypass click's type checks
+    for key in ("replicates", "threads"):
+        value = params[key]
+        if value is not None and (type(value) is not int or value < 1):
+            raise click.UsageError(f"--{key} must be an integer >= 1, got {value!r}")
     sim = _sim_config(params)
     threads = _resolve_threads(params["threads"])
     try:

@@ -82,8 +82,7 @@ def _corr_extremes(gt: GroundTruth) -> tuple[float, float]:
     p = gt.p
     absd = np.abs(gt.sigma)
     edge_mask = np.zeros((p, p), dtype=bool)
-    for j, k in gt.edges.edges:
-        edge_mask[j, k] = True
+    edge_mask[gt.edges.edges[:, 0], gt.edges.edges[:, 1]] = True
     triu = np.triu(np.ones((p, p), dtype=bool), 1)
     nonedge_mask = triu & ~edge_mask
     min_edge = float(np.min(absd[edge_mask])) if edge_mask.any() else float("nan")
@@ -101,8 +100,7 @@ def _spread(gt: GroundTruth) -> tuple[float, float, float, float]:
 def _min_scaled_precision(gt: GroundTruth, nu: float) -> float:
     if len(gt.edges) == 0:
         return float("nan")
-    vals = [abs(gt.omega[j, k]) for j, k in gt.edges.edges]
-    return nu * nu * min(vals)
+    return nu * nu * np.abs(gt.omega[gt.edges.edges[:, 0], gt.edges.edges[:, 1]]).min()
 
 
 def check_assumptions(gt: GroundTruth, n: int, c1: float, kappa: float, xi: float,

@@ -45,30 +45,50 @@ def _split_rows(path) -> tuple[list[list[str]], str]:
     return [line.split(delim) for line in lines], delim
 
 
-def read_data_csv(path) -> DataMatrix:
-    """Read an observation matrix; see the module docstring for the format."""
-    rows, _ = _split_rows(path)
+def _read_numeric_table(path, labelled: bool) -> tuple[np.ndarray, tuple[str, ...] | None]:
+    """Parse a numeric table one line at a time. With ``labelled``, a first
+    line whose first cell is not a number holds the column labels. A bad
+    cell raises an error naming its row and column (rows count from the
+    first data line)."""
     labels = None
-    if rows and not _is_number(rows[0][0]):
-        labels = tuple(cell.strip() for cell in rows[0])
-        rows = rows[1:]
+    rows = []
+    delim = None
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.rstrip("\n").rstrip("\r")
+            if not line.strip():
+                continue
+            first = delim is None
+            if first:
+                delim = _detect_delimiter(line)
+            cells = line.split(delim)
+            if first and labelled and not _is_number(cells[0]):
+                labels = tuple(cell.strip() for cell in cells)
+                continue
+            i = len(rows) + 1
+            if rows and len(cells) != rows[0].size:
+                raise InvalidInputError(
+                    f"{path}: row {i} has {len(cells)} cells, expected {rows[0].size}")
+            try:
+                row = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+            except ValueError:  # rescan the row; a cell float() rejects reads as nan
+                row = np.array([float(c) if _is_number(c) else np.nan for c in cells])
+            bad = np.flatnonzero(~np.isfinite(row))  # float() accepts nan and inf
+            if bad.size:
+                j = bad[0]
+                raise InvalidInputError(
+                    f"{path}: row {i}, column {j + 1}: bad value {cells[j].strip()!r}")
+            rows.append(row)
+    if delim is None:
+        raise InvalidInputError(f"{path}: empty file")
     if not rows:
         raise InvalidInputError(f"{path}: no data rows")
-    width = len(rows[0])
-    values = np.empty((len(rows), width))
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise InvalidInputError(f"{path}: row {i + 1} has {len(row)} cells, expected {width}")
-        for j, cell in enumerate(row):
-            cell = cell.strip()
-            if not cell or not _is_number(cell):
-                raise InvalidInputError(f"{path}: row {i + 1}, column {j + 1}: bad value {cell!r}")
-            values[i, j] = float(cell)
-    bad = np.argwhere(~np.isfinite(values))  # float() accepts nan and inf
-    if bad.size:
-        i, j = bad[0]
-        raise InvalidInputError(
-            f"{path}: row {i + 1}, column {j + 1}: bad value {rows[i][j].strip()!r}")
+    return np.vstack(rows), labels
+
+
+def read_data_csv(path) -> DataMatrix:
+    """Read an observation matrix; see the module docstring for the format."""
+    values, labels = _read_numeric_table(path, labelled=True)
     return DataMatrix(values, labels=labels)
 
 
@@ -81,18 +101,8 @@ def write_data_csv(path, data: DataMatrix, delimiter: str = ",") -> None:
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    """Read a dense header-free numeric matrix."""
-    rows, _ = _split_rows(path)
-    width = len(rows[0])
-    out = np.empty((len(rows), width))
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise InvalidInputError(f"{path}: row {i + 1} has {len(row)} cells, expected {width}")
-        try:
-            out[i] = [float(cell) for cell in row]
-        except ValueError as exc:
-            raise InvalidInputError(f"{path}: row {i + 1}: {exc}") from exc
-    return out
+    """Read a dense header-free numeric matrix of finite values."""
+    return _read_numeric_table(path, labelled=False)[0]
 
 
 def write_matrix_csv(path, matrix) -> None:

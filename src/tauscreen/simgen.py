@@ -208,15 +208,9 @@ class GroundTruth:
         resid = np.max(np.abs(self.sigma @ self.omega - np.eye(p)))
         if resid > inverse_tol:
             raise InvalidInputError(f"sigma * omega deviates from identity by {resid:.3g}")
-        support = set()
-        jj, kk = np.nonzero(np.triu(np.abs(self.omega) > support_tol, 1))
-        support.update(zip(jj.tolist(), kk.tolist()))
-        if support != self.edges.as_set():
+        support = np.argwhere(np.triu(np.abs(self.omega) > support_tol, 1))
+        if not np.array_equal(support, self.edges.edges):
             raise InvalidInputError("edge set does not match the precision support")
-
-
-def _edges_from_pairs(p: int, pairs) -> EdgeSet:
-    return EdgeSet(p, tuple(pairs))
 
 
 def _finish_from_precision(precision: np.ndarray, edges: EdgeSet, scenario: str,
@@ -253,9 +247,7 @@ def _random_weighted_precision(p: int, pair_mask: np.ndarray, rng: RngStream):
     a.T[iu] = vals
     lam_min, _ = eig_extremes(a)
     precision = a + (_EIG_FLOOR - lam_min) * np.eye(p)
-    support = np.flatnonzero(vals != 0.0)
-    pairs = [(int(iu[0][i]), int(iu[1][i])) for i in support]
-    return precision, pairs
+    return precision, np.transpose(iu)[vals != 0.0]
 
 
 def gen_precision_A(p: int, rng: RngStream) -> GroundTruth:
@@ -265,7 +257,7 @@ def gen_precision_A(p: int, rng: RngStream) -> GroundTruth:
     m = p * (p - 1) // 2
     mask = rng.uniform01(m) < _EDGE_PROBABILITY
     precision, pairs = _random_weighted_precision(p, mask, rng)
-    return _finish_from_precision(precision, _edges_from_pairs(p, pairs), "A")
+    return _finish_from_precision(precision, EdgeSet(p, pairs), "A")
 
 
 def _contiguous_blocks(p: int, n_blocks: int) -> list[slice]:
@@ -288,9 +280,8 @@ def gen_precision_B(p: int, rng: RngStream) -> GroundTruth:
     blocks = _contiguous_blocks(p, 10)
     mask = _within_block_mask(p, blocks)
     precision, _ = _random_weighted_precision(p, mask, rng)
-    iu = np.triu_indices(p, 1)
-    pairs = [(int(iu[0][i]), int(iu[1][i])) for i in np.flatnonzero(mask)]
-    return _finish_from_precision(precision, _edges_from_pairs(p, pairs), "B",
+    pairs = np.transpose(np.triu_indices(p, 1))[mask]
+    return _finish_from_precision(precision, EdgeSet(p, pairs), "B",
                                   block_slices=blocks)
 
 
@@ -309,7 +300,7 @@ def gen_correlation_C(p: int) -> GroundTruth:
     off = -r / denom
     for j in range(p - 1):
         omega[j, j + 1] = omega[j + 1, j] = off
-    edges = _edges_from_pairs(p, [(j, j + 1) for j in range(p - 1)])
+    edges = EdgeSet(p, np.column_stack((idx[:-1], idx[1:])))
     return GroundTruth(sigma=sigma, omega=omega, edges=edges, scenario="C",
                        raw_precision=omega)
 
@@ -324,10 +315,8 @@ def gen_precision_D(p: int) -> GroundTruth:
     precision = np.zeros((p, p))
     for sl in blocks:
         precision[sl, sl] = block
-    mask = _within_block_mask(p, blocks)
-    iu = np.triu_indices(p, 1)
-    pairs = [(int(iu[0][i]), int(iu[1][i])) for i in np.flatnonzero(mask)]
-    return _finish_from_precision(precision, _edges_from_pairs(p, pairs), "D",
+    pairs = np.transpose(np.triu_indices(p, 1))[_within_block_mask(p, blocks)]
+    return _finish_from_precision(precision, EdgeSet(p, pairs), "D",
                                   block_slices=blocks)
 
 

@@ -281,6 +281,35 @@ class TestBench:
         assert message in result.output
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("key,value", [
+        ("replicates", 0), ("replicates", -2), ("threads", 0), ("threads", -3),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_replicates_or_threads_is_usage_error(self, runner, tmp_path, key, value,
+                                                      source):
+        args = ["bench", "--mode", "sweep", "--scenario", "C", "--n", "20", "--p", "5",
+                "--out-csv", str(tmp_path / "s.csv"), "--out-json", str(tmp_path / "s.json")]
+        if source == "flag":
+            args += [f"--{key}", str(value)]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: value}))
+            args += ["--config", str(cfg)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert f"--{key} must be an integer >= 1, got {value}" in result.output
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_non_integer_config_replicates_is_usage_error(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"replicates": "3"}))
+        result = runner.invoke(main, ["bench", "--scenario", "C", "--n", "20", "--p", "5",
+                                      "--q", "0.1", "--config", str(cfg),
+                                      "--out-csv", str(tmp_path / "s.csv"),
+                                      "--out-json", str(tmp_path / "s.json")])
+        assert result.exit_code == 2
+        assert "--replicates must be an integer >= 1, got '3'" in result.output
+
     def test_config_file_with_flag_override(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scenario": "C", "n": 30, "p": 8, "replicates": 2,

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tauscreen import (
     EdgeSet,
@@ -58,6 +60,18 @@ class TestConfusion:
     def test_size_mismatch(self):
         with pytest.raises(InvalidInputError):
             confusion(EdgeSet(3, ()), EdgeSet(4, ()))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(min_value=1, max_value=12), st.randoms(use_true_random=False))
+    def test_matches_set_reference(self, p, rnd):
+        pairs = [(j, k) for j in range(p) for k in range(j + 1, p)]
+        est_pairs = rnd.sample(pairs, rnd.randint(0, len(pairs)))
+        truth_pairs = rnd.sample(pairs, rnd.randint(0, len(pairs)))
+        m = confusion(EdgeSet(p, est_pairs), EdgeSet(p, truth_pairs))
+        e, t = set(est_pairs), set(truth_pairs)
+        tp, fp, fn = len(e & t), len(e - t), len(t - e)
+        assert (m.tp, m.fp, m.fn, m.tn) == (tp, fp, fn, len(pairs) - tp - fp - fn)
+        assert all(type(v) is int for v in (m.tp, m.fp, m.fn, m.tn))
 
 
 class TestRunExperiment:

@@ -72,6 +72,25 @@ class TestMatrixCsv:
         assert np.array_equal(read_matrix_csv(path), m)
 
 
+    @pytest.mark.parametrize("text,message", [
+        ("1,2\n3,nan\n", "row 2, column 2: bad value 'nan'"),
+        ("1,2\n-inf,4\n", "row 2, column 1: bad value '-inf'"),
+        ("1,2,3\n4,5,oops\n", "row 2, column 3: bad value 'oops'"),
+        ("1,2\n3,\n", "row 2, column 2: bad value ''"),
+    ], ids=["nan", "inf", "word", "empty"])
+    def test_bad_cell_located(self, tmp_path, text, message):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(InvalidInputError, match=message):
+            read_matrix_csv(path)
+
+    def test_ragged_located(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1,2\n\n3,4,5\n")
+        with pytest.raises(InvalidInputError, match="row 2 has 3 cells, expected 2"):
+            read_matrix_csv(path)
+
+
 def price_table(prices, tickers=None, dates=None):
     prices = np.asarray(prices, dtype=np.float64)
     t, p = prices.shape

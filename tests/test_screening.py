@@ -95,22 +95,22 @@ class TestScreening:
     def test_thresholds_above_one_give_empty(self):
         corr = corr_from_offdiag(3, {(0, 1): 0.9, (0, 2): -1.0})
         edges = screen_edges(corr, np.full((3, 3), 1.1))
-        assert edges.edges == ()
+        assert np.array_equal(edges.edges, np.empty((0, 2)))
 
     def test_zero_threshold_gives_complete_graph(self):
         corr = corr_from_offdiag(3, {(0, 1): 0.2, (0, 2): -0.4, (1, 2): 0.1})
         edges = screen_edges(corr, np.zeros((3, 3)))
-        assert edges.edges == ((0, 1), (0, 2), (1, 2))
+        assert np.array_equal(edges.edges, [[0, 1], [0, 2], [1, 2]])
 
     def test_selective(self):
         corr = corr_from_offdiag(3, {(0, 1): 0.6, (0, 2): 0.2, (1, 2): -0.7})
         edges = screen_edges(corr, np.full((3, 3), 0.5))
-        assert edges.edges == ((0, 1), (1, 2))
+        assert np.array_equal(edges.edges, [[0, 1], [1, 2]])
         assert screen_neighborhood(corr, np.full((3, 3), 0.5), 1) == {0, 2}
 
     def test_strict_inequality_at_threshold(self):
         corr = corr_from_offdiag(2, {(0, 1): 0.5})
-        assert screen_edges(corr, np.full((2, 2), 0.5)).edges == ()
+        assert np.array_equal(screen_edges(corr, np.full((2, 2), 0.5)).edges, np.empty((0, 2)))
 
     def test_raw_kind_rejected(self):
         corr = corr_from_offdiag(2, {(0, 1): 0.5}, kind="kendall-raw")
@@ -168,6 +168,35 @@ class TestComponents:
         part = connected_components(EdgeSet(5, edges))
         assert part.n_components == 1
 
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.integers(min_value=1, max_value=14), st.randoms(use_true_random=False))
+    def test_matches_bfs_reference(self, p, rnd):
+        # sparse random graphs: isolated nodes, p=1 and no edges all occur
+        pairs = [(j, k) for j in range(p) for k in range(j + 1, p)]
+        edges = rnd.sample(pairs, rnd.randint(0, min(len(pairs), p)))
+        adjacent = {node: set() for node in range(p)}
+        for j, k in edges:
+            adjacent[j].add(k)
+            adjacent[k].add(j)
+        expect = [0] * p
+        label = 0
+        for start in range(p):  # labels 1..k in order of each component's lowest node
+            if expect[start]:
+                continue
+            label += 1
+            expect[start] = label
+            queue = [start]
+            while queue:
+                for other in adjacent[queue.pop()]:
+                    if not expect[other]:
+                        expect[other] = label
+                        queue.append(other)
+        part = connected_components(EdgeSet(p, edges))
+        assert part.component_id == tuple(expect)
+
+    def test_single_node(self):
+        assert connected_components(EdgeSet(1, ())).component_id == (1,)
+
     def test_compare_partitions(self):
         a = Partition(3, (1, 1, 2))
         relabeled = Partition(3, (2, 2, 1))
@@ -214,7 +243,51 @@ class TestEdgeSetType:
 
     def test_sorted_storage(self):
         e = EdgeSet(4, ((2, 3), (0, 1)))
-        assert e.edges == ((0, 1), (2, 3))
+        assert np.array_equal(e.edges, [[0, 1], [2, 3]])
+
+
+    def test_messages(self):
+        with pytest.raises(InvalidInputError, match=r"edge \(1, 3\) out of range for p=3"):
+            EdgeSet(3, ((0, 1), (1, 3)))
+        with pytest.raises(InvalidInputError, match=r"duplicate edge \(0, 2\)"):
+            EdgeSet(3, ((0, 2), (0, 1), (0, 2)))
+        with pytest.raises(InvalidInputError, match="must be \\(j, k\\) pairs"):
+            EdgeSet(3, (0, 1))
+
+    def test_input_forms(self):
+        unsorted = EdgeSet(5, [(3, 4), (0, 2), (1, 4), (0, 1)])
+        assert np.array_equal(unsorted.edges, [[0, 1], [0, 2], [1, 4], [3, 4]])
+        assert unsorted.edges.dtype == np.intp
+        source = np.array([[3, 4], [0, 2], [1, 4], [0, 1]])
+        from_array = EdgeSet(5, source)
+        assert np.array_equal(from_array.edges, unsorted.edges)
+        assert source[0, 0] == 3  # the caller's array is not sorted in place
+        for empty in ((), [], np.empty((0, 2), dtype=int)):
+            e = EdgeSet(3, empty)
+            assert e.edges.shape == (0, 2) and len(e) == 0 and e.as_set() == set()
+            assert e.neighbors(1) == set()
+        assert [(j, k) for j, k in unsorted.edges] == [(0, 1), (0, 2), (1, 4), (3, 4)]
+        assert unsorted.as_set() == {(0, 1), (0, 2), (1, 4), (3, 4)}
+
+    def test_edges_read_only(self):
+        e = EdgeSet(4, ((0, 1), (2, 3)))
+        with pytest.raises(ValueError):
+            e.edges[0, 0] = 2
+        assert np.array_equal(e.edges, [[0, 1], [2, 3]])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(min_value=1, max_value=10), st.randoms(use_true_random=False))
+    def test_neighbors_match_brute_force(self, p, rnd):
+        pairs = [(j, k) for j in range(p) for k in range(j + 1, p)]
+        edges = rnd.sample(pairs, rnd.randint(0, len(pairs)))
+        e = EdgeSet(p, edges)
+        for node in range(p):
+            expect = {k for j, k in edges if j == node} | {j for j, k in edges if k == node}
+            got = e.neighbors(node)
+            assert got == expect
+            assert all(type(v) is int for v in got)
+        with pytest.raises(InvalidInputError):
+            e.neighbors(p)
 
 
 class TestSerialization:
