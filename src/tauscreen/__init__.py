@@ -17,7 +17,14 @@ from .errors import (
     SingularMatrixError,
     TauscreenError,
 )
-from .linalg import cholesky_lower, eig_extremes, invert_pd, rescale_to_unit_diagonal
+from .linalg import (
+    blas_threads,
+    cholesky_lower,
+    eig_extremes,
+    invert_pd,
+    pin_blas_threads,
+    rescale_to_unit_diagonal,
+)
 from .rankcorr import (
     CorrMatrix,
     DataMatrix,

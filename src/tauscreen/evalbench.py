@@ -143,12 +143,17 @@ class ExperimentResult:
         return out
 
 
-def estimator_matrix(data: DataMatrix, estimator: str, jack: JackknifeVarMatrix | None = None):
+def estimator_matrix(data: DataMatrix, estimator: str, jack: JackknifeVarMatrix | None = None,
+                     threads: int = 1):
     """The screened correlation estimate. A jackknife matrix that carries tau
     (as :func:`jackknife_matrix` returns it) spares the kendall estimator its
-    own sign pass."""
+    own sign pass; otherwise that pass splits its rows over ``threads``.
+    Replicate pools leave ``threads`` at 1, so pools never nest."""
     if estimator == "kendall":
-        tau = jack.tau if jack is not None and jack.tau is not None else kendall_matrix(data)
+        if jack is not None and jack.tau is not None:
+            tau = jack.tau
+        else:
+            tau = kendall_matrix(data, threads=threads)
         return sine_transform(tau)
     if estimator == "pearson":
         return pearson_matrix(data)

@@ -8,6 +8,9 @@ failure.
 
 from __future__ import annotations
 
+import ctypes
+import importlib
+
 import numpy as np
 from scipy.linalg import cho_solve
 
@@ -16,6 +19,56 @@ from .errors import InvalidInputError, SingularMatrixError
 # Relative pivot floor below which a Cholesky factorization is treated as
 # a positive-definiteness failure.
 PD_PIVOT_RTOL = 1e-12
+
+# numpy and scipy each bundle their own OpenBLAS (numpy's ILP64 build with a
+# "64_" symbol suffix). Each row names an extension module linked against one
+# of them, so a symbol lookup on that module's handle reaches that library,
+# and the library's thread-count setter and getter.
+_OPENBLAS = (
+    ("numpy", "numpy._core._multiarray_umath",
+     "scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy", "scipy.linalg._fblas",
+     "scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+)
+
+
+def _openblas_calls() -> dict[str, tuple | None]:
+    """Setter and getter of each bundled OpenBLAS, or None where this build
+    has no such library (another BLAS, or another module layout)."""
+    calls = {}
+    for name, module, setter, getter in _OPENBLAS:
+        try:
+            lib = ctypes.CDLL(importlib.import_module(module).__file__)
+            set_fn, get_fn = getattr(lib, setter), getattr(lib, getter)
+        except (ImportError, OSError, AttributeError):
+            calls[name] = None
+            continue
+        set_fn.argtypes, set_fn.restype = [ctypes.c_int], None
+        get_fn.argtypes, get_fn.restype = [], ctypes.c_int
+        calls[name] = (set_fn, get_fn)
+    return calls
+
+
+def blas_threads() -> dict[str, int | None]:
+    """Effective thread count of numpy's and of scipy's bundled OpenBLAS
+    (None for a library this build does not have)."""
+    return {name: None if fns is None else fns[1]()
+            for name, fns in _openblas_calls().items()}
+
+
+def pin_blas_threads() -> dict[str, int | None]:
+    """Set numpy's and scipy's bundled OpenBLAS to one thread each.
+
+    The program owns its parallelism: the sign kernel splits its rows over
+    its own threads and ``bench`` runs replicates in a pool, so BLAS threads
+    would only contend with them, and spin on the small products. With one
+    BLAS thread every product also sums in one fixed order, so outputs do not
+    depend on ``OPENBLAS_NUM_THREADS``. Returns :func:`blas_threads`.
+    """
+    for fns in _openblas_calls().values():
+        if fns is not None:
+            fns[0](1)
+    return blas_threads()
 
 
 def check_symmetric(m, name: str = "matrix") -> np.ndarray:

@@ -17,6 +17,7 @@ Conventions
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,42 +229,45 @@ def kendall_tau_fast(x, y) -> float:
     return (2 * numerator) / (n * (n - 1))
 
 
+# Cells of data ranked per block by _dense_ranks: the block's copy, sort
+# indices and sorted copy then take 0.5 MB each, whatever the shape of the
+# data (one unblocked sort raised a 1257 x 200 screen's peak RSS by 5 MB).
+_RANK_BLOCK_CELLS = 1 << 16
+
+
 def _dense_ranks(values: np.ndarray) -> np.ndarray:
     """p x n float32 dense ranks, one row per column of ``values``.
 
     Dense ranks keep every comparison (and every tie) of the column, and they
     are exact in float32 for n < 2^24, so their differences carry the same
-    signs as the differences of the data.
+    signs as the differences of the data. Each block of columns is ranked by
+    one argsort of its contiguous transpose: a rank counts the value changes
+    before its place in sorted order, so tied values share one rank whatever
+    order the sort leaves them in.
     """
     n, p = values.shape
     ranks = np.empty((p, n), dtype=np.float32)
-    for j in range(p):
-        ranks[j] = np.unique(values[:, j], return_inverse=True)[1]
+    width = max(1, _RANK_BLOCK_CELLS // n)
+    for lo in range(0, p, width):
+        cols = np.ascontiguousarray(values[:, lo : lo + width].T)
+        order = np.argsort(cols, axis=1)
+        ordered = np.take_along_axis(cols, order, axis=1)
+        steps = np.zeros(cols.shape, dtype=np.float32)
+        np.not_equal(ordered[:, 1:], ordered[:, :-1], out=steps[:, 1:])
+        np.cumsum(steps, axis=1, out=steps)
+        np.put_along_axis(ranks[lo : lo + width], order, steps, axis=1)
     return ranks
 
 
-def _sign_moments(values: np.ndarray, second: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Sign-product moments over the observations, one row at a time.
-
-    For observation i let A_i = sign(cols - col_i) (p x n) and R_i = A_i A_i^T.
-    Returns s1 = sum_i R_i, the tau numerator of every column pair, and, when
-    ``second`` is set, s2 = sum_i R_i**2 (elementwise), the leave-one-out
-    second moment of the jackknife. Every R_i and partial sum is an exact
-    integer: R_i in float32 while n < 2^24, s2 in float64 while
-    n (n-1)^2 < 2^53. Without ``second``, row i only meets the rows after it
-    and s1 doubles the half sum, which is the same integer for half the work.
-    """
-    n = values.shape[0]
-    if n >= 1 << 24 or (second and n * (n - 1) ** 2 >= 1 << 53):
-        raise InvalidInputError(
-            f"n={n} is past the exact range of the sign kernel "
-            "(n < 2^24 for tau, n(n-1)^2 < 2^53 for the jackknife)")
-    ranks = _dense_ranks(values)
-    p = ranks.shape[0]
+def _sign_rows(ranks: np.ndarray, rows: range,
+               second: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """The sums of :func:`_sign_moments` over the observations in ``rows``,
+    with a buffer of their own (s1 not yet doubled when ``second`` is off)."""
+    p, n = ranks.shape
     buf = np.empty(p * n, dtype=np.float32)
     s1 = np.zeros((p, p))
     s2 = np.zeros((p, p)) if second else None
-    for i in range(n):
+    for i in rows:
         lo = 0 if second else i + 1
         a = buf[: p * (n - lo)].reshape(p, n - lo)
         np.subtract(ranks[:, lo:], ranks[:, i : i + 1], out=a)
@@ -273,6 +277,45 @@ def _sign_moments(values: np.ndarray, second: bool) -> tuple[np.ndarray, np.ndar
         if second:
             r *= r
             s2 += r
+    return s1, s2
+
+
+def _sign_moments(values: np.ndarray, second: bool,
+                  threads: int = 1) -> tuple[np.ndarray, np.ndarray | None]:
+    """Sign-product moments over the observations, one row at a time.
+
+    For observation i let A_i = sign(cols - col_i) (p x n) and R_i = A_i A_i^T.
+    Returns s1 = sum_i R_i, the tau numerator of every column pair, and, when
+    ``second`` is set, s2 = sum_i R_i**2 (elementwise), the leave-one-out
+    second moment of the jackknife. Every R_i and partial sum is an exact
+    integer: R_i in float32 while n < 2^24, s2 in float64 while
+    n (n-1)^2 < 2^53. Without ``second``, row i only meets the rows after it
+    and s1 doubles the half sum, which is the same integer for half the work.
+
+    The rows are dealt to k = min(threads, n) parts, row i to part i mod k
+    (interleaved, so the shrinking tau-only rows balance). The calling thread
+    sums part 0 while k - 1 workers sum the rest; the matrix products release
+    the GIL. The exact partials are added in part order, so the result is the
+    same for every k.
+    """
+    n = values.shape[0]
+    if n >= 1 << 24 or (second and n * (n - 1) ** 2 >= 1 << 53):
+        raise InvalidInputError(
+            f"n={n} is past the exact range of the sign kernel "
+            "(n < 2^24 for tau, n(n-1)^2 < 2^53 for the jackknife)")
+    if threads < 1:
+        raise InvalidInputError(f"threads must be >= 1, got {threads}")
+    ranks = _dense_ranks(values)
+    k = min(threads, n)
+    parts = [range(t, n, k) for t in range(k)]
+    with ThreadPoolExecutor(max_workers=max(k - 1, 1)) as pool:
+        futures = [pool.submit(_sign_rows, ranks, rows, second) for rows in parts[1:]]
+        s1, s2 = _sign_rows(ranks, parts[0], second)
+        for future in futures:
+            f1, f2 = future.result()
+            s1 += f1
+            if second:
+                s2 += f2
     if not second:
         s1 *= 2.0
     return s1, s2
@@ -284,14 +327,17 @@ def _tau_from_numerator(total: np.ndarray, n: int) -> CorrMatrix:
     return CorrMatrix(tau, "kendall-raw")
 
 
-def kendall_matrix(data) -> CorrMatrix:
+def kendall_matrix(data, threads: int = 1) -> CorrMatrix:
     """Pairwise Kendall's tau matrix (kind "kendall-raw", unit diagonal).
 
-    One pass of the row-by-row sign kernel: O(p^2 n^2) time, O(p n) memory,
-    and an exact integer numerator for every pair while n < 2^24.
+    One pass of the row-by-row sign kernel, its rows split over ``threads``:
+    O(p^2 n^2) time, O(p n) memory per thread, and an exact integer numerator
+    for every pair while n < 2^24, so the result does not depend on
+    ``threads``.
     """
     dm = as_data_matrix(data)
-    return _tau_from_numerator(_sign_moments(dm.values, second=False)[0], dm.n)
+    s1 = _sign_moments(dm.values, second=False, threads=threads)[0]
+    return _tau_from_numerator(s1, dm.n)
 
 
 def sine_transform(tau: CorrMatrix) -> CorrMatrix:
@@ -348,18 +394,19 @@ def jackknife_variance(data, j: int, jp: int) -> float:
     return 4.0 * (n - 1) / (n - 2) ** 2 * float(np.sum((loo - tau) ** 2))
 
 
-def jackknife_matrix(data) -> JackknifeVarMatrix:
+def jackknife_matrix(data, threads: int = 1) -> JackknifeVarMatrix:
     """Leave-one-out tau variance estimates for every column pair.
 
-    One O(p^2 n^2) pass of the row-by-row sign kernel yields both moments, so
-    the result also carries the raw tau matrix (``.tau``), bit-identical to
-    :func:`kendall_matrix`. All intermediate sums are exact integers.
+    One O(p^2 n^2) pass of the row-by-row sign kernel, its rows split over
+    ``threads``, yields both moments, so the result also carries the raw tau
+    matrix (``.tau``), bit-identical to :func:`kendall_matrix`. All
+    intermediate sums are exact integers, so nothing depends on ``threads``.
     """
     dm = as_data_matrix(data)
     n = dm.n
     if n < 3:
         raise InvalidInputError("jackknife variance needs n >= 3")
-    s1, s2 = _sign_moments(dm.values, second=True)
+    s1, s2 = _sign_moments(dm.values, second=True, threads=threads)
     tau = s1 / (n * (n - 1))
     spread = s2 / (n - 1) ** 2 - 2.0 * tau * s1 / (n - 1) + n * tau * tau
     omega2 = 4.0 * (n - 1) / (n - 2) ** 2 * spread

@@ -3,6 +3,8 @@ pipeline/in-process consistency check."""
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from tauscreen import (
 )
 from tauscreen.cli import main
 from tauscreen.io import read_data_csv, read_matrix_csv, write_data_csv
+from tauscreen.linalg import _openblas_calls, blas_threads
 from tauscreen.rankcorr import (
     CorrMatrix,
     jackknife_matrix,
@@ -183,6 +186,46 @@ class TestScreen:
         write_partition_tsv(ref_comp, connected_components(edges))
         assert out.read_bytes() == ref_edges.read_bytes()
         assert (tmp_path / "edges.tsv.components.tsv").read_bytes() == ref_comp.read_bytes()
+
+
+    @pytest.mark.parametrize("value", [0, -3])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_threads_is_usage_error(self, runner, tmp_path, value, source):
+        data = tmp_path / "d.csv"
+        write_data_csv(data, __import__("tauscreen").DataMatrix(np.eye(4)))
+        out = tmp_path / "e.tsv"
+        args = ["screen", "--data", str(data), "--gamma", "0.3", "--out", str(out)]
+        if source == "flag":
+            args += ["--threads", str(value)]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"threads": value}))
+            args += ["--config", str(cfg)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert f"--threads must be an integer >= 1, got {value}" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", [["--fpr-q", "0.05"], ["--rate", "0.9,0.25"]],
+                             ids=["fpr", "rate"])
+    def test_threads_byte_identical(self, runner, tmp_path, sign_passes, mode):
+        sim_dir = tmp_path / "sim"
+        invoke(runner, ["simulate", "--scenario", "B", "--n", "120", "--p", "20",
+                        "--base", "t", "--transform", "npn", "--seed", "9",
+                        "--out-dir", str(sim_dir)])
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"e{threads}.tsv"
+            sign_passes.clear()
+            result = invoke(runner, ["screen", "--data", str(sim_dir / "sim_data.csv"),
+                                     *mode, "--components", "--out", str(out),
+                                     "--threads", threads])
+            assert result.exit_code == 0, result.output
+            assert sign_passes == ["_sign_moments"]
+            outputs.append((result.output, out.read_bytes(),
+                            (tmp_path / f"e{threads}.tsv.components.tsv").read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0][0])["edge_count"] > 0
 
 
 class TestIngestPrices:
@@ -421,3 +464,75 @@ class TestPipelineConsistency:
                               estimator="kendall", replicates=1, base_seed=seed)
         in_process = run_experiment(spec).per_replicate[0]
         assert cli_metrics == in_process
+
+
+class TestBlasThreads:
+    """The CLI runs numpy's and scipy's OpenBLAS on one thread, so its bytes
+    do not depend on ``OPENBLAS_NUM_THREADS``."""
+
+    @pytest.mark.parametrize("command", ["simulate", "screen", "bench", "diagnose",
+                                         "ingest-prices"])
+    def test_every_command_pins_blas(self, runner, tmp_path, command):
+        calls = _openblas_calls()
+        if None in calls.values():
+            pytest.skip("numpy or scipy does not bundle OpenBLAS here")
+        for set_threads, _ in calls.values():
+            set_threads(2)
+        data = tmp_path / "d.csv"
+        write_data_csv(data, __import__("tauscreen").DataMatrix(
+            np.random.default_rng(0).normal(size=(30, 4))))
+        prices = tmp_path / "prices.csv"
+        write_price_fixture(prices)
+        args = {
+            "simulate": ["simulate", "--scenario", "C", "--n", "20", "--p", "5",
+                         "--out-dir", str(tmp_path / "sim")],
+            "screen": ["screen", "--data", str(data), "--gamma", "0.3",
+                       "--out", str(tmp_path / "e.tsv")],
+            "bench": ["bench", "--scenario", "C", "--n", "20", "--p", "5", "--replicates",
+                      "1", "--gamma", "0.3", "--out-csv", str(tmp_path / "b.csv"),
+                      "--out-json", str(tmp_path / "b.json")],
+            "diagnose": ["diagnose", "--scenario", "C", "--p", "5", "--n", "20",
+                         "--out", str(tmp_path / "g.json")],
+            "ingest-prices": ["ingest-prices", "--prices", str(prices),
+                              "--out", str(tmp_path / "r.csv")],
+        }[command]
+        assert invoke(runner, args).exit_code == 0
+        assert blas_threads() == {"numpy": 1, "scipy": 1}
+
+    def test_bytes_do_not_depend_on_openblas_threads(self, tmp_path):
+        # shapes at which numpy's threaded products and Cholesky factors differ
+        # in the last bits between one and two OpenBLAS threads
+        data = tmp_path / "d.csv"
+        write_data_csv(data, __import__("tauscreen").DataMatrix(
+            np.random.default_rng(4).normal(size=(200, 300))))
+        bench = ["bench", "--scenario", "A", "--n", "100", "--p", "150",
+                 "--replicates", "2", "--seed", "3"]
+        commands = [["simulate", "--scenario", "A", "--n", "200", "--p", "300",
+                     "--seed", "5", "--out-dir", "{out}/sim"],
+                    ["screen", "--data", str(data), "--gamma", "0.2",
+                     "--estimator", "pearson", "--out", "{out}/pearson.tsv"]]
+        for estimator in ("kendall", "pearson"):
+            for mode in (["--mode", "sweep"], ["--q", "0.05"]):
+                name = f"{{out}}/{estimator}-{mode[-1]}"
+                commands.append(bench + ["--estimator", estimator, *mode,
+                                         "--out-csv", name + ".csv",
+                                         "--out-json", name + ".json"])
+        script = (
+            "import json, sys\n"
+            "from tauscreen.cli import main\n"
+            "for args in json.loads(sys.argv[1]):\n"
+            "    args = [a.replace('{out}', sys.argv[2]) for a in args]\n"
+            "    main.main(args=args, standalone_mode=False)\n")
+        src = os.path.dirname(os.path.dirname(__import__("tauscreen").__file__))
+        trees = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            result = subprocess.run([sys.executable, "-c", script, json.dumps(commands),
+                                     str(out)], env=env, capture_output=True, text=True,
+                                    timeout=300)
+            assert result.returncode == 0, result.stderr[-2000:]
+            trees.append((result.stdout, read_bytes_map(out), read_bytes_map(out / "sim")))
+        assert len(trees[0][1]) == 9 and len(trees[0][2]) == 5
+        assert trees[0] == trees[1]

@@ -1,11 +1,13 @@
 """Tests for the tau statistics and derived estimators."""
 
 import math
+import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tauscreen import (
@@ -22,6 +24,7 @@ from tauscreen import (
     pearson_matrix,
     sine_transform,
 )
+from tauscreen import rankcorr
 
 
 def sign(v):
@@ -413,3 +416,101 @@ class TestKernelPaths:
             jackknife_matrix(np.broadcast_to(np.arange(2.0), (208065, 2)))
         with pytest.raises(InvalidInputError, match="exact range"):
             kendall_matrix(np.broadcast_to(np.arange(2.0), (1 << 24, 2)))
+
+
+def dense_ranks_by_unique(values):
+    """Reference dense ranks: one ``np.unique`` per column."""
+    n, p = values.shape
+    ranks = np.empty((p, n), dtype=np.float32)
+    for j in range(p):
+        ranks[j] = np.unique(values[:, j], return_inverse=True)[1]
+    return ranks
+
+
+TINY_CONSTANT = (np.full((2, 1), 4.0), np.array([[1.0, 5.0], [1.0, 5.0], [1.0, 5.0]]),
+                 np.array([[0.0, 2.0], [1.0, 2.0]]), np.array([[-0.0], [0.0], [1.0]]))
+
+
+class TestDenseRanks:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data_matrices(max_n=30, max_p=5))
+    @example(TINY_CONSTANT[0])
+    @example(TINY_CONSTANT[1])
+    @example(TINY_CONSTANT[2])
+    @example(TINY_CONSTANT[3])
+    def test_matches_unique_reference(self, data):
+        expected = dense_ranks_by_unique(data).tobytes()
+        # blocks of one column, of a few columns, and of every column
+        for cells in (1, 2 * data.shape[0] + 1, 1 << 16):
+            with mock.patch.object(rankcorr, "_RANK_BLOCK_CELLS", cells):
+                ranks = rankcorr._dense_ranks(data)
+            assert ranks.dtype == np.float32
+            assert ranks.tobytes() == expected
+
+    def test_heavy_ties_over_several_blocks(self):
+        data = np.random.default_rng(31).integers(0, 5, size=(1000, 70)).astype(float)
+        assert data.size > rankcorr._RANK_BLOCK_CELLS
+        assert rankcorr._dense_ranks(data).tobytes() == dense_ranks_by_unique(data).tobytes()
+
+
+def assert_split_matches_one_thread(data):
+    """s1 and s2 of the sign kernel are the same bytes for every thread count."""
+    n = data.shape[0]
+    for second in (False, True):
+        s1, s2 = rankcorr._sign_moments(data, second)
+        for k in (2, 3, n + 1):
+            t1, t2 = rankcorr._sign_moments(data, second, threads=k)
+            assert t1.tobytes() == s1.tobytes()
+            if second:
+                assert t2.tobytes() == s2.tobytes()
+
+
+class TestSplitKernel:
+    """The sign kernel split by rows over k threads against k = 1."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data_matrices())
+    def test_partials_sum_to_one_thread_bytes(self, data):
+        assert_split_matches_one_thread(data)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_tiny_shapes(self, n, p):
+        rng = np.random.default_rng(300 + 10 * n + p)
+        for _ in range(10):
+            assert_split_matches_one_thread(rng.integers(0, 2, size=(n, p)).astype(float))
+
+    def test_constant_columns_and_heavy_ties(self):
+        rng = np.random.default_rng(32)
+        data = np.column_stack([np.full(40, 2.0), rng.integers(0, 3, size=(40, 3)),
+                                np.full(40, -1.0)]).astype(float)
+        assert_split_matches_one_thread(data)
+
+    def test_matrices_do_not_depend_on_threads(self):
+        data = np.random.default_rng(33).integers(0, 4, size=(60, 6)).astype(float)
+        tau, jack = kendall_matrix(data), jackknife_matrix(data)
+        for k in (2, 5):
+            assert kendall_matrix(data, threads=k).entries.tobytes() == tau.entries.tobytes()
+            split = jackknife_matrix(data, threads=k)
+            assert split.entries.tobytes() == jack.entries.tobytes()
+            assert split.tau.entries.tobytes() == tau.entries.tobytes()
+
+    @pytest.mark.parametrize("n,threads,parts", [(3, 4, 3), (7, 2, 2), (5, 1, 1)])
+    def test_rows_dealt_to_at_most_n_parts(self, monkeypatch, n, threads, parts):
+        dealt = {}
+        sign_rows = rankcorr._sign_rows
+
+        def recorded(ranks, rows, second):
+            dealt[rows.start] = (list(rows), threading.get_ident())
+            return sign_rows(ranks, rows, second)
+
+        monkeypatch.setattr(rankcorr, "_sign_rows", recorded)
+        rankcorr._sign_moments(np.arange(2.0 * n).reshape(n, 2), True, threads=threads)
+        assert sorted(dealt) == list(range(parts))
+        assert all(dealt[t][0] == list(range(t, n, parts)) for t in dealt)
+        # part 0 runs on the calling thread, so only parts - 1 workers start
+        assert dealt[0][1] == threading.get_ident()
+
+    def test_rejects_threads_below_one(self):
+        with pytest.raises(InvalidInputError, match="threads"):
+            kendall_matrix(np.eye(3), threads=0)
