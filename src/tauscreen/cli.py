@@ -95,8 +95,9 @@ def _threads_option(fn):
     return click.option("--threads", type=int, default=None,
                         help="Threads to use (default: machine parallelism): "
                              "screen splits its sign pass by rows over them, "
-                             "bench runs its replicates in a pool of them. "
-                             "BLAS always runs on one thread.")(fn)
+                             "bench runs its table-mode replicates in a pool of "
+                             "them; the ROC sweep runs on one thread. BLAS always "
+                             "runs on one thread.")(fn)
 
 
 def _check_counts(params: dict, keys) -> None:
@@ -348,7 +349,7 @@ def bench(ctx, **_kwargs):
                     raise click.UsageError("--grid: COUNT must be an integer >= 1")
                 grid = tuple(np.linspace(lo, hi, int(count)).tolist())
             sweep = roc_sweep(sim, params["estimator"], params["replicates"],
-                              params["seed"], grid=grid, threads=threads)
+                              params["seed"], grid=grid)
             write_sweep_csv(params["out_csv"], sweep)
             doc = {
                 "mode": "sweep",

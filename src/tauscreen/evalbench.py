@@ -4,9 +4,9 @@ ROC sweeps over a fixed threshold grid.
 Each replicate r draws its own stream seeded with ``base_seed XOR r``. For
 scenarios with random graphs (A, B) the ground truth is re-drawn inside every
 replicate, so averages cover both graph and sampling randomness; C and D have
-deterministic ground truths. Replicates run independently (optionally across
-threads) and are aggregated in replicate order, so results do not depend on
-scheduling.
+deterministic ground truths. Replicates run independently (table-mode ones
+optionally across threads) and are aggregated in replicate order, so results
+do not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -255,7 +255,7 @@ def _sweep_replicate(sim: SimConfig, estimator: str, base_seed: int, r: int,
 
 
 def roc_sweep(sim: SimConfig, estimator: str, replicates: int, base_seed: int,
-              grid=None, threads: int = 1) -> SweepResult:
+              grid=None) -> SweepResult:
     """ROC points at every grid value from one sort per replicate.
 
     Each replicate sorts the upper-triangle |corr| of its correlation matrix
@@ -263,6 +263,12 @@ def roc_sweep(sim: SimConfig, estimator: str, replicates: int, base_seed: int,
     true-positive counts at every grid value gamma are then binary searches
     for the pairs with |corr| > gamma, the same strict rule as
     :func:`screen_edges`.
+
+    The replicates run one after another on the calling thread. A sweep
+    replicate is many small NumPy calls with the GIL taken between them, so
+    a pool of 2 gained little on an idle 2-vCPU VM and lost to serial when
+    the host was busy: with both vCPUs busy the VM lost about five times as
+    much CPU time to the host, and the op time varied with it.
     """
     if estimator not in ESTIMATORS:
         raise InvalidInputError(f"estimator must be one of {ESTIMATORS}")
@@ -275,13 +281,7 @@ def roc_sweep(sim: SimConfig, estimator: str, replicates: int, base_seed: int,
         raise InvalidInputError("grid values must be finite")
     if any(g < 0 for g in grid) or list(grid) != sorted(grid):
         raise InvalidInputError("grid values must be >= 0 and ascending")
-    indices = range(replicates)
-    if threads > 1 and replicates > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(
-                lambda r: _sweep_replicate(sim, estimator, base_seed, r, grid), indices))
-    else:
-        rows = [_sweep_replicate(sim, estimator, base_seed, r, grid) for r in indices]
+    rows = [_sweep_replicate(sim, estimator, base_seed, r, grid) for r in range(replicates)]
     tpr = np.array([row[0] for row in rows])
     fpr = np.array([row[1] for row in rows])
     return SweepResult(

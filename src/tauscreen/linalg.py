@@ -60,10 +60,11 @@ def pin_blas_threads() -> dict[str, int | None]:
     """Set numpy's and scipy's bundled OpenBLAS to one thread each.
 
     The program owns its parallelism: the sign kernel splits its rows over
-    its own threads and ``bench`` runs replicates in a pool, so BLAS threads
-    would only contend with them, and spin on the small products. With one
-    BLAS thread every product also sums in one fixed order, so outputs do not
-    depend on ``OPENBLAS_NUM_THREADS``. Returns :func:`blas_threads`.
+    its own threads and ``bench`` runs table-mode replicates in a pool, so
+    BLAS threads would only contend with them, and spin on the small
+    products. With one BLAS thread every product also sums in one fixed
+    order, so outputs do not depend on ``OPENBLAS_NUM_THREADS``. Returns
+    :func:`blas_threads`.
     """
     for fns in _openblas_calls().values():
         if fns is not None:

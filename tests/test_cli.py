@@ -304,6 +304,27 @@ class TestBench:
             outs.append((csv.read_bytes(), js.read_bytes(), result.output))
         assert outs[0] == outs[1]
 
+    def test_sweep_replicates_run_on_calling_thread(self, runner, tmp_path, monkeypatch):
+        import threading
+
+        from tauscreen import evalbench
+
+        idents = []
+        sweep_replicate = evalbench._sweep_replicate
+
+        def recording(*args):
+            idents.append(threading.get_ident())
+            return sweep_replicate(*args)
+
+        monkeypatch.setattr(evalbench, "_sweep_replicate", recording)
+        result = invoke(runner, ["bench", "--mode", "sweep", "--scenario", "A", "--n", "30",
+                                 "--p", "20", "--replicates", "4", "--seed", "8",
+                                 "--grid", "0,1,5", "--threads", "4",
+                                 "--out-csv", str(tmp_path / "s.csv"),
+                                 "--out-json", str(tmp_path / "s.json")])
+        assert result.exit_code == 0
+        assert idents == [threading.get_ident()] * 4
+
     @pytest.mark.parametrize("grid,message", [
         ("0,1,-1", "COUNT must be an integer >= 1"),
         ("0,1,0", "COUNT must be an integer >= 1"),

@@ -266,7 +266,7 @@ class TestSweepMatchesScreenLoop:
 
     def test_makes_no_screen_or_confusion_call(self, screen_calls):
         sim = SimConfig(scenario="C", n=20, p=8, seed=0)
-        roc_sweep(sim, "kendall", replicates=2, base_seed=0, threads=2)
+        roc_sweep(sim, "kendall", replicates=2, base_seed=0)
         assert screen_calls == []
         # the counter sees the table-mode replicate's calls
         run_experiment(ExperimentSpec(sim=sim, threshold=ThresholdSpec.fixed(0.3),
