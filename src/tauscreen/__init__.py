@@ -44,7 +44,6 @@ from .screening import (
     compare_partitions,
     connected_components,
     screen_edges,
-    screen_neighborhood,
     threshold_matrix,
 )
 from .simgen import (

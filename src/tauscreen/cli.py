@@ -24,9 +24,9 @@ from .evalbench import (
     auc,
     default_grid,
     experiment_rows,
-    estimator_matrix,
     roc_sweep,
     run_experiment,
+    screen_data,
     write_experiment_csv,
     write_json_report,
     write_sweep_csv,
@@ -42,13 +42,10 @@ from .io import (
     write_sector_tsv,
 )
 from .linalg import eig_extremes, pin_blas_threads
-from .rankcorr import jackknife_matrix
 from .screening import (
     ThresholdSpec,
     connected_components,
     read_edges_tsv,
-    screen_edges,
-    threshold_matrix,
     write_edges_tsv,
     write_partition_tsv,
 )
@@ -93,11 +90,11 @@ def _config_option(fn):
 
 def _threads_option(fn):
     return click.option("--threads", type=int, default=None,
-                        help="Threads to use (default: machine parallelism): "
-                             "screen splits its sign pass by rows over them, "
-                             "bench runs its table-mode replicates in a pool of "
-                             "them; the ROC sweep runs on one thread. BLAS always "
-                             "runs on one thread.")(fn)
+                        help="Threads to use (default: the CPUs this process may "
+                             "run on): screen splits its sign pass by rows over "
+                             "them, bench runs its table-mode replicates in a pool "
+                             "of them; the ROC sweep runs on one thread. BLAS "
+                             "always runs on one thread.")(fn)
 
 
 def _check_counts(params: dict, keys) -> None:
@@ -110,7 +107,11 @@ def _check_counts(params: dict, keys) -> None:
 
 
 def _resolve_threads(threads):
-    return threads if threads else (os.cpu_count() or 1)
+    if threads:
+        return threads
+    if hasattr(os, "sched_getaffinity"):  # absent off Linux
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _echo_json(doc: dict) -> None:
@@ -150,6 +151,19 @@ def _parse_rate(text: str) -> tuple[float, float]:
         return float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise click.UsageError(f"--rate: {exc}")
+
+
+def _threshold_spec(gamma=None, rate=None, f=None, q=None) -> ThresholdSpec:
+    """The ThresholdSpec of one threshold flag's value (``rate`` as its
+    'C1,KAPPA' text); a value the spec refuses is a usage error."""
+    try:
+        if rate is not None:
+            return ThresholdSpec.rate(*_parse_rate(rate))
+        if gamma is not None:
+            return ThresholdSpec.fixed(gamma)
+        return ThresholdSpec.fpr(f=f, q=q)
+    except InvalidInputError as exc:
+        raise click.UsageError(str(exc))
 
 
 def _fail(exc: Exception) -> None:
@@ -232,36 +246,17 @@ def screen(ctx, **_kwargs):
              if params.get(key) is not None]
     if len(modes) != 1:
         raise click.UsageError("exactly one of --gamma, --rate, --fpr-q, --fpr-f is required")
-    if params["rate"] is not None:
-        c1, kappa = _parse_rate(params["rate"])
-        try:
-            tspec = ThresholdSpec.rate(c1, kappa)
-        except InvalidInputError as exc:
-            raise click.UsageError(str(exc))
-    elif params["gamma"] is not None:
-        try:
-            tspec = ThresholdSpec.fixed(params["gamma"])
-        except InvalidInputError as exc:
-            raise click.UsageError(str(exc))
-    else:
-        try:
-            tspec = ThresholdSpec.fpr(f=params["fpr_f"], q=params["fpr_q"])
-        except InvalidInputError as exc:
-            raise click.UsageError(str(exc))
+    tspec = _threshold_spec(gamma=params["gamma"], rate=params["rate"],
+                            f=params["fpr_f"], q=params["fpr_q"])
 
     threads = _resolve_threads(params["threads"])
     try:
         data = read_data_csv(params["data_path"])
-        jack = None
-        if tspec.mode == "fpr":
-            if data.p > params["fpr_max_p"]:
-                raise InvalidInputError(
-                    f"p={data.p} exceeds --fpr-max-p={params['fpr_max_p']}; "
-                    "fpr mode runs one O(p^2 n^2) sign pass for tau and omega^2")
-            jack = jackknife_matrix(data, threads=threads)
-        corr = estimator_matrix(data, params["estimator"], jack=jack, threads=threads)
-        gammas = threshold_matrix(tspec, data.n, data.p, jack=jack)
-        edges = screen_edges(corr, gammas)
+        if tspec.mode == "fpr" and data.p > params["fpr_max_p"]:
+            raise InvalidInputError(
+                f"p={data.p} exceeds --fpr-max-p={params['fpr_max_p']}; "
+                "fpr mode runs one O(p^2 n^2) sign pass for tau and omega^2")
+        corr, edges = screen_data(data, params["estimator"], tspec, threads=threads)
         write_edges_tsv(params["out"], edges, corr)
         summary = {"edge_count": len(edges), "n": data.n, "p": data.p}
         if params["components"] or params["components_out"]:
@@ -368,13 +363,12 @@ def bench(ctx, **_kwargs):
             raise click.UsageError("table mode needs exactly one of --q, --gamma, --rate")
         if params["q"] is not None:
             for q in _parse_float_list(params["q"], "--q"):
-                specs.append((q, ThresholdSpec.fpr(q=q)))
+                specs.append((q, _threshold_spec(q=q)))
         elif params["gamma"] is not None:
             for g in _parse_float_list(params["gamma"], "--gamma"):
-                specs.append((g, ThresholdSpec.fixed(g)))
+                specs.append((g, _threshold_spec(gamma=g)))
         else:
-            c1, kappa = _parse_rate(params["rate"])
-            tspec = ThresholdSpec.rate(c1, kappa)
+            tspec = _threshold_spec(rate=params["rate"])
             specs.append((tspec.rate_gamma(sim.n), tspec))
 
         rows = []

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .rankcorr import (
+    CorrMatrix,
     DataMatrix,
     JackknifeVarMatrix,
     jackknife_matrix,
@@ -160,6 +161,16 @@ def estimator_matrix(data: DataMatrix, estimator: str, jack: JackknifeVarMatrix 
     raise InvalidInputError(f"unknown estimator {estimator!r}")
 
 
+def screen_data(data: DataMatrix, estimator: str, spec: ThresholdSpec,
+                threads: int = 1) -> tuple[CorrMatrix, EdgeSet]:
+    """The screened correlation estimate of ``data`` and its edges under
+    ``spec``. In fpr mode one sign pass gives both the kendall estimator's
+    tau and the thresholds' jackknife omega^2; ``threads`` splits it by rows."""
+    jack = jackknife_matrix(data, threads=threads) if spec.mode == "fpr" else None
+    corr = estimator_matrix(data, estimator, jack=jack, threads=threads)
+    return corr, screen_edges(corr, threshold_matrix(spec, data.n, data.p, jack=jack))
+
+
 def _resolve_fpr_budget(spec: ThresholdSpec, gt: GroundTruth) -> tuple[ThresholdSpec, float, str]:
     """Convert a target rate q into a count budget f.
 
@@ -177,16 +188,10 @@ def _run_replicate(spec: ExperimentSpec, r: int):
         rng = RngStream(spec.base_seed ^ r)
         gt = generate_ground_truth(spec.sim, rng)
         data = sample(gt, spec.sim, rng)
-        tspec = spec.threshold
-        f_used = None
-        convention = None
-        jack = None
+        tspec, f_used, convention = spec.threshold, None, None
         if tspec.mode == "fpr":
             tspec, f_used, convention = _resolve_fpr_budget(tspec, gt)
-            jack = jackknife_matrix(data)
-        corr = estimator_matrix(data, spec.estimator, jack=jack)
-        gammas = threshold_matrix(tspec, spec.sim.n, spec.sim.p, jack=jack)
-        est = screen_edges(corr, gammas)
+        _, est = screen_data(data, spec.estimator, tspec)
         return confusion(est, gt.edges), f_used, convention
     except Exception as exc:
         raise RuntimeError(f"replicate {r} failed: {exc}") from exc

@@ -66,6 +66,9 @@ def _read_numeric_table(path, labelled: bool) -> tuple[np.ndarray, tuple[str, ..
                 labels = tuple(cell.strip() for cell in cells)
                 continue
             i = len(rows) + 1
+            if labels is not None and len(cells) != len(labels):
+                raise InvalidInputError(
+                    f"{path}: row {i} has {len(cells)} cells for {len(labels)} header labels")
             if rows and len(cells) != rows[0].size:
                 raise InvalidInputError(
                     f"{path}: row {i} has {len(cells)} cells, expected {rows[0].size}")
@@ -89,15 +92,17 @@ def _read_numeric_table(path, labelled: bool) -> tuple[np.ndarray, tuple[str, ..
 def read_data_csv(path) -> DataMatrix:
     """Read an observation matrix; see the module docstring for the format."""
     values, labels = _read_numeric_table(path, labelled=True)
+    if len(values) < 2:
+        raise InvalidInputError(f"{path}: need at least 2 observations, got {len(values)}")
     return DataMatrix(values, labels=labels)
 
 
-def write_data_csv(path, data: DataMatrix, delimiter: str = ",") -> None:
+def write_data_csv(path, data: DataMatrix) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if data.labels is not None:
-            fh.write(delimiter.join(data.labels) + "\n")
+            fh.write(",".join(data.labels) + "\n")
         for row in data.values:
-            fh.write(delimiter.join(_FMT % v for v in row) + "\n")
+            fh.write(",".join(_FMT % v for v in row) + "\n")
 
 
 def read_matrix_csv(path) -> np.ndarray:

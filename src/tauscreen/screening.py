@@ -87,12 +87,6 @@ class Partition:
     def n_components(self) -> int:
         return max(self.component_id)
 
-    def blocks(self) -> list[set[int]]:
-        out: dict[int, set[int]] = {}
-        for node, label in enumerate(self.component_id):
-            out.setdefault(label, set()).add(node)
-        return [out[label] for label in sorted(out)]
-
 
 @dataclass(frozen=True)
 class ThresholdSpec:
@@ -209,21 +203,6 @@ def screen_edges(corr: CorrMatrix, thresholds: np.ndarray) -> EdgeSet:
     if t.shape != (p, p):
         raise InvalidInputError(f"threshold matrix shape {t.shape} does not match p={p}")
     return EdgeSet(p, np.argwhere(np.triu(np.abs(corr.entries) > t, 1)))
-
-
-def screen_neighborhood(corr: CorrMatrix, thresholds: np.ndarray, j: int) -> set[int]:
-    """Nodes k != j with |corr[j, k]| strictly above thresholds[j, k]."""
-    if not isinstance(corr, CorrMatrix):
-        raise InvalidInputError("screen_neighborhood expects a CorrMatrix")
-    p = corr.dim
-    if not 0 <= j < p:
-        raise InvalidInputError(f"node {j} out of range for p={p}")
-    t = np.asarray(thresholds, dtype=np.float64)
-    if t.shape != (p, p):
-        raise InvalidInputError(f"threshold matrix shape {t.shape} does not match p={p}")
-    keep = np.abs(corr.entries[j]) > t[j]
-    keep[j] = False
-    return set(np.flatnonzero(keep).tolist())
 
 
 def connected_components(e: EdgeSet) -> Partition:

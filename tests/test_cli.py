@@ -147,9 +147,9 @@ class TestScreen:
         assert "components" in summary
 
 
-    @pytest.mark.parametrize("ref_budget", [None, 0])
+    @pytest.mark.parametrize("reference_tau", ["kendall_matrix", "kendall_tau_fast"])
     def test_fpr_one_sign_pass_matches_two_pass_reference(self, runner, tmp_path,
-                                                          sign_passes, ref_budget):
+                                                          sign_passes, reference_tau):
         sim_dir = tmp_path / "sim"
         invoke(runner, ["simulate", "--scenario", "B", "--n", "150", "--p", "20",
                         "--base", "t", "--transform", "npn", "--seed", "8",
@@ -163,12 +163,12 @@ class TestScreen:
         assert sign_passes == ["_sign_moments"]
         assert json.loads(result.output)["edge_count"] > 0
 
-        # reference: separate tau and jackknife passes. ref_budget is the
-        # p x p kernel workspace the reference's tau may use: None places no
-        # limit (kendall_matrix), 0 allows none (each pair by the independent
-        # merge count of kendall_tau_fast).
+        # reference: separate tau and jackknife passes. reference_tau picks
+        # how the reference's tau is computed: by kendall_matrix's own sign
+        # pass, or pair by pair with the independent merge count of
+        # kendall_tau_fast.
         data = read_data_csv(data_path)
-        if ref_budget is None:
+        if reference_tau == "kendall_matrix":
             tau = kendall_matrix(data)
         else:
             tau = np.eye(data.p)
@@ -226,6 +226,28 @@ class TestScreen:
                             (tmp_path / f"e{threads}.tsv.components.tsv").read_bytes()))
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0][0])["edge_count"] > 0
+
+
+    def test_default_threads_are_the_affinity_cpus(self, runner, tmp_path, monkeypatch):
+        from tauscreen import rankcorr
+
+        threads = []
+        kernel = rankcorr._sign_moments
+
+        def recording(*args, **kwargs):
+            threads.append(kwargs["threads"])
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(rankcorr, "_sign_moments", recording)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        data = tmp_path / "d.csv"
+        write_data_csv(data, __import__("tauscreen").DataMatrix(
+            np.random.default_rng(0).normal(size=(30, 4))))
+        result = invoke(runner, ["screen", "--data", str(data), "--fpr-q", "0.1",
+                                 "--out", str(tmp_path / "e.tsv")])
+        assert result.exit_code == 0, result.output
+        assert threads == [1]
 
 
 class TestIngestPrices:
@@ -363,6 +385,23 @@ class TestBench:
         assert result.exit_code == 2
         assert f"--{key} must be an integer >= 1, got {value}" in result.output
         assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--q", "1.5", "fpr mode needs q in (0, 1)"),
+        ("--q", "0", "fpr mode needs q in (0, 1)"),
+        ("--gamma", "-1", "fixed mode needs gamma >= 0"),
+        ("--rate", "0,0.25", "rate mode needs C1 > 0"),
+        ("--rate", "1,0.7", "rate mode needs kappa in (0, 1/2)"),
+    ], ids=["q-above-one", "q-zero", "gamma-negative", "rate-c1-zero", "rate-kappa-high"])
+    def test_bad_threshold_is_usage_error(self, runner, tmp_path, flag, value, message):
+        result = runner.invoke(main, ["bench", "--mode", "table", "--scenario", "C",
+                                      "--n", "20", "--p", "5", "--replicates", "1",
+                                      flag, value,
+                                      "--out-csv", str(tmp_path / "t.csv"),
+                                      "--out-json", str(tmp_path / "t.json")])
+        assert result.exit_code == 2
+        assert message in result.output
+        assert list(tmp_path.iterdir()) == []
 
     def test_non_integer_config_replicates_is_usage_error(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -19,13 +19,19 @@ from tauscreen import (
     default_grid,
     estimator_matrix,
     generate_ground_truth,
+    jackknife_matrix,
     roc_sweep,
     run_experiment,
     sample,
     screen_edges,
     threshold_matrix,
 )
-from tauscreen.evalbench import experiment_rows, write_experiment_csv, write_sweep_csv
+from tauscreen.evalbench import (
+    experiment_rows,
+    screen_data,
+    write_experiment_csv,
+    write_sweep_csv,
+)
 
 
 class TestConfusion:
@@ -151,6 +157,28 @@ class TestRunExperiment:
                               estimator=estimator, replicates=3, base_seed=5)
         run_experiment(spec, threads=1)
         assert sign_passes == ["_sign_moments"] * 3
+
+
+class TestScreenData:
+    @pytest.mark.parametrize("estimator", ["kendall", "pearson"])
+    @pytest.mark.parametrize("tspec", [ThresholdSpec.fixed(0.25), ThresholdSpec.rate(0.6, 0.25),
+                                       ThresholdSpec.fpr(q=0.1), ThresholdSpec.fpr(f=4.0)],
+                             ids=["fixed", "rate", "fpr-q", "fpr-f"])
+    def test_matches_hand_wired_layers(self, sign_passes, estimator, tspec):
+        sim = SimConfig(scenario="B", n=60, p=20, base="student-t", seed=0)
+        rng = RngStream(11)
+        data = sample(generate_ground_truth(sim, rng), sim, rng)
+        fpr = tspec.mode == "fpr"
+        corr, edges = screen_data(data, estimator, tspec, threads=2)
+        # kendall needs the one sign pass for tau, pearson only for fpr's omega^2
+        assert sign_passes == ["_sign_moments"] * (estimator == "kendall" or fpr)
+
+        jack = jackknife_matrix(data) if fpr else None
+        ref_corr = estimator_matrix(data, estimator, jack=jack)
+        ref = screen_edges(ref_corr, threshold_matrix(tspec, data.n, data.p, jack=jack))
+        assert np.array_equal(corr.entries, ref_corr.entries)
+        assert np.array_equal(edges.edges, ref.edges)
+        assert len(edges) > 0
 
 
 class TestRocSweep:

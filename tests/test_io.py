@@ -63,6 +63,20 @@ class TestDataCsv:
         with pytest.raises(InvalidInputError):
             read_data_csv(path)
 
+    def test_header_wider_than_rows_located(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x,y,z\n1,2\n3,4\n")
+        with pytest.raises(InvalidInputError) as err:
+            read_data_csv(path)
+        assert str(err.value) == f"{path}: row 1 has 2 cells for 3 header labels"
+
+    def test_single_observation_located(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x,y\n1,2\n")
+        with pytest.raises(InvalidInputError) as err:
+            read_data_csv(path)
+        assert str(err.value) == f"{path}: need at least 2 observations, got 1"
+
 
 class TestMatrixCsv:
     def test_roundtrip(self, tmp_path):

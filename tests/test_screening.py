@@ -17,7 +17,6 @@ from tauscreen import (
     compare_partitions,
     connected_components,
     screen_edges,
-    screen_neighborhood,
     threshold_matrix,
 )
 from tauscreen.screening import (
@@ -106,7 +105,7 @@ class TestScreening:
         corr = corr_from_offdiag(3, {(0, 1): 0.6, (0, 2): 0.2, (1, 2): -0.7})
         edges = screen_edges(corr, np.full((3, 3), 0.5))
         assert np.array_equal(edges.edges, [[0, 1], [1, 2]])
-        assert screen_neighborhood(corr, np.full((3, 3), 0.5), 1) == {0, 2}
+        assert edges.neighbors(1) == {0, 2}
 
     def test_strict_inequality_at_threshold(self):
         corr = corr_from_offdiag(2, {(0, 1): 0.5})
@@ -124,10 +123,10 @@ class TestScreening:
 
     def test_neighborhood_excludes_self_and_is_empty_when_isolated(self):
         corr = corr_from_offdiag(3, {(0, 1): 0.9})
-        t = np.full((3, 3), 0.95)
-        assert screen_neighborhood(corr, t, 0) == set()
+        edges = screen_edges(corr, np.full((3, 3), 0.95))
+        assert edges.neighbors(0) == set()
         with pytest.raises(InvalidInputError):
-            screen_neighborhood(corr, t, 7)
+            edges.neighbors(7)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.integers(min_value=2, max_value=8), st.randoms(use_true_random=False))
@@ -143,11 +142,6 @@ class TestScreening:
         e_hi = screen_edges(corr, np.full((p, p), hi))
         # raising thresholds can only drop edges
         assert e_hi.as_set() <= e_lo.as_set()
-        # neighborhoods agree with the edge set
-        for j in range(p):
-            nbrs = screen_neighborhood(corr, np.full((p, p), lo), j)
-            expect = e_lo.neighbors(j)
-            assert nbrs == expect
         # screening is sign-blind
         flipped = {jk: -v for jk, v in vals.items()}
         e_flip = screen_edges(corr_from_offdiag(p, flipped), np.full((p, p), lo))
