@@ -1,7 +1,10 @@
 """Command-line workbench: simulate | screen | ingest-prices | bench | diagnose.
 
-Every command accepts ``--config FILE`` with a JSON object of defaults;
-explicit flags override config values, and unknown config keys are rejected.
+Every command accepts ``--config FILE`` with a JSON object of defaults, keyed
+by parameter name; it becomes click's default map, so each value is converted
+and checked as the flag's would be, and explicit flags override it. Unknown
+keys, and values of the wrong JSON type (bool for a switch, integer for an
+int flag, number for a float flag, string otherwise), are usage errors.
 Exit codes: 0 success, 1 runtime error, 2 usage error. All outputs are
 deterministic functions of the flags and seed, byte-for-byte: BLAS runs on
 one thread, so ``OPENBLAS_NUM_THREADS`` does not change them.
@@ -9,6 +12,7 @@ one thread, so ``OPENBLAS_NUM_THREADS`` does not change them.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -55,9 +59,20 @@ _BASE_FLAGS = {"gaussian": "gaussian", "t": "student-t"}
 _TRANSFORM_FLAGS = {"none": "none", "npn": "nonparanormal"}
 
 
+# The JSON types a config value may take, by its flag's click type. Checked
+# before click converts: its INT would turn 1.5 into 1 and accept "3", and its
+# BOOL would read "no" as false.
+_CONFIG_TYPES = {
+    click.types.BoolParamType: ("true or false", (bool,)),
+    click.types.IntParamType: ("an integer", (int,)),
+    click.types.FloatParamType: ("a number", (int, float)),
+}
+
+
 def _load_config(ctx, param, value):
+    """Check the config file's keys and JSON types; it becomes click's default map."""
     if value is None:
-        return {}
+        return
     try:
         with open(value, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -65,45 +80,37 @@ def _load_config(ctx, param, value):
         raise click.UsageError(f"cannot read config {value}: {exc}")
     if not isinstance(doc, dict):
         raise click.UsageError(f"config {value} must hold a JSON object")
-    return doc
-
-
-def _merge(ctx: click.Context, config: dict) -> dict:
-    """Layer config-file values under explicitly-given flags."""
-    params = dict(ctx.params)
-    params.pop("config", None)
-    unknown = set(config) - set(params)
+    params = {p.name: p for p in ctx.command.params if p.expose_value}
+    unknown = set(doc) - set(params)
     if unknown:
         raise click.UsageError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in config.items():
-        source = ctx.get_parameter_source(key)
-        if source is not None and source.name in ("DEFAULT", "DEFAULT_MAP"):
-            params[key] = value
-    return params
+    for key, item in doc.items():
+        kind, types = _CONFIG_TYPES.get(type(params[key].type), ("a string", (str,)))
+        if type(item) not in types:
+            raise click.UsageError(
+                f"config {value}: {key} must be {kind}, got {json.dumps(item)}")
+    ctx.default_map = doc
 
 
 def _config_option(fn):
-    return click.option("--config", callback=_load_config, default=None,
-                        type=click.Path(), help="JSON file of flag defaults.",
-                        )(fn)
+    return click.option("--config", callback=_load_config, is_eager=True,
+                        expose_value=False, type=click.Path(),
+                        help="JSON file of flag defaults.")(fn)
+
+
+def _check_count(ctx, param, value):
+    if value is not None and value < 1:
+        raise click.UsageError(f"--{param.name} must be an integer >= 1, got {value}")
+    return value
 
 
 def _threads_option(fn):
-    return click.option("--threads", type=int, default=None,
+    return click.option("--threads", type=int, default=None, callback=_check_count,
                         help="Threads to use (default: the CPUs this process may "
                              "run on): screen splits its sign pass by rows over "
                              "them, bench runs its table-mode replicates in a pool "
                              "of them; the ROC sweep runs on one thread. BLAS "
                              "always runs on one thread.")(fn)
-
-
-def _check_counts(params: dict, keys) -> None:
-    """Refuse counts below 1; checked after _merge because config-file values
-    bypass click's type checks."""
-    for key in keys:
-        value = params[key]
-        if value is not None and (type(value) is not int or value < 1):
-            raise click.UsageError(f"--{key} must be an integer >= 1, got {value!r}")
 
 
 def _resolve_threads(threads):
@@ -118,8 +125,17 @@ def _echo_json(doc: dict) -> None:
     click.echo(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _sim_config(params) -> SimConfig:
+@contextlib.contextmanager
+def _usage_errors():
+    """Turn a value the model refuses (InvalidInputError) into a usage error."""
     try:
+        yield
+    except InvalidInputError as exc:
+        raise click.UsageError(str(exc))
+
+
+def _sim_config(params) -> SimConfig:
+    with _usage_errors():
         return SimConfig(
             scenario=params["scenario"],
             n=params["n"],
@@ -129,8 +145,6 @@ def _sim_config(params) -> SimConfig:
             transform=_TRANSFORM_FLAGS[params["transform"]],
             seed=params["seed"],
         )
-    except InvalidInputError as exc:
-        raise click.UsageError(str(exc))
 
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
@@ -156,14 +170,12 @@ def _parse_rate(text: str) -> tuple[float, float]:
 def _threshold_spec(gamma=None, rate=None, f=None, q=None) -> ThresholdSpec:
     """The ThresholdSpec of one threshold flag's value (``rate`` as its
     'C1,KAPPA' text); a value the spec refuses is a usage error."""
-    try:
+    with _usage_errors():
         if rate is not None:
             return ThresholdSpec.rate(*_parse_rate(rate))
         if gamma is not None:
             return ThresholdSpec.fixed(gamma)
         return ThresholdSpec.fpr(f=f, q=q)
-    except InvalidInputError as exc:
-        raise click.UsageError(str(exc))
 
 
 def _fail(exc: Exception) -> None:
@@ -179,23 +191,18 @@ def main():
 
 
 @main.command()
-@click.option("--scenario", type=click.Choice(["A", "B", "C", "D"]), default=None)
-@click.option("--n", type=int, default=None)
-@click.option("--p", type=int, default=None)
+@click.option("--scenario", type=click.Choice(["A", "B", "C", "D"]), required=True)
+@click.option("--n", type=int, required=True)
+@click.option("--p", type=int, required=True)
 @click.option("--base", type=click.Choice(sorted(_BASE_FLAGS)), default="gaussian")
 @click.option("--theta", type=float, default=5.0, help="Degrees of freedom for --base t.")
 @click.option("--transform", type=click.Choice(sorted(_TRANSFORM_FLAGS)), default="none")
 @click.option("--seed", type=int, default=0)
-@click.option("--out-dir", type=click.Path(), default=None)
+@click.option("--out-dir", type=click.Path(), required=True)
 @click.option("--prefix", default="sim")
 @_config_option
-@click.pass_context
-def simulate(ctx, **_kwargs):
+def simulate(**params):
     """Generate a synthetic dataset plus its ground truth files."""
-    params = _merge(ctx, ctx.params["config"])
-    for key in ("scenario", "n", "p", "out_dir"):
-        if params.get(key) is None:
-            raise click.UsageError(f"--{key.replace('_', '-')} is required")
     cfg = _sim_config(params)
     try:
         rng = RngStream(cfg.seed)
@@ -216,7 +223,7 @@ def simulate(ctx, **_kwargs):
 
 
 @main.command()
-@click.option("--data", "data_path", type=click.Path(), default=None)
+@click.option("--data", "data_path", type=click.Path(), required=True)
 @click.option("--gamma", type=float, default=None, help="Fixed threshold.")
 @click.option("--rate", default=None, help="'C1,KAPPA' for the rate threshold (2/3)C1 n^-kappa.")
 @click.option("--fpr-q", type=float, default=None, help="Target false-positive rate q in (0,1).")
@@ -224,7 +231,7 @@ def simulate(ctx, **_kwargs):
 @click.option("--estimator", type=click.Choice(["kendall", "pearson"]), default="kendall")
 @click.option("--components", is_flag=True, default=False)
 @click.option("--components-out", type=click.Path(), default=None)
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", type=click.Path(), required=True)
 @click.option("--fpr-max-p", type=int, default=500,
               help="Refuse fpr mode beyond this many columns: it runs one O(p^2 n^2) "
                    "sign pass that yields both tau and the jackknife omega^2. The "
@@ -232,18 +239,11 @@ def simulate(ctx, **_kwargs):
                    "(about 5 s at p=500, n=1257 on 2 threads).")
 @_threads_option
 @_config_option
-@click.pass_context
-def screen(ctx, **_kwargs):
+def screen(**params):
     """Screen edges of a data CSV by thresholding a correlation estimate."""
-    params = _merge(ctx, ctx.params["config"])
-    _check_counts(params, ("threads",))
-    if params.get("data_path") is None:
-        raise click.UsageError("--data is required")
-    if params.get("out") is None:
-        raise click.UsageError("--out is required")
     modes = [name for name, key in (("--gamma", "gamma"), ("--rate", "rate"),
                                     ("--fpr-q", "fpr_q"), ("--fpr-f", "fpr_f"))
-             if params.get(key) is not None]
+             if params[key] is not None]
     if len(modes) != 1:
         raise click.UsageError("exactly one of --gamma, --rate, --fpr-q, --fpr-f is required")
     tspec = _threshold_spec(gamma=params["gamma"], rate=params["rate"],
@@ -270,20 +270,14 @@ def screen(ctx, **_kwargs):
 
 
 @main.command("ingest-prices")
-@click.option("--prices", "prices_path", type=click.Path(), default=None)
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--prices", "prices_path", type=click.Path(), required=True)
+@click.option("--out", type=click.Path(), required=True)
 @click.option("--sectors", "sectors_path", type=click.Path(), default=None,
               help="Optional ticker,sector CSV carried through to --sectors-out.")
 @click.option("--sectors-out", type=click.Path(), default=None)
 @_config_option
-@click.pass_context
-def ingest_prices_cmd(ctx, **_kwargs):
+def ingest_prices_cmd(**params):
     """Turn a price table into a standardized log-return data CSV."""
-    params = _merge(ctx, ctx.params["config"])
-    if params.get("prices_path") is None:
-        raise click.UsageError("--prices is required")
-    if params.get("out") is None:
-        raise click.UsageError("--out is required")
     try:
         sectors = read_sector_csv(params["sectors_path"]) if params["sectors_path"] else None
         table = read_price_csv(params["prices_path"], sectors=sectors)
@@ -298,33 +292,27 @@ def ingest_prices_cmd(ctx, **_kwargs):
 
 @main.command()
 @click.option("--mode", type=click.Choice(["table", "sweep"]), default="table")
-@click.option("--scenario", type=click.Choice(["A", "B", "C", "D"]), default=None)
+@click.option("--scenario", type=click.Choice(["A", "B", "C", "D"]), required=True)
 @click.option("--n", type=int, default=100)
 @click.option("--p", type=int, default=200)
 @click.option("--base", type=click.Choice(sorted(_BASE_FLAGS)), default="gaussian")
 @click.option("--theta", type=float, default=5.0)
 @click.option("--transform", type=click.Choice(sorted(_TRANSFORM_FLAGS)), default="none")
 @click.option("--estimator", type=click.Choice(["kendall", "pearson"]), default="kendall")
-@click.option("--replicates", type=int, default=50)
+@click.option("--replicates", type=int, default=50, callback=_check_count)
 @click.option("--seed", type=int, default=0)
 @click.option("--q", default=None, help="Comma list of target FPR levels (table mode).")
 @click.option("--gamma", default=None, help="Comma list of fixed thresholds (table mode).")
 @click.option("--rate", default=None, help="'C1,KAPPA' rate threshold (table mode).")
 @click.option("--grid", default=None,
               help="'MIN,MAX,COUNT' threshold grid (sweep mode); finite "
-                   "0 <= MIN <= MAX, COUNT an integer >= 1.")
-@click.option("--out-csv", type=click.Path(), default=None)
-@click.option("--out-json", type=click.Path(), default=None)
+                   "0 <= MIN <= MAX, COUNT an integer >= 2.")
+@click.option("--out-csv", type=click.Path(), required=True)
+@click.option("--out-json", type=click.Path(), required=True)
 @_threads_option
 @_config_option
-@click.pass_context
-def bench(ctx, **_kwargs):
+def bench(**params):
     """Run replicated experiments (table mode) or an ROC sweep (sweep mode)."""
-    params = _merge(ctx, ctx.params["config"])
-    for key in ("scenario", "out_csv", "out_json"):
-        if params.get(key) is None:
-            raise click.UsageError(f"--{key.replace('_', '-')} is required")
-    _check_counts(params, ("replicates", "threads"))
     sim = _sim_config(params)
     threads = _resolve_threads(params["threads"])
     try:
@@ -340,8 +328,8 @@ def bench(ctx, **_kwargs):
                     raise click.UsageError("--grid: MIN and MAX must be finite")
                 if not 0 <= lo <= hi:
                     raise click.UsageError("--grid: need 0 <= MIN <= MAX")
-                if not (count.is_integer() and count >= 1):
-                    raise click.UsageError("--grid: COUNT must be an integer >= 1")
+                if not (count.is_integer() and count >= 2):  # auc needs two points
+                    raise click.UsageError("--grid: COUNT must be an integer >= 2")
                 grid = tuple(np.linspace(lo, hi, int(count)).tolist())
             sweep = roc_sweep(sim, params["estimator"], params["replicates"],
                               params["seed"], grid=grid)
@@ -358,7 +346,7 @@ def bench(ctx, **_kwargs):
             return
 
         specs: list[tuple[float, ThresholdSpec]] = []
-        chosen = [k for k in ("q", "gamma", "rate") if params.get(k) is not None]
+        chosen = [k for k in ("q", "gamma", "rate") if params[k] is not None]
         if len(chosen) != 1:
             raise click.UsageError("table mode needs exactly one of --q, --gamma, --rate")
         if params["q"] is not None:
@@ -395,40 +383,48 @@ def bench(ctx, **_kwargs):
 @click.option("--scenario", type=click.Choice(["A", "B", "C", "D"]), default=None)
 @click.option("--p", type=int, default=None)
 @click.option("--seed", type=int, default=0)
-@click.option("--n", type=int, default=None, help="Sample size the conditions are judged at.")
+@click.option("--n", type=int, required=True, help="Sample size the conditions are judged at.")
 @click.option("--c1", type=float, default=0.6)
 @click.option("--kappa", type=float, default=0.25)
 @click.option("--xi", type=float, default=0.3)
 @click.option("--c2", type=float, default=1.0)
 @click.option("--alpha", type=float, default=0.5)
-@click.option("--hoeffding-n", default=None, help="Comma list of sample sizes for the bound curve.")
-@click.option("--hoeffding-t", default=None, help="Comma list of deviations for the bound curve.")
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--hoeffding-n", default=None,
+              help="Comma list of sample sizes for the bound curve; integers >= 2.")
+@click.option("--hoeffding-t", default=None,
+              help="Comma list of deviations for the bound curve; finite, > 0.")
+@click.option("--out", type=click.Path(), required=True)
 @_config_option
-@click.pass_context
-def diagnose(ctx, **_kwargs):
+def diagnose(**params):
     """Report the screening-theory health checks for a ground truth."""
-    params = _merge(ctx, ctx.params["config"])
-    if params.get("n") is None:
-        raise click.UsageError("--n is required")
-    if params.get("out") is None:
-        raise click.UsageError("--out is required")
-    from_files = params.get("sigma_path") is not None
+    from_files = params["sigma_path"] is not None
     if from_files:
-        if params.get("precision_path") is None or params.get("edges_path") is None:
+        if params["precision_path"] is None or params["edges_path"] is None:
             raise click.UsageError("--sigma, --precision and --edges go together")
-    elif params.get("scenario") is None or params.get("p") is None:
+    elif params["scenario"] is None or params["p"] is None:
         raise click.UsageError("supply --sigma/--precision/--edges or --scenario/--p")
+    else:
+        with _usage_errors():
+            cfg = SimConfig(scenario=params["scenario"], n=max(params["n"], 2),
+                            p=params["p"], seed=params["seed"])
+    ns, ts = [params["n"]], [0.1, 0.2]
+    if params["hoeffding_n"]:
+        ns = _parse_float_list(params["hoeffding_n"], "--hoeffding-n")
+        if not all(v.is_integer() and v >= 2 for v in ns):
+            raise click.UsageError("--hoeffding-n: sample sizes must be integers >= 2")
+        ns = [int(v) for v in ns]
+    if params["hoeffding_t"]:
+        ts = _parse_float_list(params["hoeffding_t"], "--hoeffding-t")
+        if not all(math.isfinite(v) and v > 0 for v in ts):
+            raise click.UsageError("--hoeffding-t: deviations must be finite and > 0")
     try:
         if from_files:
             sigma = read_matrix_csv(params["sigma_path"])
             omega = read_matrix_csv(params["precision_path"])
             edges, _ = read_edges_tsv(params["edges_path"], p=sigma.shape[0])
             gt = GroundTruth(sigma=sigma, omega=omega, edges=edges,
-                             scenario=params.get("scenario") or "file")
+                             scenario=params["scenario"] or "file")
         else:
-            cfg = SimConfig(scenario=params["scenario"], n=max(params["n"], 2),
-                            p=params["p"], seed=params["seed"])
             gt = generate_ground_truth(cfg, RngStream(params["seed"]))
         report = check_assumptions(gt, params["n"], params["c1"], params["kappa"],
                                    params["xi"], params["c2"], params["alpha"])
@@ -441,10 +437,6 @@ def diagnose(ctx, **_kwargs):
                 gt, params["n"], params["c1"], params["kappa"]),
         }
         if params["hoeffding_n"] or params["hoeffding_t"]:
-            ns = ([int(v) for v in _parse_float_list(params["hoeffding_n"], "--hoeffding-n")]
-                  if params["hoeffding_n"] else [params["n"]])
-            ts = (_parse_float_list(params["hoeffding_t"], "--hoeffding-t")
-                  if params["hoeffding_t"] else [0.1, 0.2])
             doc["hoeffding"] = [
                 {"n": nn, "t": tt, "bound": hoeffding_bound(nn, tt)}
                 for nn in ns for tt in ts

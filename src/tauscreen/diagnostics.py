@@ -104,14 +104,13 @@ def _min_scaled_precision(gt: GroundTruth, nu: float) -> float:
 
 
 def check_assumptions(gt: GroundTruth, n: int, c1: float, kappa: float, xi: float,
-                      c2: float, alpha: float,
-                      small_cutoff: float = SMALL_SURROGATE_CUTOFF) -> AssumptionReport:
+                      c2: float, alpha: float) -> AssumptionReport:
     """Evaluate the edge-strength floor, the eigenvalue cap, and the finite-n
     surrogate of the vanishing non-edge-correlation requirement.
 
     The non-edge condition is asymptotic, so the report exposes the surrogate
     ``max_nonedge_corr * n^((1-xi)/2)`` and flags it "small" below
-    ``small_cutoff``.
+    ``SMALL_SURROGATE_CUTOFF``.
     """
     if n < 2:
         raise InvalidInputError("need n >= 2")
@@ -144,7 +143,7 @@ def check_assumptions(gt: GroundTruth, n: int, c1: float, kappa: float, xi: floa
         eigenvalue_cap=cap,
         eigenvalue_ok=bool(lam_max <= cap),
         nonedge_surrogate=surrogate,
-        nonedge_small=bool(not math.isnan(surrogate) and surrogate < small_cutoff),
+        nonedge_small=bool(not math.isnan(surrogate) and surrogate < SMALL_SURROGATE_CUTOFF),
     )
 
 

@@ -225,9 +225,9 @@ class SweepResult:
     per_replicate_fpr: tuple[tuple[float, ...], ...]
 
 
-def default_grid(count: int = 50) -> tuple[float, ...]:
-    """Evenly spaced thresholds covering [0, 1]."""
-    return tuple(np.linspace(0.0, 1.0, count).tolist())
+def default_grid() -> tuple[float, ...]:
+    """Fifty evenly spaced thresholds covering [0, 1]."""
+    return tuple(np.linspace(0.0, 1.0, 50).tolist())
 
 
 def _sweep_replicate(sim: SimConfig, estimator: str, base_seed: int, r: int,

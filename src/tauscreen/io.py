@@ -35,14 +35,16 @@ def _detect_delimiter(header_line: str) -> str:
     return "\t" if "\t" in header_line else ","
 
 
-def _split_rows(path) -> tuple[list[list[str]], str]:
+def _split_rows(path) -> list[tuple[int, list[str]]]:
+    """The non-blank lines of ``path`` split on its delimiter, each paired with
+    its 1-based line number in the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n").rstrip("\r") for line in fh]
-    lines = [line for line in lines if line.strip()]
+        lines = [(i, line.rstrip("\n").rstrip("\r")) for i, line in enumerate(fh, 1)
+                 if line.strip()]
     if not lines:
         raise InvalidInputError(f"{path}: empty file")
-    delim = _detect_delimiter(lines[0])
-    return [line.split(delim) for line in lines], delim
+    delim = _detect_delimiter(lines[0][1])
+    return [(i, line.split(delim)) for i, line in lines]
 
 
 def _read_numeric_table(path, labelled: bool) -> tuple[np.ndarray, tuple[str, ...] | None]:
@@ -140,28 +142,28 @@ class PriceTable:
 
 def read_price_csv(path, sectors: dict[str, str] | None = None) -> PriceTable:
     """Read a price table; first column is the date, remaining are tickers."""
-    rows, _ = _split_rows(path)
+    rows = _split_rows(path)
     if len(rows) < 3:
         raise InvalidInputError(f"{path}: need a header and at least 2 price rows")
-    header = [cell.strip() for cell in rows[0]]
+    header = [cell.strip() for cell in rows[0][1]]
     if len(header) < 2:
         raise InvalidInputError(f"{path}: need a date column plus at least one ticker")
     tickers = tuple(header[1:])
     dates = []
     prices = np.empty((len(rows) - 1, len(tickers)))
-    for i, row in enumerate(rows[1:]):
+    for i, (line_no, row) in enumerate(rows[1:]):
         if len(row) != len(header):
-            raise InvalidInputError(f"{path}: row {i + 2} has {len(row)} cells, expected {len(header)}")
+            raise InvalidInputError(f"{path}: row {line_no} has {len(row)} cells, expected {len(header)}")
         dates.append(row[0].strip())
         for j, cell in enumerate(row[1:]):
             cell = cell.strip()
             if not cell or not _is_number(cell):
                 raise InvalidInputError(
-                    f"{path}: missing or bad price at row {i + 2} ({dates[-1]}), ticker {tickers[j]}")
+                    f"{path}: missing or bad price at row {line_no} ({dates[-1]}), ticker {tickers[j]}")
             value = float(cell)
             if not np.isfinite(value) or value <= 0:
                 raise InvalidInputError(
-                    f"{path}: nonpositive price {value} at row {i + 2} ({dates[-1]}), ticker {tickers[j]}")
+                    f"{path}: nonpositive price {value} at row {line_no} ({dates[-1]}), ticker {tickers[j]}")
             prices[i, j] = value
     sector_tuple = None
     if sectors is not None:
@@ -200,12 +202,12 @@ def ingest_prices(table: PriceTable) -> DataMatrix:
 
 def read_sector_csv(path) -> dict[str, str]:
     """Two-column ticker,sector mapping (comma or tab delimited)."""
-    rows, _ = _split_rows(path)
+    rows = _split_rows(path)
     out = {}
-    start = 1 if rows and rows[0] and rows[0][0].strip().lower() in ("ticker", "symbol") else 0
-    for i, row in enumerate(rows[start:]):
+    start = 1 if rows[0][1][0].strip().lower() in ("ticker", "symbol") else 0
+    for line_no, row in rows[start:]:
         if len(row) < 2:
-            raise InvalidInputError(f"{path}: row {i + 1 + start} needs ticker and sector")
+            raise InvalidInputError(f"{path}: row {line_no} needs ticker and sector")
         out[row[0].strip()] = row[1].strip()
     return out
 

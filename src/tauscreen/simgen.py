@@ -197,7 +197,7 @@ class GroundTruth:
     def nonedge_count(self) -> int:
         return self.p * (self.p - 1) // 2 - len(self.edges)
 
-    def validate(self, inverse_tol: float = 1e-6, support_tol: float = 1e-12) -> None:
+    def validate(self) -> None:
         """Check the structural invariants; raises InvalidInputError on failure."""
         p = self.p
         if self.omega.shape != (p, p):
@@ -206,9 +206,9 @@ class GroundTruth:
             raise InvalidInputError("sigma diagonal is not 1")
         cholesky_lower(self.sigma)  # positive definiteness
         resid = np.max(np.abs(self.sigma @ self.omega - np.eye(p)))
-        if resid > inverse_tol:
+        if resid > 1e-6:
             raise InvalidInputError(f"sigma * omega deviates from identity by {resid:.3g}")
-        support = np.argwhere(np.triu(np.abs(self.omega) > support_tol, 1))
+        support = np.argwhere(np.triu(np.abs(self.omega) > 1e-12, 1))
         if not np.array_equal(support, self.edges.edges):
             raise InvalidInputError("edge set does not match the precision support")
 

@@ -348,14 +348,15 @@ class TestBench:
         assert idents == [threading.get_ident()] * 4
 
     @pytest.mark.parametrize("grid,message", [
-        ("0,1,-1", "COUNT must be an integer >= 1"),
-        ("0,1,0", "COUNT must be an integer >= 1"),
-        ("0,1,2.5", "COUNT must be an integer >= 1"),
+        ("0,1,-1", "COUNT must be an integer >= 2"),
+        ("0,1,0", "COUNT must be an integer >= 2"),
+        ("0,1,1", "COUNT must be an integer >= 2"),
+        ("0,1,2.5", "COUNT must be an integer >= 2"),
         ("0,nan,5", "MIN and MAX must be finite"),
         ("0,inf,3", "MIN and MAX must be finite"),
         ("-0.5,1,3", "need 0 <= MIN <= MAX"),
         ("0.8,0.2,3", "need 0 <= MIN <= MAX"),
-    ], ids=["count-negative", "count-zero", "count-fraction", "max-nan", "max-inf",
+    ], ids=["count-negative", "count-zero", "count-one", "count-fraction", "max-nan", "max-inf",
             "min-negative", "min-above-max"])
     def test_bad_grid_is_usage_error(self, runner, tmp_path, grid, message):
         result = runner.invoke(main, ["bench", "--mode", "sweep", "--scenario", "C",
@@ -411,7 +412,7 @@ class TestBench:
                                       "--out-csv", str(tmp_path / "s.csv"),
                                       "--out-json", str(tmp_path / "s.json")])
         assert result.exit_code == 2
-        assert "--replicates must be an integer >= 1, got '3'" in result.output
+        assert 'replicates must be an integer, got "3"' in result.output
 
     def test_config_file_with_flag_override(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -432,6 +433,54 @@ class TestBench:
                                       "--out-csv", "o.csv", "--out-json", "o.json"])
         assert result.exit_code == 2
         assert "wat" in result.output
+
+
+class TestConfig:
+    @pytest.mark.parametrize("command,config,message", [
+        ("screen", {"gamma": 0.3, "components": "no"}, 'components must be true or false, got "no"'),
+        ("bench", {"mode": "swep", "q": "0.1", "replicates": 1}, "'swep' is not one of"),
+        ("screen", {"gamma": 0.3, "estimator": "spearman"}, "'spearman' is not one of"),
+        ("screen", {"gamma": "abc"}, 'gamma must be a number, got "abc"'),
+        ("simulate", {"n": 40, "seed": "abc"}, 'seed must be an integer, got "abc"'),
+        ("simulate", {"n": "40"}, 'n must be an integer, got "40"'),
+        ("screen", {"gamma": 0.3, "threads": 1.5}, "threads must be an integer, got 1.5"),
+        ("bench", {"q": "0.1", "replicates": "3"}, 'replicates must be an integer, got "3"'),
+    ], ids=["flag-string", "choice-typo", "choice-unknown", "float-string", "int-string",
+            "int-numeral-string", "int-fraction", "count-string"])
+    def test_bad_value_is_usage_error(self, runner, tmp_path, command, config, message):
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        data = inputs / "d.csv"
+        write_data_csv(data, __import__("tauscreen").DataMatrix(np.eye(4)))
+        cfg = inputs / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args = {
+            "screen": ["--data", str(data), "--out", str(tmp_path / "e.tsv")],
+            "bench": ["--scenario", "C", "--n", "20", "--p", "5",
+                      "--out-csv", str(tmp_path / "t.csv"), "--out-json", str(tmp_path / "t.json")],
+            "simulate": ["--scenario", "C", "--p", "5", "--out-dir", str(tmp_path / "sim")],
+        }[command]
+        result = runner.invoke(main, [command, *args, "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert message in result.output
+        assert [p.name for p in tmp_path.iterdir()] == ["in"]
+
+    def test_screen_paths_from_config(self, runner, tmp_path):
+        sim_dir = tmp_path / "sim"
+        invoke(runner, ["simulate", "--scenario", "C", "--n", "40", "--p", "10",
+                        "--seed", "3", "--out-dir", str(sim_dir)])
+        data = str(sim_dir / "sim_data.csv")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"data_path": data, "out": str(tmp_path / "a.tsv"),
+                                   "fpr_q": 0.1, "components": True}))
+        by_config = invoke(runner, ["screen", "--config", str(cfg)])
+        by_flags = invoke(runner, ["screen", "--data", data, "--fpr-q", "0.1", "--components",
+                                   "--out", str(tmp_path / "b.tsv")])
+        assert by_config.exit_code == 0 and by_flags.exit_code == 0
+        assert by_config.output == by_flags.output
+        for suffix in ("", ".components.tsv"):
+            assert ((tmp_path / f"a.tsv{suffix}").read_bytes()
+                    == (tmp_path / f"b.tsv{suffix}").read_bytes())
 
 
 class TestDiagnose:
@@ -468,6 +517,29 @@ class TestDiagnose:
     def test_requires_inputs(self, runner):
         result = CliRunner().invoke(main, ["diagnose", "--n", "50", "--out", "r.json"])
         assert result.exit_code == 2
+
+    def test_bad_scenario_shape_is_usage_error(self, runner, tmp_path):
+        out = tmp_path / "report.json"
+        result = runner.invoke(main, ["diagnose", "--scenario", "D", "--p", "15",
+                                      "--n", "100", "--out", str(out)])
+        assert result.exit_code == 2
+        assert "scenario D requires p divisible by 10, got 15" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--hoeffding-n", "2.7", "--hoeffding-n: sample sizes must be integers >= 2"),
+        ("--hoeffding-n", "1", "--hoeffding-n: sample sizes must be integers >= 2"),
+        ("--hoeffding-t", "0", "--hoeffding-t: deviations must be finite and > 0"),
+        ("--hoeffding-t", "nan", "--hoeffding-t: deviations must be finite and > 0"),
+        ("--hoeffding-t", "inf", "--hoeffding-t: deviations must be finite and > 0"),
+    ], ids=["n-fraction", "n-one", "t-zero", "t-nan", "t-inf"])
+    def test_bad_hoeffding_value_is_usage_error(self, runner, tmp_path, flag, value, message):
+        out = tmp_path / "report.json"
+        result = runner.invoke(main, ["diagnose", "--scenario", "B", "--p", "30",
+                                      "--n", "100", flag, value, "--out", str(out)])
+        assert result.exit_code == 2
+        assert message in result.output
+        assert not out.exists()
 
     def test_malformed_edges_file_is_located_error(self, runner, tmp_path):
         sim_dir = tmp_path / "sim"

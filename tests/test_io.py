@@ -153,6 +153,12 @@ class TestPrices:
         with pytest.raises(InvalidInputError, match="2020-01-02.*AAA"):
             read_price_csv(path)
 
+    def test_price_error_names_file_line_after_blank_line(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("date,AAA\n2020-01-01,10\n\n2020-01-02,11\n2020-01-03,0\n")
+        with pytest.raises(InvalidInputError, match="at row 5 "):
+            read_price_csv(path)
+
     def test_missing_price_rejected(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("date,AAA,BBB\n2020-01-01,10,20\n2020-01-02,,19\n2020-01-03,12,21\n")
@@ -167,6 +173,12 @@ class TestPrices:
         path.write_text("date,AAA,BBB\n2020-01-01,10,20\n2020-01-02,11,19\n2020-01-03,12,21\n")
         table = read_price_csv(path, sectors=sectors)
         assert table.sectors == ("Tech", "Energy")
+
+    def test_sector_error_names_file_line_after_blank_line(self, tmp_path):
+        spath = tmp_path / "s.csv"
+        spath.write_text("ticker,sector\nAAA,Tech\n\nBBB\n")
+        with pytest.raises(InvalidInputError, match="row 4 needs ticker and sector"):
+            read_sector_csv(spath)
 
     def test_missing_sector_rejected(self, tmp_path):
         path = tmp_path / "p.csv"
