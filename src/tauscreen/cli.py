@@ -5,7 +5,10 @@ by parameter name; it becomes click's default map, so each value is converted
 and checked as the flag's would be, and explicit flags override it. Unknown
 keys, and values of the wrong JSON type (bool for a switch, integer for an
 int flag, number for a float flag, string otherwise), are usage errors.
-Exit codes: 0 success, 1 runtime error, 2 usage error. All outputs are
+Exit codes: 0 success, 1 runtime error, 2 usage error. A usage error writes
+no file. Runtime errors of every command (a model error, an OS error, input
+that is not UTF-8) meet one boundary, the ``main`` group, which prints one
+``error: ...`` line to stderr; no input ends in a traceback. All outputs are
 deterministic functions of the flags and seed, byte-for-byte: BLAS runs on
 one thread, so ``OPENBLAS_NUM_THREADS`` does not change them.
 """
@@ -21,7 +24,8 @@ import sys
 import click
 import numpy as np
 
-from .diagnostics import check_assumptions, check_proposition1, hoeffding_bound, neighborhood_size_bound
+from .diagnostics import (check_assumptions, check_constants, check_proposition1,
+                          hoeffding_bound, neighborhood_size_bound)
 from .errors import InvalidInputError, TauscreenError
 from .evalbench import (
     ExperimentSpec,
@@ -76,7 +80,7 @@ def _load_config(ctx, param, value):
     try:
         with open(value, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
         raise click.UsageError(f"cannot read config {value}: {exc}")
     if not isinstance(doc, dict):
         raise click.UsageError(f"config {value} must hold a JSON object")
@@ -178,12 +182,19 @@ def _threshold_spec(gamma=None, rate=None, f=None, q=None) -> ThresholdSpec:
         return ThresholdSpec.fpr(f=f, q=q)
 
 
-def _fail(exc: Exception) -> None:
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(1)
+class _Main(click.Group):
+    """Ends every command's runtime error as one ``error:`` line and exit 1;
+    any other exception is a bug and keeps its traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (TauscreenError, OSError, UnicodeDecodeError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
 
 
-@click.group()
+@click.group(cls=_Main)
 @click.version_option(package_name="tauscreen")
 def main():
     """Graph screening workbench built on rank correlations."""
@@ -204,22 +215,19 @@ def main():
 def simulate(**params):
     """Generate a synthetic dataset plus its ground truth files."""
     cfg = _sim_config(params)
-    try:
-        rng = RngStream(cfg.seed)
-        gt = generate_ground_truth(cfg, rng)
-        data = sample(gt, cfg, rng)
-        out_dir = params["out_dir"]
-        os.makedirs(out_dir, exist_ok=True)
-        prefix = os.path.join(out_dir, params["prefix"])
-        write_data_csv(prefix + "_data.csv", data)
-        write_matrix_csv(prefix + "_sigma.csv", gt.sigma)
-        write_matrix_csv(prefix + "_precision.csv", gt.omega)
-        write_edges_tsv(prefix + "_edges.tsv", gt.edges, gt.omega)
-        cfg.write_json(prefix + "_config.json")
-        lam_min, lam_max = eig_extremes(gt.sigma)
-        _echo_json({"edge_count": len(gt.edges), "lambda_min": lam_min, "lambda_max": lam_max})
-    except (TauscreenError, OSError) as exc:
-        _fail(exc)
+    rng = RngStream(cfg.seed)
+    gt = generate_ground_truth(cfg, rng)
+    data = sample(gt, cfg, rng)
+    out_dir = params["out_dir"]
+    os.makedirs(out_dir, exist_ok=True)
+    prefix = os.path.join(out_dir, params["prefix"])
+    write_data_csv(prefix + "_data.csv", data)
+    write_matrix_csv(prefix + "_sigma.csv", gt.sigma)
+    write_matrix_csv(prefix + "_precision.csv", gt.omega)
+    write_edges_tsv(prefix + "_edges.tsv", gt.edges, gt.omega)
+    write_json_report(prefix + "_config.json", cfg.to_json_dict())
+    lam_min, lam_max = eig_extremes(gt.sigma)
+    _echo_json({"edge_count": len(gt.edges), "lambda_min": lam_min, "lambda_max": lam_max})
 
 
 @main.command()
@@ -250,23 +258,20 @@ def screen(**params):
                             f=params["fpr_f"], q=params["fpr_q"])
 
     threads = _resolve_threads(params["threads"])
-    try:
-        data = read_data_csv(params["data_path"])
-        if tspec.mode == "fpr" and data.p > params["fpr_max_p"]:
-            raise InvalidInputError(
-                f"p={data.p} exceeds --fpr-max-p={params['fpr_max_p']}; "
-                "fpr mode runs one O(p^2 n^2) sign pass for tau and omega^2")
-        corr, edges = screen_data(data, params["estimator"], tspec, threads=threads)
-        write_edges_tsv(params["out"], edges, corr)
-        summary = {"edge_count": len(edges), "n": data.n, "p": data.p}
-        if params["components"] or params["components_out"]:
-            part = connected_components(edges)
-            comp_path = params["components_out"] or params["out"] + ".components.tsv"
-            write_partition_tsv(comp_path, part)
-            summary["components"] = part.n_components
-        _echo_json(summary)
-    except (TauscreenError, OSError) as exc:
-        _fail(exc)
+    data = read_data_csv(params["data_path"])
+    if tspec.mode == "fpr" and data.p > params["fpr_max_p"]:
+        raise InvalidInputError(
+            f"p={data.p} exceeds --fpr-max-p={params['fpr_max_p']}; "
+            "fpr mode runs one O(p^2 n^2) sign pass for tau and omega^2")
+    corr, edges = screen_data(data, params["estimator"], tspec, threads=threads)
+    write_edges_tsv(params["out"], edges, corr)
+    summary = {"edge_count": len(edges), "n": data.n, "p": data.p}
+    if params["components"] or params["components_out"]:
+        part = connected_components(edges)
+        comp_path = params["components_out"] or params["out"] + ".components.tsv"
+        write_partition_tsv(comp_path, part)
+        summary["components"] = part.n_components
+    _echo_json(summary)
 
 
 @main.command("ingest-prices")
@@ -278,16 +283,13 @@ def screen(**params):
 @_config_option
 def ingest_prices_cmd(**params):
     """Turn a price table into a standardized log-return data CSV."""
-    try:
-        sectors = read_sector_csv(params["sectors_path"]) if params["sectors_path"] else None
-        table = read_price_csv(params["prices_path"], sectors=sectors)
-        returns = ingest_prices(table)
-        write_data_csv(params["out"], returns)
-        if table.sectors is not None:
-            write_sector_tsv(params["sectors_out"] or params["out"] + ".sectors.tsv", table)
-        _echo_json({"rows": returns.n, "tickers": returns.p})
-    except (TauscreenError, OSError) as exc:
-        _fail(exc)
+    sectors = read_sector_csv(params["sectors_path"]) if params["sectors_path"] else None
+    table = read_price_csv(params["prices_path"], sectors=sectors)
+    returns = ingest_prices(table)
+    write_data_csv(params["out"], returns)
+    if table.sectors is not None:
+        write_sector_tsv(params["sectors_out"] or params["out"] + ".sectors.tsv", table)
+    _echo_json({"rows": returns.n, "tickers": returns.p})
 
 
 @main.command()
@@ -301,11 +303,13 @@ def ingest_prices_cmd(**params):
 @click.option("--estimator", type=click.Choice(["kendall", "pearson"]), default="kendall")
 @click.option("--replicates", type=int, default=50, callback=_check_count)
 @click.option("--seed", type=int, default=0)
-@click.option("--q", default=None, help="Comma list of target FPR levels (table mode).")
-@click.option("--gamma", default=None, help="Comma list of fixed thresholds (table mode).")
-@click.option("--rate", default=None, help="'C1,KAPPA' rate threshold (table mode).")
+@click.option("--q", default=None,
+              help="Comma list of target FPR levels (table mode only).")
+@click.option("--gamma", default=None,
+              help="Comma list of fixed thresholds (table mode only).")
+@click.option("--rate", default=None, help="'C1,KAPPA' rate threshold (table mode only).")
 @click.option("--grid", default=None,
-              help="'MIN,MAX,COUNT' threshold grid (sweep mode); finite "
+              help="'MIN,MAX,COUNT' threshold grid (sweep mode only); finite "
                    "0 <= MIN <= MAX, COUNT an integer >= 2.")
 @click.option("--out-csv", type=click.Path(), required=True)
 @click.option("--out-json", type=click.Path(), required=True)
@@ -314,66 +318,65 @@ def ingest_prices_cmd(**params):
 def bench(**params):
     """Run replicated experiments (table mode) or an ROC sweep (sweep mode)."""
     sim = _sim_config(params)
-    threads = _resolve_threads(params["threads"])
-    try:
-        if params["mode"] == "sweep":
-            if params["grid"] is None:
-                grid = default_grid()
-            else:
-                parts = _parse_float_list(params["grid"], "--grid")
-                if len(parts) != 3:
-                    raise click.UsageError("--grid expects 'MIN,MAX,COUNT'")
-                lo, hi, count = parts
-                if not (math.isfinite(lo) and math.isfinite(hi)):
-                    raise click.UsageError("--grid: MIN and MAX must be finite")
-                if not 0 <= lo <= hi:
-                    raise click.UsageError("--grid: need 0 <= MIN <= MAX")
-                if not (count.is_integer() and count >= 2):  # auc needs two points
-                    raise click.UsageError("--grid: COUNT must be an integer >= 2")
-                grid = tuple(np.linspace(lo, hi, int(count)).tolist())
-            sweep = roc_sweep(sim, params["estimator"], params["replicates"],
-                              params["seed"], grid=grid)
-            write_sweep_csv(params["out_csv"], sweep)
-            doc = {
-                "mode": "sweep",
-                "sim": sim.to_json_dict(),
-                "estimator": params["estimator"],
-                "replicates": params["replicates"],
-                "auc": auc(sweep),
-            }
-            write_json_report(params["out_json"], doc)
-            _echo_json({"auc": doc["auc"], "grid_points": len(grid)})
-            return
-
-        specs: list[tuple[float, ThresholdSpec]] = []
-        chosen = [k for k in ("q", "gamma", "rate") if params[k] is not None]
-        if len(chosen) != 1:
-            raise click.UsageError("table mode needs exactly one of --q, --gamma, --rate")
-        if params["q"] is not None:
-            for q in _parse_float_list(params["q"], "--q"):
-                specs.append((q, _threshold_spec(q=q)))
-        elif params["gamma"] is not None:
-            for g in _parse_float_list(params["gamma"], "--gamma"):
-                specs.append((g, _threshold_spec(gamma=g)))
+    chosen = [k for k in ("q", "gamma", "rate") if params[k] is not None]
+    if params["mode"] == "sweep":
+        if chosen:
+            raise click.UsageError(
+                f"sweep mode does not take {', '.join('--' + k for k in chosen)}")
+        if params["grid"] is None:
+            grid = default_grid()
         else:
-            tspec = _threshold_spec(rate=params["rate"])
-            specs.append((tspec.rate_gamma(sim.n), tspec))
-
-        rows = []
-        table = []
-        for q_or_gamma, tspec in specs:
-            spec = ExperimentSpec(sim=sim, threshold=tspec, estimator=params["estimator"],
-                                  replicates=params["replicates"], base_seed=params["seed"])
-            result = run_experiment(spec, threads=threads)
-            rows.extend(experiment_rows(result, q_or_gamma))
-            table.append(result.aggregate() | {"q_or_gamma": q_or_gamma})
-        write_experiment_csv(params["out_csv"], rows)
-        doc = {"mode": "table", "sim": sim.to_json_dict(),
-               "estimator": params["estimator"], "table": table}
+            parts = _parse_float_list(params["grid"], "--grid")
+            if len(parts) != 3:
+                raise click.UsageError("--grid expects 'MIN,MAX,COUNT'")
+            lo, hi, count = parts
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise click.UsageError("--grid: MIN and MAX must be finite")
+            if not 0 <= lo <= hi:
+                raise click.UsageError("--grid: need 0 <= MIN <= MAX")
+            if not (count.is_integer() and count >= 2):  # auc needs two points
+                raise click.UsageError("--grid: COUNT must be an integer >= 2")
+            grid = tuple(np.linspace(lo, hi, int(count)).tolist())
+        sweep = roc_sweep(sim, params["estimator"], params["replicates"],
+                          params["seed"], grid=grid)
+        write_sweep_csv(params["out_csv"], sweep)
+        doc = {
+            "mode": "sweep",
+            "sim": sim.to_json_dict(),
+            "estimator": params["estimator"],
+            "replicates": params["replicates"],
+            "auc": auc(sweep),
+        }
         write_json_report(params["out_json"], doc)
-        _echo_json({"rows": len(rows), "cells": len(table)})
-    except (TauscreenError, OSError) as exc:
-        _fail(exc)
+        _echo_json({"auc": doc["auc"], "grid_points": len(grid)})
+        return
+
+    if params["grid"] is not None:
+        raise click.UsageError("table mode does not take --grid")
+    if len(chosen) != 1:
+        raise click.UsageError("table mode needs exactly one of --q, --gamma, --rate")
+    key = chosen[0]
+    if key == "rate":
+        tspec = _threshold_spec(rate=params["rate"])
+        cells = [(tspec.rate_gamma(sim.n), tspec)]
+    else:  # --q and --gamma take comma lists
+        cells = [(v, _threshold_spec(**{key: v}))
+                 for v in _parse_float_list(params[key], f"--{key}")]
+    with _usage_errors():  # every cell is checked before any replicate runs
+        specs = [(v, ExperimentSpec(sim=sim, threshold=t, estimator=params["estimator"],
+                                    replicates=params["replicates"], base_seed=params["seed"]))
+                 for v, t in cells]
+    threads = _resolve_threads(params["threads"])
+    rows, table = [], []
+    for q_or_gamma, spec in specs:
+        result = run_experiment(spec, threads=threads)
+        rows.extend(experiment_rows(result, q_or_gamma))
+        table.append(result.aggregate() | {"q_or_gamma": q_or_gamma})
+    write_experiment_csv(params["out_csv"], rows)
+    doc = {"mode": "table", "sim": sim.to_json_dict(),
+           "estimator": params["estimator"], "table": table}
+    write_json_report(params["out_json"], doc)
+    _echo_json({"rows": len(rows), "cells": len(table)})
 
 
 @main.command()
@@ -397,6 +400,9 @@ def bench(**params):
 @_config_option
 def diagnose(**params):
     """Report the screening-theory health checks for a ground truth."""
+    with _usage_errors():
+        check_constants(params["n"], params["c1"], params["kappa"], params["xi"],
+                        params["c2"], params["alpha"])
     from_files = params["sigma_path"] is not None
     if from_files:
         if params["precision_path"] is None or params["edges_path"] is None:
@@ -405,7 +411,7 @@ def diagnose(**params):
         raise click.UsageError("supply --sigma/--precision/--edges or --scenario/--p")
     else:
         with _usage_errors():
-            cfg = SimConfig(scenario=params["scenario"], n=max(params["n"], 2),
+            cfg = SimConfig(scenario=params["scenario"], n=params["n"],
                             p=params["p"], seed=params["seed"])
     ns, ts = [params["n"]], [0.1, 0.2]
     if params["hoeffding_n"]:
@@ -417,34 +423,31 @@ def diagnose(**params):
         ts = _parse_float_list(params["hoeffding_t"], "--hoeffding-t")
         if not all(math.isfinite(v) and v > 0 for v in ts):
             raise click.UsageError("--hoeffding-t: deviations must be finite and > 0")
-    try:
-        if from_files:
-            sigma = read_matrix_csv(params["sigma_path"])
-            omega = read_matrix_csv(params["precision_path"])
-            edges, _ = read_edges_tsv(params["edges_path"], p=sigma.shape[0])
-            gt = GroundTruth(sigma=sigma, omega=omega, edges=edges,
-                             scenario=params["scenario"] or "file")
-        else:
-            gt = generate_ground_truth(cfg, RngStream(params["seed"]))
-        report = check_assumptions(gt, params["n"], params["c1"], params["kappa"],
-                                   params["xi"], params["c2"], params["alpha"])
-        conditioning = check_proposition1(gt, params["n"], params["c1"],
-                                          params["kappa"], params["xi"])
-        doc = {
-            "assumptions": report.to_json_dict(),
-            "conditioning": conditioning.to_json_dict(),
-            "neighborhood_size_bound": neighborhood_size_bound(
-                gt, params["n"], params["c1"], params["kappa"]),
-        }
-        if params["hoeffding_n"] or params["hoeffding_t"]:
-            doc["hoeffding"] = [
-                {"n": nn, "t": tt, "bound": hoeffding_bound(nn, tt)}
-                for nn in ns for tt in ts
-            ]
-        write_json_report(params["out"], doc)
-        _echo_json(doc)
-    except (TauscreenError, OSError) as exc:
-        _fail(exc)
+    if from_files:
+        sigma = read_matrix_csv(params["sigma_path"])
+        omega = read_matrix_csv(params["precision_path"])
+        edges, _ = read_edges_tsv(params["edges_path"], p=sigma.shape[0])
+        gt = GroundTruth(sigma=sigma, omega=omega, edges=edges,
+                         scenario=params["scenario"] or "file")
+    else:
+        gt = generate_ground_truth(cfg, RngStream(params["seed"]))
+    report = check_assumptions(gt, params["n"], params["c1"], params["kappa"],
+                               params["xi"], params["c2"], params["alpha"])
+    conditioning = check_proposition1(gt, params["n"], params["c1"],
+                                      params["kappa"], params["xi"])
+    doc = {
+        "assumptions": report.to_json_dict(),
+        "conditioning": conditioning.to_json_dict(),
+        "neighborhood_size_bound": neighborhood_size_bound(
+            gt, params["n"], params["c1"], params["kappa"]),
+    }
+    if params["hoeffding_n"] or params["hoeffding_t"]:
+        doc["hoeffding"] = [
+            {"n": nn, "t": tt, "bound": hoeffding_bound(nn, tt)}
+            for nn in ns for tt in ts
+        ]
+    write_json_report(params["out"], doc)
+    _echo_json(doc)
 
 
 if __name__ == "__main__":

@@ -103,15 +103,11 @@ def _min_scaled_precision(gt: GroundTruth, nu: float) -> float:
     return nu * nu * np.abs(gt.omega[gt.edges.edges[:, 0], gt.edges.edges[:, 1]]).min()
 
 
-def check_assumptions(gt: GroundTruth, n: int, c1: float, kappa: float, xi: float,
-                      c2: float, alpha: float) -> AssumptionReport:
-    """Evaluate the edge-strength floor, the eigenvalue cap, and the finite-n
-    surrogate of the vanishing non-edge-correlation requirement.
-
-    The non-edge condition is asymptotic, so the report exposes the surrogate
-    ``max_nonedge_corr * n^((1-xi)/2)`` and flags it "small" below
-    ``SMALL_SURROGATE_CUTOFF``.
-    """
+def check_constants(n: int, c1: float, kappa: float, xi: float, c2: float,
+                    alpha: float) -> None:
+    """Refuse constants outside the ranges :func:`check_assumptions` is
+    defined on: n >= 2, kappa in (0, 1/2), xi in (0, 1 - 2 kappa), C1 > 0,
+    C2 > 0 and alpha >= 0."""
     if n < 2:
         raise InvalidInputError("need n >= 2")
     if not 0 < kappa < 0.5:
@@ -123,6 +119,17 @@ def check_assumptions(gt: GroundTruth, n: int, c1: float, kappa: float, xi: floa
     if alpha < 0:
         raise InvalidInputError("alpha must be nonnegative")
 
+
+def check_assumptions(gt: GroundTruth, n: int, c1: float, kappa: float, xi: float,
+                      c2: float, alpha: float) -> AssumptionReport:
+    """Evaluate the edge-strength floor, the eigenvalue cap, and the finite-n
+    surrogate of the vanishing non-edge-correlation requirement.
+
+    The non-edge condition is asymptotic, so the report exposes the surrogate
+    ``max_nonedge_corr * n^((1-xi)/2)`` and flags it "small" below
+    ``SMALL_SURROGATE_CUTOFF``.
+    """
+    check_constants(n, c1, kappa, xi, c2, alpha)
     min_edge, max_nonedge = _corr_extremes(gt)
     lam_min, lam_max, beta, nu = _spread(gt)
     floor = c1 * float(n) ** (-kappa)

