@@ -25,6 +25,13 @@ from .simgen import GroundTruth, RngStream
 SMALL_SURROGATE_CUTOFF = 0.1
 
 
+def _finite_or_none(doc: dict) -> dict:
+    """``doc`` with each nan or infinite float as None, since JSON has neither:
+    an empty edge set leaves nan, and a beta bound that does not exist is inf."""
+    return {key: None if isinstance(value, float) and not math.isfinite(value) else value
+            for key, value in doc.items()}
+
+
 @dataclass(frozen=True)
 class AssumptionReport:
     """Numeric summaries plus pass/fail flags for the screening conditions."""
@@ -50,11 +57,7 @@ class AssumptionReport:
     nonedge_small: bool
 
     def to_json_dict(self) -> dict:
-        out = asdict(self)
-        for key, value in out.items():
-            if isinstance(value, float) and math.isnan(value):
-                out[key] = None
-        return out
+        return _finite_or_none(asdict(self))
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,7 @@ class ConditioningReport:
     n_ok: bool
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return _finite_or_none(asdict(self))
 
 
 def _corr_extremes(gt: GroundTruth) -> tuple[float, float]:
@@ -107,17 +110,17 @@ def check_constants(n: int, c1: float, kappa: float, xi: float, c2: float,
                     alpha: float) -> None:
     """Refuse constants outside the ranges :func:`check_assumptions` is
     defined on: n >= 2, kappa in (0, 1/2), xi in (0, 1 - 2 kappa), C1 > 0,
-    C2 > 0 and alpha >= 0."""
+    C2 > 0 and alpha >= 0, each finite."""
     if n < 2:
         raise InvalidInputError("need n >= 2")
     if not 0 < kappa < 0.5:
         raise InvalidInputError("kappa must lie in (0, 1/2)")
     if not 0 < xi < 1 - 2 * kappa:
         raise InvalidInputError("xi must lie in (0, 1 - 2*kappa)")
-    if c1 <= 0 or c2 <= 0:
-        raise InvalidInputError("C1 and C2 must be positive")
-    if alpha < 0:
-        raise InvalidInputError("alpha must be nonnegative")
+    if not (0 < c1 < math.inf and 0 < c2 < math.inf):
+        raise InvalidInputError("C1 and C2 must be positive and finite")
+    if not 0 <= alpha < math.inf:
+        raise InvalidInputError("alpha must be nonnegative and finite")
 
 
 def check_assumptions(gt: GroundTruth, n: int, c1: float, kappa: float, xi: float,

@@ -356,5 +356,5 @@ def write_sweep_csv(path, sweep: SweepResult) -> None:
 
 def write_json_report(path, doc: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

@@ -13,6 +13,7 @@ divisor rows-1).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,9 @@ from .errors import DegenerateColumnError, InvalidInputError
 from .rankcorr import DataMatrix
 
 _FMT = "%.17g"
+# Under errors="surrogateescape", each byte that is not UTF-8 reads as one of
+# these lone surrogates.
+_UNDECODED = re.compile("[\udc80-\udcff]")
 
 
 def _is_number(token: str) -> bool:
@@ -35,12 +39,20 @@ def _detect_delimiter(header_line: str) -> str:
     return "\t" if "\t" in header_line else ","
 
 
+def _numbered_lines(path):
+    """Yield the 1-based line number and the text of each line of ``path``,
+    without its line end. A line that is not UTF-8 raises an error naming it."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for i, line in enumerate(fh, 1):
+            if not line.isascii() and _UNDECODED.search(line):
+                raise InvalidInputError(f"{path}: line {i} is not UTF-8 text")
+            yield i, line.rstrip("\n").rstrip("\r")
+
+
 def _split_rows(path) -> list[tuple[int, list[str]]]:
     """The non-blank lines of ``path`` split on its delimiter, each paired with
     its 1-based line number in the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(i, line.rstrip("\n").rstrip("\r")) for i, line in enumerate(fh, 1)
-                 if line.strip()]
+    lines = [(i, line) for i, line in _numbered_lines(path) if line.strip()]
     if not lines:
         raise InvalidInputError(f"{path}: empty file")
     delim = _detect_delimiter(lines[0][1])
@@ -55,35 +67,33 @@ def _read_numeric_table(path, labelled: bool) -> tuple[np.ndarray, tuple[str, ..
     labels = None
     rows = []
     delim = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            first = delim is None
-            if first:
-                delim = _detect_delimiter(line)
-            cells = line.split(delim)
-            if first and labelled and not _is_number(cells[0]):
-                labels = tuple(cell.strip() for cell in cells)
-                continue
-            i = len(rows) + 1
-            if labels is not None and len(cells) != len(labels):
-                raise InvalidInputError(
-                    f"{path}: row {i} has {len(cells)} cells for {len(labels)} header labels")
-            if rows and len(cells) != rows[0].size:
-                raise InvalidInputError(
-                    f"{path}: row {i} has {len(cells)} cells, expected {rows[0].size}")
-            try:
-                row = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
-            except ValueError:  # rescan the row; a cell float() rejects reads as nan
-                row = np.array([float(c) if _is_number(c) else np.nan for c in cells])
-            bad = np.flatnonzero(~np.isfinite(row))  # float() accepts nan and inf
-            if bad.size:
-                j = bad[0]
-                raise InvalidInputError(
-                    f"{path}: row {i}, column {j + 1}: bad value {cells[j].strip()!r}")
-            rows.append(row)
+    for _, line in _numbered_lines(path):
+        if not line.strip():
+            continue
+        first = delim is None
+        if first:
+            delim = _detect_delimiter(line)
+        cells = line.split(delim)
+        if first and labelled and not _is_number(cells[0]):
+            labels = tuple(cell.strip() for cell in cells)
+            continue
+        i = len(rows) + 1
+        if labels is not None and len(cells) != len(labels):
+            raise InvalidInputError(
+                f"{path}: row {i} has {len(cells)} cells for {len(labels)} header labels")
+        if rows and len(cells) != rows[0].size:
+            raise InvalidInputError(
+                f"{path}: row {i} has {len(cells)} cells, expected {rows[0].size}")
+        try:
+            row = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+        except ValueError:  # rescan the row; a cell float() rejects reads as nan
+            row = np.array([float(c) if _is_number(c) else np.nan for c in cells])
+        bad = np.flatnonzero(~np.isfinite(row))  # float() accepts nan and inf
+        if bad.size:
+            j = bad[0]
+            raise InvalidInputError(
+                f"{path}: row {i}, column {j + 1}: bad value {cells[j].strip()!r}")
+        rows.append(row)
     if delim is None:
         raise InvalidInputError(f"{path}: empty file")
     if not rows:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from tauscreen import (
     generate_ground_truth,
     run_experiment,
 )
-from tauscreen import evalbench
+from tauscreen import evalbench, rankcorr
 from tauscreen.cli import main
 from tauscreen.errors import SingularMatrixError
 from tauscreen.io import read_data_csv, read_matrix_csv, write_data_csv
@@ -559,6 +560,26 @@ class TestDiagnose:
         assert doc["assumptions"]["min_edge_corr"] == pytest.approx(
             doc2["assumptions"]["min_edge_corr"], rel=1e-12)
 
+    def test_edgeless_graph_report_is_valid_json(self, runner, tmp_path):
+        sim_dir = tmp_path / "sim"
+        invoke(runner, ["simulate", "--scenario", "D", "--n", "50", "--p", "10",
+                        "--seed", "0", "--out-dir", str(sim_dir)])
+        edges = sim_dir / "sim_edges.tsv"
+        edges.write_text(edges.read_text().splitlines()[0] + "\n")
+        out = tmp_path / "report.json"
+        result = invoke(runner, ["diagnose", "--sigma", str(sim_dir / "sim_sigma.csv"),
+                                 "--precision", str(sim_dir / "sim_precision.csv"),
+                                 "--edges", str(edges), "--n", "100", "--out", str(out)])
+        assert result.exit_code == 0
+
+        def refuse(token):
+            raise AssertionError(f"{token} is not JSON")
+
+        for text in (out.read_text(), result.output):
+            doc = json.loads(text, parse_constant=refuse)
+            assert doc["assumptions"]["min_edge_corr"] is None
+            assert doc["conditioning"]["min_scaled_precision"] is None
+
     def test_requires_inputs(self, runner):
         result = CliRunner().invoke(main, ["diagnose", "--n", "50", "--out", "r.json"])
         assert result.exit_code == 2
@@ -593,7 +614,10 @@ class TestDiagnose:
         ("--c1", "0", "C1 and C2 must be positive"),
         ("--c2", "-1", "C1 and C2 must be positive"),
         ("--alpha", "-0.5", "alpha must be nonnegative"),
-    ], ids=["n", "kappa", "xi", "c1", "c2", "alpha"])
+        ("--c1", "nan", "C1 and C2 must be positive and finite"),
+        ("--c2", "inf", "C1 and C2 must be positive and finite"),
+        ("--alpha", "inf", "alpha must be nonnegative and finite"),
+    ], ids=["n", "kappa", "xi", "c1", "c2", "alpha", "c1-nan", "c2-inf", "alpha-inf"])
     @pytest.mark.parametrize("source", ["scenario", "files"])
     def test_bad_theory_constant_is_usage_error(self, runner, tmp_path, flag, value, message,
                                                 source):
@@ -632,20 +656,21 @@ class TestErrorBoundary:
                                       "simulate-out-dir", "bench-sweep", "bench-table"])
     def test_runtime_error_is_one_line(self, runner, tmp_path, monkeypatch, case):
         not_utf8 = tmp_path / "bad.csv"
-        not_utf8.write_bytes(b"a,b\n\xff\xfe,1\n")
+        not_utf8.write_bytes(b"1,2\n\xff\xfe,1\n")
         regular = tmp_path / "file"
         regular.write_text("")
         bench = ["bench", "--scenario", "C", "--n", "20", "--p", "5", "--replicates", "2",
                  "--out-csv", str(tmp_path / "b.csv"), "--out-json", str(tmp_path / "b.json")]
         args, message = {
             "screen": (["screen", "--data", str(not_utf8), "--gamma", "0.3",
-                        "--out", str(tmp_path / "e.tsv")], "'utf-8' codec can't decode"),
+                        "--out", str(tmp_path / "e.tsv")], f"{not_utf8}: line 2 is not UTF-8"),
             "ingest-prices": (["ingest-prices", "--prices", str(not_utf8),
-                               "--out", str(tmp_path / "r.csv")], "'utf-8' codec can't decode"),
+                               "--out", str(tmp_path / "r.csv")],
+                              f"{not_utf8}: line 2 is not UTF-8"),
             "diagnose-sigma": (["diagnose", "--sigma", str(not_utf8), "--precision",
                                 str(not_utf8), "--edges", str(not_utf8), "--n", "50",
                                 "--out", str(tmp_path / "r.json")],
-                               "'utf-8' codec can't decode"),
+                               f"{not_utf8}: line 2 is not UTF-8"),
             "simulate-out-dir": (["simulate", "--scenario", "C", "--n", "10", "--p", "3",
                                   "--out-dir", str(regular / "sub")], "Not a directory"),
             "bench-sweep": (bench + ["--mode", "sweep"], "replicate 0 failed: not pd"),
@@ -664,6 +689,64 @@ class TestErrorBoundary:
         assert result.stderr.startswith("error: ")
         assert len(result.stderr.splitlines()) == 1
         assert message in result.stderr
+
+
+    @pytest.mark.parametrize("command", ["screen", "ingest-prices", "diagnose-sigma"])
+    @pytest.mark.parametrize("content,line", [
+        (b"\xff\xfea,b\n1,2\n3,4\n", 1),
+        (b"1,2\n3,4\n\n5,\xe9\n", 4),
+    ], ids=["bom-header", "after-blank-line"])
+    def test_non_utf8_input_names_file_and_line(self, runner, tmp_path, command, content,
+                                                line):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(content)
+        args = {
+            "screen": ["screen", "--data", str(bad), "--gamma", "0.3",
+                       "--out", str(tmp_path / "e.tsv")],
+            "ingest-prices": ["ingest-prices", "--prices", str(bad),
+                              "--out", str(tmp_path / "r.csv")],
+            "diagnose-sigma": ["diagnose", "--sigma", str(bad), "--precision", str(bad),
+                               "--edges", str(bad), "--n", "50",
+                               "--out", str(tmp_path / "r.json")],
+        }[command]
+        result = runner.invoke(main, args, catch_exceptions=False)
+        assert result.exit_code == 1
+        assert result.stderr == f"error: {bad}: line {line} is not UTF-8 text\n"
+        assert sorted(tmp_path.iterdir()) == [bad]
+
+
+class TestSignBlocks:
+    """CLI bytes do not depend on how many rows the tau-only sign kernel
+    takes per matrix product."""
+
+    @pytest.mark.parametrize("command", ["bench-sweep", "screen-gamma", "screen-rate"])
+    def test_bytes_do_not_depend_on_block_rows(self, runner, tmp_path, command):
+        data = tmp_path / "sim" / "sim_data.csv"
+        invoke(runner, ["simulate", "--scenario", "B", "--n", "60", "--p", "20",
+                        "--base", "t", "--transform", "npn", "--seed", "4",
+                        "--out-dir", str(data.parent)])
+        outputs = []
+        for rows in (1, rankcorr._SIGN_BLOCK_ROWS):
+            out = tmp_path / f"rows{rows}"
+            out.mkdir()
+            args = {
+                "bench-sweep": ["bench", "--mode", "sweep", "--scenario", "B", "--n", "40",
+                                "--p", "20", "--replicates", "3", "--seed", "6",
+                                "--out-csv", str(out / "s.csv"),
+                                "--out-json", str(out / "s.json")],
+                "screen-gamma": ["screen", "--data", str(data), "--gamma", "0.2",
+                                 "--components", "--out", str(out / "e.tsv")],
+                "screen-rate": ["screen", "--data", str(data), "--rate", "0.9,0.25",
+                                "--components", "--out", str(out / "e.tsv")],
+            }[command]
+            with mock.patch.object(rankcorr, "_SIGN_BLOCK_ROWS", rows):
+                result = invoke(runner, args)
+            assert result.exit_code == 0, result.output
+            outputs.append((result.output, read_bytes_map(out)))
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][1]) == 2
+        if command != "bench-sweep":
+            assert json.loads(outputs[0][0])["edge_count"] > 0
 
 
 class TestPipelineConsistency:

@@ -55,6 +55,10 @@ class TestCheckAssumptions:
         gt = identity_truth()
         with pytest.raises(InvalidInputError):
             check_assumptions(gt, n=50, c1=0.5, kappa=0.6, xi=0.1, c2=1.0, alpha=0.5)
+        for c1, c2, alpha in ((math.nan, 1.0, 0.5), (0.5, math.inf, 0.5),
+                              (0.5, 1.0, math.inf), (0.5, 1.0, math.nan)):
+            with pytest.raises(InvalidInputError, match="finite"):
+                check_assumptions(gt, n=50, c1=c1, kappa=0.25, xi=0.3, c2=c2, alpha=alpha)
         with pytest.raises(InvalidInputError):
             check_assumptions(gt, n=50, c1=0.5, kappa=0.25, xi=0.6, c2=1.0, alpha=0.5)
 
@@ -104,6 +108,18 @@ class TestProposition1:
     def test_parameter_ranges(self):
         with pytest.raises(InvalidInputError):
             check_proposition1(identity_truth(), n=10, c1=0.5, kappa=0.4, xi=0.7)
+
+    def test_json_has_no_nan_or_infinity(self):
+        # no edges leave min_scaled_precision nan; lambda_max = 0.25 puts
+        # 1/sqrt(lambda_max) = 2 above n^((1-xi)/2) = 1.04, so beta_bound is inf
+        gt = GroundTruth(sigma=0.25 * np.eye(4), omega=4.0 * np.eye(4),
+                         edges=EdgeSet(4, ()), scenario="C")
+        rep = check_proposition1(gt, n=2, c1=0.5, kappa=0.01, xi=0.9)
+        assert math.isnan(rep.min_scaled_precision) and math.isinf(rep.beta_bound)
+        doc = rep.to_json_dict()
+        assert doc["min_scaled_precision"] is None and doc["beta_bound"] is None
+        assert doc["beta_within_bound"] is True
+        json.dumps(doc, allow_nan=False)
 
 
 class TestNeighborhoodBound:

@@ -32,6 +32,7 @@ from tauscreen.evalbench import (
     experiment_rows,
     screen_data,
     write_experiment_csv,
+    write_json_report,
     write_sweep_csv,
 )
 
@@ -378,3 +379,8 @@ class TestWriters:
         lines = path.read_text().splitlines()
         assert lines[0] == "gamma,mean_fpr,mean_tpr"
         assert len(lines) == 3
+
+    def test_json_report_refuses_nan_and_infinity(self, tmp_path):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                write_json_report(tmp_path / "r.json", {"auc": value})

@@ -514,3 +514,97 @@ class TestSplitKernel:
     def test_rejects_threads_below_one(self):
         with pytest.raises(InvalidInputError, match="threads"):
             kendall_matrix(np.eye(3), threads=0)
+
+
+# Rows per product of the tau-only kernel: one row, two rows and the default.
+BLOCK_ROWS = (1, 2, rankcorr._SIGN_BLOCK_ROWS)
+
+
+def assert_blocks_agree(data, threads=(1,)):
+    """s1 of the tau-only kernel is the same bytes for every block size and
+    thread count, and tau equals the naive pairwise tau."""
+    expected = rankcorr._sign_moments(data, False)[0].tobytes()
+    for rows in BLOCK_ROWS:
+        with mock.patch.object(rankcorr, "_SIGN_BLOCK_ROWS", rows):
+            for k in threads:
+                assert rankcorr._sign_moments(data, False, threads=k)[0].tobytes() == expected
+            assert_tau_matches_naive(data)
+
+
+class TestSignBlocks:
+    """The tau-only kernel's row blocks at their edges."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data_matrices(max_n=20))
+    def test_block_sizes_match_naive(self, data):
+        assert_blocks_agree(data)
+
+    @pytest.mark.parametrize("extra", [0, 1, 2, rankcorr._SIGN_BLOCK_ROWS])
+    def test_rows_that_fill_blocks(self, extra):
+        # the default blocks are exactly full (extra 0 and 8), or the last
+        # row (no later rows) or the last two (1 and 0) make a block alone
+        n = rankcorr._SIGN_BLOCK_ROWS + extra
+        data = np.random.default_rng(40 + n).normal(size=(n, 3))
+        assert_blocks_agree(data)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 30])
+    def test_one_column(self, n):
+        data = np.random.default_rng(50 + n).normal(size=(n, 1))
+        assert_blocks_agree(data, threads=(1, 2))
+
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_two_rows_one_column_wide(self, p):
+        # row 0 meets one later row, row 1 none: one block of one sign row
+        data = np.random.default_rng(60 + p).integers(0, 2, size=(2, p)).astype(float)
+        assert_blocks_agree(data, threads=(1, 2, 3))
+
+    def test_heavy_ties_and_constant_columns(self):
+        rng = np.random.default_rng(61)
+        data = np.column_stack([np.full(45, 3.0), rng.integers(0, 3, size=(45, 4)),
+                                np.full(45, -2.0)]).astype(float)
+        assert_blocks_agree(data, threads=(1, 2))
+
+    @pytest.mark.parametrize("n", [5, 16, 33])
+    def test_threads_split_blocked_parts(self, n):
+        data = np.random.default_rng(70 + n).integers(0, 4, size=(n, 5)).astype(float)
+        assert_blocks_agree(data, threads=(2, 3, n + 1))
+
+    @pytest.mark.parametrize("extra,rows", [(1, 3), (2, 3), (0, 2)])
+    def test_block_width_stays_below_the_exact_width(self, extra, rows):
+        # with the exactness cap at 3n + extra a block holds 3 rows (w = 3n is
+        # the widest below the cap), or 2 (extra = 0), not the default 8: the
+        # pass allocates what it does with that many rows a block and no cap
+        data = np.random.default_rng(80).integers(0, 5, size=(200, 4)).astype(float)
+        n, p = data.shape
+        ranks = np.ascontiguousarray(rankcorr._dense_ranks(data).T)
+
+        def peak_of_pass():
+            tracemalloc.start()
+            try:
+                rankcorr._sign_rows(ranks, range(n), False)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with mock.patch.object(rankcorr, "_EXACT_WIDTH", 3 * n + extra):
+            assert_blocks_agree(data, threads=(1, 2))
+            capped = peak_of_pass()
+        with mock.patch.object(rankcorr, "_SIGN_BLOCK_ROWS", rows):
+            uncapped = peak_of_pass()
+        # one more row a block would add a p x n float32 block (3200 bytes)
+        assert abs(capped - uncapped) < 1024
+
+    def test_memory_stays_linear_at_a_blocked_shape(self):
+        # 400 x 30: the rows take 50 blocks of the default 8. The block buffer
+        # (p x 8n float32) and the ranks take 9 p n 4 bytes, the rank pass's
+        # copies about 11. A block of 2^20 cells would take 87, one block of
+        # all rows 200.
+        n, p = 400, 30
+        data = np.random.default_rng(81).normal(size=(n, p))
+        tracemalloc.start()
+        try:
+            kendall_matrix(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * p * n * 4
