@@ -161,22 +161,15 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
     return values
 
 
-def _parse_rate(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise click.UsageError("--rate expects 'C1,KAPPA'")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise click.UsageError(f"--rate: {exc}")
-
-
 def _threshold_spec(gamma=None, rate=None, f=None, q=None) -> ThresholdSpec:
     """The ThresholdSpec of one threshold flag's value (``rate`` as its
     'C1,KAPPA' text); a value the spec refuses is a usage error."""
     with _usage_errors():
         if rate is not None:
-            return ThresholdSpec.rate(*_parse_rate(rate))
+            parts = _parse_float_list(rate, "--rate")
+            if len(parts) != 2:
+                raise click.UsageError("--rate expects 'C1,KAPPA'")
+            return ThresholdSpec.rate(*parts)
         if gamma is not None:
             return ThresholdSpec.fixed(gamma)
         return ThresholdSpec.fpr(f=f, q=q)
@@ -435,11 +428,11 @@ def diagnose(**params):
                                params["xi"], params["c2"], params["alpha"])
     conditioning = check_proposition1(gt, params["n"], params["c1"],
                                       params["kappa"], params["xi"])
+    bound = neighborhood_size_bound(gt, params["n"], params["c1"], params["kappa"])
     doc = {
         "assumptions": report.to_json_dict(),
         "conditioning": conditioning.to_json_dict(),
-        "neighborhood_size_bound": neighborhood_size_bound(
-            gt, params["n"], params["c1"], params["kappa"]),
+        "neighborhood_size_bound": bound if math.isfinite(bound) else None,
     }
     if params["hoeffding_n"] or params["hoeffding_t"]:
         doc["hoeffding"] = [

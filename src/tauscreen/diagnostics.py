@@ -32,6 +32,14 @@ def _finite_or_none(doc: dict) -> dict:
             for key, value in doc.items()}
 
 
+def _power(base: float, exponent: float) -> float:
+    """``base ** exponent``, saturating to inf where the float overflows."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class AssumptionReport:
     """Numeric summaries plus pass/fail flags for the screening conditions."""
@@ -136,7 +144,7 @@ def check_assumptions(gt: GroundTruth, n: int, c1: float, kappa: float, xi: floa
     min_edge, max_nonedge = _corr_extremes(gt)
     lam_min, lam_max, beta, nu = _spread(gt)
     floor = c1 * float(n) ** (-kappa)
-    cap = c2 * float(n) ** alpha
+    cap = c2 * _power(float(n), alpha)
     surrogate = (max_nonedge * float(n) ** ((1 - xi) / 2.0)
                  if not math.isnan(max_nonedge) else float("nan"))
     return AssumptionReport(
@@ -177,7 +185,7 @@ def check_proposition1(gt: GroundTruth, n: int, c1: float, kappa: float, xi: flo
     inv_sqrt_lmax = lam_max ** (-0.5)
     beta_bound = ((root + inv_sqrt_lmax) / (root - inv_sqrt_lmax)
                   if root > inv_sqrt_lmax else float("inf"))
-    n_required = (2.0 / c1) ** (1.0 / (1.0 - xi - kappa))
+    n_required = _power(2.0 / c1, 1.0 / (1.0 - xi - kappa))
     min_scaled = _min_scaled_precision(gt, nu)
     floor = 2.0 * c1 * float(n) ** (-kappa)
     return ConditioningReport(
@@ -203,7 +211,7 @@ def neighborhood_size_bound(gt: GroundTruth, n: int, c1: float, kappa: float) ->
     if kappa < 0:
         raise InvalidInputError("kappa must be nonnegative")
     _, lam_max = eig_extremes(gt.sigma)
-    return 9.0 * c1 ** (-2.0) * float(n) ** (2.0 * kappa) * lam_max
+    return 9.0 * _power(c1, -2.0) * float(n) ** (2.0 * kappa) * lam_max
 
 
 def hoeffding_bound(n: int, t: float) -> float:

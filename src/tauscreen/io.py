@@ -1,9 +1,14 @@
 """File formats: numeric data CSV, dense matrix CSV, and price-table ingestion.
 
+Every table the package reads, the edge and partition TSVs included, goes
+through one streaming row reader, :func:`read_rows`: it numbers the lines,
+refuses a line that is not UTF-8 with an error naming the path and the line,
+skips blank lines and splits each line into cells.
+
 Data CSVs hold one observation per row. The delimiter (comma or tab) is
-auto-detected from the header line, and an optional single header row of
-column labels is auto-detected by its first cell being non-numeric. Values
-are written with 17 significant digits so doubles round-trip exactly.
+auto-detected from the first non-blank line, and an optional single header
+row of column labels is auto-detected by its first cell being non-numeric.
+Values are written with 17 significant digits so doubles round-trip exactly.
 
 Price tables are CSVs with a leading date column and one column per ticker.
 Ingestion turns T prices into T-1 log returns ``log(S[t+1] / S[t])`` and
@@ -35,28 +40,26 @@ def _is_number(token: str) -> bool:
         return False
 
 
-def _detect_delimiter(header_line: str) -> str:
-    return "\t" if "\t" in header_line else ","
-
-
-def _numbered_lines(path):
-    """Yield the 1-based line number and the text of each line of ``path``,
-    without its line end. A line that is not UTF-8 raises an error naming it."""
+def read_rows(path, delimiter: str | None = None):
+    """Yield the 1-based line number and the cells of each non-blank line of
+    ``path``, read one line at a time. Cells are split on ``delimiter`` or,
+    when it is None, on a tab if the first non-blank line holds one and on a
+    comma otherwise. A line that is not UTF-8, or a file with no non-blank
+    line, raises an error naming the path (and the line)."""
+    empty = True
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for i, line in enumerate(fh, 1):
             if not line.isascii() and _UNDECODED.search(line):
                 raise InvalidInputError(f"{path}: line {i} is not UTF-8 text")
-            yield i, line.rstrip("\n").rstrip("\r")
-
-
-def _split_rows(path) -> list[tuple[int, list[str]]]:
-    """The non-blank lines of ``path`` split on its delimiter, each paired with
-    its 1-based line number in the file."""
-    lines = [(i, line) for i, line in _numbered_lines(path) if line.strip()]
-    if not lines:
+            line = line.rstrip("\n").rstrip("\r")
+            if not line.strip():
+                continue
+            if empty:
+                empty = False
+                delimiter = delimiter or ("\t" if "\t" in line else ",")
+            yield i, line.split(delimiter)
+    if empty:
         raise InvalidInputError(f"{path}: empty file")
-    delim = _detect_delimiter(lines[0][1])
-    return [(i, line.split(delim)) for i, line in lines]
 
 
 def _read_numeric_table(path, labelled: bool) -> tuple[np.ndarray, tuple[str, ...] | None]:
@@ -66,15 +69,8 @@ def _read_numeric_table(path, labelled: bool) -> tuple[np.ndarray, tuple[str, ..
     first data line)."""
     labels = None
     rows = []
-    delim = None
-    for _, line in _numbered_lines(path):
-        if not line.strip():
-            continue
-        first = delim is None
-        if first:
-            delim = _detect_delimiter(line)
-        cells = line.split(delim)
-        if first and labelled and not _is_number(cells[0]):
+    for _, cells in read_rows(path):
+        if labelled and labels is None and not rows and not _is_number(cells[0]):
             labels = tuple(cell.strip() for cell in cells)
             continue
         i = len(rows) + 1
@@ -94,8 +90,6 @@ def _read_numeric_table(path, labelled: bool) -> tuple[np.ndarray, tuple[str, ..
             raise InvalidInputError(
                 f"{path}: row {i}, column {j + 1}: bad value {cells[j].strip()!r}")
         rows.append(row)
-    if delim is None:
-        raise InvalidInputError(f"{path}: empty file")
     if not rows:
         raise InvalidInputError(f"{path}: no data rows")
     return np.vstack(rows), labels
@@ -152,35 +146,36 @@ class PriceTable:
 
 def read_price_csv(path, sectors: dict[str, str] | None = None) -> PriceTable:
     """Read a price table; first column is the date, remaining are tickers."""
-    rows = _split_rows(path)
-    if len(rows) < 3:
-        raise InvalidInputError(f"{path}: need a header and at least 2 price rows")
-    header = [cell.strip() for cell in rows[0][1]]
+    rows = read_rows(path)
+    header = [cell.strip() for cell in next(rows)[1]]
     if len(header) < 2:
         raise InvalidInputError(f"{path}: need a date column plus at least one ticker")
     tickers = tuple(header[1:])
     dates = []
-    prices = np.empty((len(rows) - 1, len(tickers)))
-    for i, (line_no, row) in enumerate(rows[1:]):
+    prices = []
+    for line_no, row in rows:
         if len(row) != len(header):
             raise InvalidInputError(f"{path}: row {line_no} has {len(row)} cells, expected {len(header)}")
         dates.append(row[0].strip())
-        for j, cell in enumerate(row[1:]):
+        for ticker, cell in zip(tickers, row[1:]):
             cell = cell.strip()
             if not cell or not _is_number(cell):
                 raise InvalidInputError(
-                    f"{path}: missing or bad price at row {line_no} ({dates[-1]}), ticker {tickers[j]}")
+                    f"{path}: missing or bad price at row {line_no} ({dates[-1]}), ticker {ticker}")
             value = float(cell)
             if not np.isfinite(value) or value <= 0:
                 raise InvalidInputError(
-                    f"{path}: nonpositive price {value} at row {line_no} ({dates[-1]}), ticker {tickers[j]}")
-            prices[i, j] = value
+                    f"{path}: nonpositive price {value} at row {line_no} ({dates[-1]}), ticker {ticker}")
+            prices.append(value)
+    if len(dates) < 2:
+        raise InvalidInputError(f"{path}: need a header and at least 2 price rows")
     sector_tuple = None
     if sectors is not None:
         missing = [t for t in tickers if t not in sectors]
         if missing:
             raise InvalidInputError(f"missing sector labels for: {missing}")
         sector_tuple = tuple(sectors[t] for t in tickers)
+    prices = np.array(prices).reshape(len(dates), len(tickers))
     return PriceTable(tuple(dates), tickers, prices, sector_tuple)
 
 
@@ -212,10 +207,10 @@ def ingest_prices(table: PriceTable) -> DataMatrix:
 
 def read_sector_csv(path) -> dict[str, str]:
     """Two-column ticker,sector mapping (comma or tab delimited)."""
-    rows = _split_rows(path)
     out = {}
-    start = 1 if rows[0][1][0].strip().lower() in ("ticker", "symbol") else 0
-    for line_no, row in rows[start:]:
+    for k, (line_no, row) in enumerate(read_rows(path)):
+        if k == 0 and row[0].strip().lower() in ("ticker", "symbol"):
+            continue
         if len(row) < 2:
             raise InvalidInputError(f"{path}: row {line_no} needs ticker and sector")
         out[row[0].strip()] = row[1].strip()

@@ -22,6 +22,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import InvalidInputError, MissingInputError
+from .io import read_rows
 from .rankcorr import CorrMatrix, JackknifeVarMatrix
 
 
@@ -243,27 +244,31 @@ def write_edges_tsv(path, edges: EdgeSet, values: np.ndarray | CorrMatrix) -> No
             fh.write(f"{j + 1}\t{k + 1}\t{v[j, k]:.17g}\n")
 
 
-def _read_tsv_rows(path, header_prefix: str, what: str, kinds: tuple) -> list[tuple[int, list]]:
-    """The 1-based line number and the cells parsed by ``kinds`` of each
-    non-blank line after the header; a malformed line raises an error naming
-    its line number."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        if not fh.readline().startswith(header_prefix):
-            raise InvalidInputError(f"{path}: missing {what} TSV header")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split("\t")
-            if len(cells) != len(kinds):
-                raise InvalidInputError(
-                    f"{path}: line {lineno} has {len(cells)} cells, expected {len(kinds)}")
-            try:
-                rows.append((lineno, [kind(cell) for kind, cell in zip(kinds, cells)]))
-            except ValueError as exc:
-                raise InvalidInputError(f"{path}: line {lineno}: {exc}") from None
-    return rows
+def _read_tsv_rows(path, header: str, what: str, noun: str, kinds: tuple):
+    """Yield the 1-based line number and the cells parsed by ``kinds`` of each
+    non-blank line after the header, whose first cell must be ``header``. A
+    malformed line, or one whose cells before the last repeat an earlier
+    line's (a duplicate ``noun``), raises an error naming its line number."""
+    rows = read_rows(path, delimiter="\t")
+    cells = next(rows)[1]
+    if len(cells) < 2 or cells[0] != header:
+        raise InvalidInputError(f"{path}: missing {what} TSV header")
+    first_line = {}
+    for lineno, cells in rows:
+        if len(cells) != len(kinds):
+            raise InvalidInputError(
+                f"{path}: line {lineno} has {len(cells)} cells, expected {len(kinds)}")
+        try:
+            parsed = [kind(cell) for kind, cell in zip(kinds, cells)]
+        except ValueError as exc:
+            raise InvalidInputError(f"{path}: line {lineno}: {exc}") from None
+        *ids, _ = parsed
+        key = ids[0] if len(ids) == 1 else tuple(ids)
+        if key in first_line:
+            raise InvalidInputError(
+                f"{path}: line {lineno}: duplicate {noun} {key}, first on line {first_line[key]}")
+        first_line[key] = lineno
+        yield lineno, parsed
 
 
 def read_edges_tsv(path, p: int | None = None) -> tuple[EdgeSet, dict[tuple[int, int], float]]:
@@ -275,17 +280,11 @@ def read_edges_tsv(path, p: int | None = None) -> tuple[EdgeSet, dict[tuple[int,
     recovered from the file).
     """
     values = {}
-    first_line = {}
-    for lineno, (a, b, val) in _read_tsv_rows(path, "j\t", "edge", (int, int, float)):
+    for lineno, (a, b, val) in _read_tsv_rows(path, "j", "edge", "edge", (int, int, float)):
         if not 1 <= a < b or (p is not None and b > p):
             bound = "" if p is None else f" <= p={p}"
             raise InvalidInputError(
                 f"{path}: line {lineno}: edge ({a}, {b}) needs 1 <= j < j'{bound}")
-        if (a, b) in first_line:
-            raise InvalidInputError(
-                f"{path}: line {lineno}: duplicate edge ({a}, {b}), "
-                f"first on line {first_line[a, b]}")
-        first_line[a, b] = lineno
         values[(a - 1, b - 1)] = val
     if p is None:
         p = max((k for _, k in values), default=0) + 1
@@ -303,14 +302,9 @@ def write_partition_tsv(path, part: Partition) -> None:
 def read_partition_tsv(path) -> Partition:
     """Read a node-to-component TSV: one line per node 1..p, in any order."""
     labels = {}
-    first_line = {}
-    for lineno, (node, label) in _read_tsv_rows(path, "node\t", "partition", (int, int)):
+    for lineno, (node, label) in _read_tsv_rows(path, "node", "partition", "node", (int, int)):
         if node < 1:
             raise InvalidInputError(f"{path}: line {lineno}: node {node} must be >= 1")
-        if node in first_line:
-            raise InvalidInputError(
-                f"{path}: line {lineno}: duplicate node {node}, first on line {first_line[node]}")
-        first_line[node] = lineno
         labels[node - 1] = label
     p = max(labels) + 1 if labels else 0
     missing = next((i for i in range(p) if i not in labels), None)

@@ -32,6 +32,7 @@ sampling otherwise). Replicate r of an experiment uses seed ``base_seed XOR r``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,9 +84,9 @@ class RngStream:
         return ndtri(self.uniform01(size))
 
     def chi_square(self, df: float, size=None):
-        """Chi-square deviates with df > 0 degrees of freedom."""
-        if df <= 0:
-            raise InvalidInputError("degrees of freedom must be positive")
+        """Chi-square deviates with finite df > 0 degrees of freedom."""
+        if not 0 < df < math.inf:
+            raise InvalidInputError("degrees of freedom must be positive and finite")
         if float(df).is_integer():
             k = int(df)
             shape = () if size is None else (size if isinstance(size, tuple) else (size,))
@@ -143,8 +144,8 @@ class SimConfig:
             raise InvalidInputError("need p >= 2")
         if self.scenario in ("B", "D") and self.p % 10 != 0:
             raise InvalidInputError(f"scenario {self.scenario} requires p divisible by 10, got {self.p}")
-        if self.base == "student-t" and not self.theta > 2:
-            raise InvalidInputError("student-t base requires theta > 2 (finite variance)")
+        if self.base == "student-t" and not 2 < self.theta < math.inf:
+            raise InvalidInputError("student-t base requires a finite theta > 2 (finite variance)")
 
     def to_json_dict(self) -> dict:
         out = {

@@ -101,6 +101,15 @@ class TestSimulate:
         result = runner.invoke(main, ["simulate", "--scenario", "C"])
         assert result.exit_code == 2
 
+    def test_infinite_theta_is_usage_error(self, runner, tmp_path):
+        out_dir = tmp_path / "sim"
+        result = runner.invoke(main, ["simulate", "--scenario", "C", "--n", "10", "--p", "3",
+                                      "--base", "t", "--theta", "inf",
+                                      "--out-dir", str(out_dir)])
+        assert result.exit_code == 2
+        assert "finite theta > 2" in result.output
+        assert not out_dir.exists()
+
 
 class TestScreen:
     def test_gamma_above_one_empty(self, runner, tmp_path):
@@ -580,6 +589,20 @@ class TestDiagnose:
             assert doc["assumptions"]["min_edge_corr"] is None
             assert doc["conditioning"]["min_scaled_precision"] is None
 
+    @pytest.mark.parametrize("flag,value,fields", [
+        ("--alpha", "400", [("assumptions", "eigenvalue_cap")]),
+        ("--c1", "1e-300", [("conditioning", "n_required"), (None, "neighborhood_size_bound")]),
+    ], ids=["alpha", "c1"])
+    def test_overflowing_constant_reports_null(self, runner, tmp_path, flag, value, fields):
+        out = tmp_path / "report.json"
+        result = invoke(runner, ["diagnose", "--scenario", "C", "--p", "5", "--n", "100",
+                                 flag, value, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        for text in (out.read_text(), result.output):
+            doc = json.loads(text)
+            for section, key in fields:
+                assert (doc[section] if section else doc)[key] is None
+
     def test_requires_inputs(self, runner):
         result = CliRunner().invoke(main, ["diagnose", "--n", "50", "--out", "r.json"])
         assert result.exit_code == 2
@@ -691,21 +714,30 @@ class TestErrorBoundary:
         assert message in result.stderr
 
 
-    @pytest.mark.parametrize("command", ["screen", "ingest-prices", "diagnose-sigma"])
-    @pytest.mark.parametrize("content,line", [
-        (b"\xff\xfea,b\n1,2\n3,4\n", 1),
-        (b"1,2\n3,4\n\n5,\xe9\n", 4),
+    @pytest.mark.parametrize("command", ["screen", "ingest-prices", "diagnose-sigma",
+                                         "diagnose-edges"])
+    @pytest.mark.parametrize("csv,tsv,line", [
+        (b"\xff\xfea,b\n1,2\n3,4\n", b"\xff\xfej\tj'\tvalue\n1\t2\t0.5\n", 1),
+        (b"1,2\n3,4\n\n5,\xe9\n", b"j\tj'\tvalue\n1\t2\t0.5\n\n2\t\xe9\t0.5\n", 4),
     ], ids=["bom-header", "after-blank-line"])
-    def test_non_utf8_input_names_file_and_line(self, runner, tmp_path, command, content,
-                                                line):
+    def test_non_utf8_input_names_file_and_line(self, runner, tmp_path, tmp_path_factory,
+                                                command, csv, tsv, line):
         bad = tmp_path / "bad.csv"
-        bad.write_bytes(content)
+        sim = tmp_path_factory.mktemp("sim")
+        if command == "diagnose-edges":
+            invoke(runner, ["simulate", "--scenario", "C", "--n", "10", "--p", "3",
+                            "--out-dir", str(sim)])
+        bad.write_bytes(tsv if command == "diagnose-edges" else csv)
         args = {
             "screen": ["screen", "--data", str(bad), "--gamma", "0.3",
                        "--out", str(tmp_path / "e.tsv")],
             "ingest-prices": ["ingest-prices", "--prices", str(bad),
                               "--out", str(tmp_path / "r.csv")],
             "diagnose-sigma": ["diagnose", "--sigma", str(bad), "--precision", str(bad),
+                               "--edges", str(bad), "--n", "50",
+                               "--out", str(tmp_path / "r.json")],
+            "diagnose-edges": ["diagnose", "--sigma", str(sim / "sim_sigma.csv"),
+                               "--precision", str(sim / "sim_precision.csv"),
                                "--edges", str(bad), "--n", "50",
                                "--out", str(tmp_path / "r.json")],
         }[command]

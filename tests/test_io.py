@@ -1,6 +1,8 @@
 """Tests for the CSV/TSV formats and price ingestion."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from tauscreen.io import (
     write_matrix_csv,
 )
 from tauscreen.rankcorr import DataMatrix
+from tauscreen.screening import read_edges_tsv, read_partition_tsv
 
 
 class TestDataCsv:
@@ -194,3 +197,51 @@ class TestStandardize:
         with pytest.raises(DegenerateColumnError) as err:
             standardize_columns(data)
         assert err.value.column == "flat"
+
+
+# every reader of the package, with a first line it accepts
+HEADERS = {
+    read_data_csv: b"x,y",
+    read_matrix_csv: b"1,2",
+    read_price_csv: b"date,AAA",
+    read_sector_csv: b"ticker,sector",
+    read_edges_tsv: b"j\tj'\tvalue",
+    read_partition_tsv: b"node\tcomponent",
+}
+READERS = pytest.mark.parametrize("reader", HEADERS, ids=lambda reader: reader.__name__)
+
+
+@READERS
+def test_non_utf8_line_located_after_blank_line(tmp_path, reader):
+    path = tmp_path / "in.txt"
+    path.write_bytes(HEADERS[reader] + b"\n\n\xff\xfe\n")
+    with pytest.raises(InvalidInputError) as err:
+        reader(path)
+    assert str(err.value) == f"{path}: line 3 is not UTF-8 text"
+
+
+@READERS
+def test_blank_file_is_empty(tmp_path, reader):
+    path = tmp_path / "in.txt"
+    path.write_bytes(b"\n \r\n\t\n")
+    with pytest.raises(InvalidInputError) as err:
+        reader(path)
+    assert str(err.value) == f"{path}: empty file"
+
+
+def test_only_the_row_reader_opens_files_for_reading():
+    """Every table goes through ``io.read_rows``; only the config loader reads
+    another file. A new reader must not open a file strictly on its own."""
+    src = Path(__file__).resolve().parents[1] / "src" / "tauscreen"
+    reads = re.compile(r"\bopen\(|\.read_text\(|\.read_bytes\(|loadtxt\(|genfromtxt\(")
+    writes = re.compile(r"""\bopen\([^,]+,\s*["'][wax]""")
+    readers = []
+    for path in sorted(src.glob("*.py")):
+        func = None
+        for line in path.read_text().splitlines():
+            defined = re.match(r"\s*def (\w+)", line)
+            if defined:
+                func = defined.group(1)
+            if reads.search(line) and not writes.search(line):
+                readers.append(f"{path.name}:{func}")
+    assert readers == ["cli.py:_load_config", "io.py:read_rows"]

@@ -312,6 +312,17 @@ class TestSerialization:
         path.write_text("j\tj'\tvalue\n1\tx\t0.5\n")
         with pytest.raises(InvalidInputError, match=r"edges\.tsv: line 2: .*'x'"):
             read_edges_tsv(path)
+        path.write_text("j\tj'\tvalue\n1\t2\t0.5\t\n")
+        with pytest.raises(InvalidInputError, match=r"edges\.tsv: line 2 has 4 cells"):
+            read_edges_tsv(path)
+
+    def test_header_is_first_non_blank_line(self, tmp_path):
+        path = tmp_path / "edges.tsv"
+        path.write_text("\n\nj\tj'\tvalue\n1\t2\t0.5\n")
+        assert read_edges_tsv(path)[1] == {(0, 1): 0.5}
+        path.write_text("\n1\t2\t0.5\n")
+        with pytest.raises(InvalidInputError, match=r"edges\.tsv: missing edge TSV header"):
+            read_edges_tsv(path)
 
     def test_malformed_partition_located(self, tmp_path):
         path = tmp_path / "part.tsv"

@@ -43,6 +43,11 @@ class TestRngStream:
         assert w.mean() == pytest.approx(3.5, abs=0.05)
         assert np.all(w > 0)
 
+    @pytest.mark.parametrize("df", [0.0, float("inf"), float("nan")])
+    def test_chi_square_rejects_bad_df(self, df):
+        with pytest.raises(InvalidInputError, match="positive and finite"):
+            RngStream(7).chi_square(df, size=3)
+
     def test_uniform_range(self):
         u = RngStream(5).uniform(-0.3, 0.7, size=100_000)
         assert u.min() >= -0.3 and u.max() <= 0.7
@@ -222,8 +227,9 @@ class TestSimConfig:
             SimConfig(scenario="E", n=10, p=10)
         with pytest.raises(InvalidInputError):
             SimConfig(scenario="B", n=10, p=55)
-        with pytest.raises(InvalidInputError):
-            SimConfig(scenario="A", n=10, p=10, base="student-t", theta=2.0)
+        for theta in (2.0, float("inf")):
+            with pytest.raises(InvalidInputError):
+                SimConfig(scenario="A", n=10, p=10, base="student-t", theta=theta)
 
     def test_json_roundtrip(self, tmp_path):
         cfg = SimConfig(scenario="D", n=100, p=20, base="student-t", theta=5.0,
