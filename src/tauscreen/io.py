@@ -3,12 +3,14 @@
 Every table the package reads, the edge and partition TSVs included, goes
 through one streaming row reader, :func:`read_rows`: it numbers the lines,
 refuses a line that is not UTF-8 with an error naming the path and the line,
-skips blank lines and splits each line into cells.
+skips blank lines and splits each line into cells. Every table the package
+writes goes out through one streaming row writer, :func:`write_rows`: UTF-8
+text with ``\n`` line ends, cells joined by one delimiter, and floats at 17
+significant digits so doubles round-trip exactly.
 
 Data CSVs hold one observation per row. The delimiter (comma or tab) is
 auto-detected from the first non-blank line, and an optional single header
 row of column labels is auto-detected by its first cell being non-numeric.
-Values are written with 17 significant digits so doubles round-trip exactly.
 
 Price tables are CSVs with a leading date column and one column per ticker.
 Ingestion turns T prices into T-1 log returns ``log(S[t+1] / S[t])`` and
@@ -62,6 +64,18 @@ def read_rows(path, delimiter: str | None = None):
         raise InvalidInputError(f"{path}: empty file")
 
 
+def write_rows(path, rows, delimiter: str = ",", header=None) -> None:
+    """Write ``header`` (when given) and then each row of ``rows``, one line
+    per row, streaming. A ``float`` cell is written as ``%.17g``, any other
+    cell with ``str``."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if header is not None:
+            fh.write(delimiter.join(header) + "\n")
+        for row in rows:
+            fh.write(delimiter.join([_FMT % v if isinstance(v, float) else str(v)
+                                     for v in row]) + "\n")
+
+
 def _read_numeric_table(path, labelled: bool) -> tuple[np.ndarray, tuple[str, ...] | None]:
     """Parse a numeric table one line at a time. With ``labelled``, a first
     line whose first cell is not a number holds the column labels. A bad
@@ -104,11 +118,7 @@ def read_data_csv(path) -> DataMatrix:
 
 
 def write_data_csv(path, data: DataMatrix) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if data.labels is not None:
-            fh.write(",".join(data.labels) + "\n")
-        for row in data.values:
-            fh.write(",".join(_FMT % v for v in row) + "\n")
+    write_rows(path, (row.tolist() for row in data.values), header=data.labels)
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -117,10 +127,8 @@ def read_matrix_csv(path) -> np.ndarray:
 
 
 def write_matrix_csv(path, matrix) -> None:
-    m = np.asarray(matrix, dtype=np.float64)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in np.atleast_2d(m):
-            fh.write(",".join(_FMT % v for v in row) + "\n")
+    m = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
+    write_rows(path, (row.tolist() for row in m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,7 +228,5 @@ def read_sector_csv(path) -> dict[str, str]:
 def write_sector_tsv(path, table: PriceTable) -> None:
     if table.sectors is None:
         raise InvalidInputError("price table carries no sector labels")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("ticker\tsector\n")
-        for ticker, sector in zip(table.tickers, table.sectors):
-            fh.write(f"{ticker}\t{sector}\n")
+    write_rows(path, zip(table.tickers, table.sectors), delimiter="\t",
+               header=("ticker", "sector"))

@@ -15,6 +15,7 @@ in memory and 1-based in the TSV interchange format.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -22,7 +23,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import InvalidInputError, MissingInputError
-from .io import read_rows
+from .io import read_rows, write_rows
 from .rankcorr import CorrMatrix, JackknifeVarMatrix
 
 
@@ -102,11 +103,11 @@ class ThresholdSpec:
 
     def __post_init__(self):
         if self.mode == "fixed":
-            if self.gamma is None or self.gamma < 0:
-                raise InvalidInputError("fixed mode needs gamma >= 0")
+            if self.gamma is None or not 0 <= self.gamma < math.inf:
+                raise InvalidInputError("fixed mode needs gamma >= 0 and finite")
         elif self.mode == "rate":
-            if self.c1 is None or self.c1 <= 0:
-                raise InvalidInputError("rate mode needs C1 > 0")
+            if self.c1 is None or not 0 < self.c1 < math.inf:
+                raise InvalidInputError("rate mode needs C1 > 0 and finite")
             if self.kappa is None or not 0 < self.kappa < 0.5:
                 raise InvalidInputError("rate mode needs kappa in (0, 1/2)")
         elif self.mode == "fpr":
@@ -114,8 +115,8 @@ class ThresholdSpec:
             has_q = self.q is not None
             if has_f == has_q:
                 raise InvalidInputError("fpr mode needs exactly one of f or q")
-            if has_f and self.f <= 0:
-                raise InvalidInputError("fpr mode needs f > 0")
+            if has_f and not 0 < self.f < math.inf:
+                raise InvalidInputError("fpr mode needs f > 0 and finite")
             if has_q and not 0 < self.q < 1:
                 raise InvalidInputError("fpr mode needs q in (0, 1)")
         else:
@@ -235,13 +236,12 @@ def compare_partitions(a: Partition, b: Partition) -> bool:
 
 def write_edges_tsv(path, edges: EdgeSet, values: np.ndarray | CorrMatrix) -> None:
     """Write an edge list as TSV with 1-based indices and per-edge values."""
-    v = values.entries if isinstance(values, CorrMatrix) else np.asarray(values)
+    v = values.entries if isinstance(values, CorrMatrix) else np.asarray(values, dtype=np.float64)
     if v.shape != (edges.p, edges.p):
         raise InvalidInputError("value matrix shape does not match edge set")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("j\tj'\tvalue\n")
-        for j, k in edges.edges.tolist():
-            fh.write(f"{j + 1}\t{k + 1}\t{v[j, k]:.17g}\n")
+    j, k = edges.edges.T
+    write_rows(path, zip((j + 1).tolist(), (k + 1).tolist(), v[j, k].tolist()),
+               delimiter="\t", header=("j", "j'", "value"))
 
 
 def _read_tsv_rows(path, header: str, what: str, noun: str, kinds: tuple):
@@ -293,10 +293,8 @@ def read_edges_tsv(path, p: int | None = None) -> tuple[EdgeSet, dict[tuple[int,
 
 def write_partition_tsv(path, part: Partition) -> None:
     """Write a node-to-component table as TSV with 1-based node indices."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("node\tcomponent\n")
-        for node, label in enumerate(part.component_id):
-            fh.write(f"{node + 1}\t{label}\n")
+    write_rows(path, enumerate(part.component_id, 1), delimiter="\t",
+               header=("node", "component"))
 
 
 def read_partition_tsv(path) -> Partition:

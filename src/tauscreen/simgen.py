@@ -55,6 +55,9 @@ _BLOCK_DECAY = 0.9
 
 _U53 = float(2**53)
 _MASK64 = (1 << 64) - 1
+# Above this integer df, chi_square draws through the gamma path: the sum of
+# squares asks for size x df normals, gigabytes or an error for a huge theta.
+_SUM_OF_SQUARES_MAX_DF = 100
 
 
 class RngStream:
@@ -84,10 +87,12 @@ class RngStream:
         return ndtri(self.uniform01(size))
 
     def chi_square(self, df: float, size=None):
-        """Chi-square deviates with finite df > 0 degrees of freedom."""
+        """Chi-square deviates with finite df > 0 degrees of freedom: sums of
+        df squared normals for an integer df up to
+        ``_SUM_OF_SQUARES_MAX_DF``, twice a Gamma(df/2) deviate otherwise."""
         if not 0 < df < math.inf:
             raise InvalidInputError("degrees of freedom must be positive and finite")
-        if float(df).is_integer():
+        if float(df).is_integer() and df <= _SUM_OF_SQUARES_MAX_DF:
             k = int(df)
             shape = () if size is None else (size if isinstance(size, tuple) else (size,))
             z = self.standard_normal(shape + (k,))

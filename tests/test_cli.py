@@ -110,6 +110,13 @@ class TestSimulate:
         assert "finite theta > 2" in result.output
         assert not out_dir.exists()
 
+    def test_huge_integer_theta_runs(self, runner, tmp_path):
+        result = runner.invoke(main, ["simulate", "--scenario", "C", "--n", "50", "--p", "10",
+                                      "--base", "t", "--theta", "1e308",
+                                      "--out-dir", str(tmp_path / "sim")])
+        assert result.exit_code == 0, result.output
+        assert read_data_csv(tmp_path / "sim" / "sim_data.csv").values.shape == (50, 10)
+
 
 class TestScreen:
     def test_gamma_above_one_empty(self, runner, tmp_path):
@@ -122,6 +129,21 @@ class TestScreen:
         assert result.exit_code == 0
         edges, _ = read_edges_tsv(out, p=5)
         assert len(edges) == 0
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--gamma", "nan", "fixed mode needs gamma >= 0 and finite"),
+        ("--rate", "nan,0.25", "rate mode needs C1 > 0 and finite"),
+        ("--fpr-f", "nan", "fpr mode needs f > 0 and finite"),
+        ("--fpr-f", "inf", "fpr mode needs f > 0 and finite"),
+    ], ids=["gamma-nan", "rate-nan", "fpr-f-nan", "fpr-f-inf"])
+    def test_non_finite_threshold_is_usage_error(self, runner, tmp_path, flag, value, message):
+        data = tmp_path / "d.csv"
+        data.write_text("1,2,3\n2,1,3\n3,3,1\n4,2,2\n")
+        result = runner.invoke(main, ["screen", "--data", str(data), flag, value,
+                                      "--components", "--out", str(tmp_path / "e.tsv")])
+        assert result.exit_code == 2
+        assert message in result.output
+        assert list(tmp_path.iterdir()) == [data]
 
     def test_exactly_one_threshold_flag(self, runner, tmp_path):
         result = runner.invoke(main, ["screen", "--data", "x.csv", "--out", "y.tsv",
@@ -296,6 +318,16 @@ class TestIngestPrices:
         assert sidecar[0] == "ticker\tsector"
         assert sidecar[1] == "S00\tTech"
 
+    def test_sectors_out_without_sectors_is_usage_error(self, runner, tmp_path):
+        prices = tmp_path / "p.csv"
+        write_price_fixture(prices, tickers=2, days=10, seed=2)
+        result = runner.invoke(main, ["ingest-prices", "--prices", str(prices),
+                                      "--out", str(tmp_path / "r.csv"),
+                                      "--sectors-out", str(tmp_path / "s.tsv")])
+        assert result.exit_code == 2
+        assert "--sectors-out needs --sectors" in result.output
+        assert list(tmp_path.iterdir()) == [prices]
+
 
 class TestBench:
     def test_table_mode_and_threads_byte_identical(self, runner, tmp_path):
@@ -405,7 +437,14 @@ class TestBench:
         ("--gamma", "-1", "fixed mode needs gamma >= 0"),
         ("--rate", "0,0.25", "rate mode needs C1 > 0"),
         ("--rate", "1,0.7", "rate mode needs kappa in (0, 1/2)"),
-    ], ids=["q-above-one", "q-zero", "gamma-negative", "rate-c1-zero", "rate-kappa-high"])
+        ("--q", "nan", "fpr mode needs q in (0, 1)"),
+        ("--gamma", "nan", "fixed mode needs gamma >= 0 and finite"),
+        ("--gamma", "inf", "fixed mode needs gamma >= 0 and finite"),
+        ("--rate", "nan,0.25", "rate mode needs C1 > 0 and finite"),
+        ("--rate", "inf,0.25", "rate mode needs C1 > 0 and finite"),
+        ("--rate", "1,nan", "rate mode needs kappa in (0, 1/2)"),
+    ], ids=["q-above-one", "q-zero", "gamma-negative", "rate-c1-zero", "rate-kappa-high",
+            "q-nan", "gamma-nan", "gamma-inf", "rate-c1-nan", "rate-c1-inf", "rate-kappa-nan"])
     def test_bad_threshold_is_usage_error(self, runner, tmp_path, flag, value, message):
         result = runner.invoke(main, ["bench", "--mode", "table", "--scenario", "C",
                                       "--n", "20", "--p", "5", "--replicates", "1",
@@ -606,6 +645,18 @@ class TestDiagnose:
     def test_requires_inputs(self, runner):
         result = CliRunner().invoke(main, ["diagnose", "--n", "50", "--out", "r.json"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("given", [("--edges",), ("--sigma", "--precision"),
+                                       ("--precision",)])
+    def test_partial_files_are_usage_error(self, runner, tmp_path, given):
+        # the files do not exist: the flags are checked before any read
+        files = [arg for flag in given for arg in (flag, str(tmp_path / "in.csv"))]
+        out = tmp_path / "report.json"
+        result = runner.invoke(main, ["diagnose", "--scenario", "C", "--p", "5", "--n", "100",
+                                      *files, "--out", str(out)])
+        assert result.exit_code == 2
+        assert "--sigma, --precision and --edges go together" in result.output
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_scenario_shape_is_usage_error(self, runner, tmp_path):
         out = tmp_path / "report.json"

@@ -384,3 +384,9 @@ class TestWriters:
         for value in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="not JSON compliant"):
                 write_json_report(tmp_path / "r.json", {"auc": value})
+
+    def test_json_report_refused_leaves_no_file(self, tmp_path):
+        path = tmp_path / "r.json"
+        with pytest.raises(ValueError):
+            write_json_report(path, {"x": float("nan")})
+        assert not path.exists()

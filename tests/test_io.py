@@ -20,8 +20,17 @@ from tauscreen.io import (
     write_data_csv,
     write_matrix_csv,
 )
+from tauscreen.evalbench import SweepResult, write_experiment_csv, write_sweep_csv
+from tauscreen.io import write_sector_tsv
 from tauscreen.rankcorr import DataMatrix
-from tauscreen.screening import read_edges_tsv, read_partition_tsv
+from tauscreen.screening import (
+    EdgeSet,
+    Partition,
+    read_edges_tsv,
+    read_partition_tsv,
+    write_edges_tsv,
+    write_partition_tsv,
+)
 
 
 class TestDataCsv:
@@ -229,19 +238,71 @@ def test_blank_file_is_empty(tmp_path, reader):
     assert str(err.value) == f"{path}: empty file"
 
 
-def test_only_the_row_reader_opens_files_for_reading():
-    """Every table goes through ``io.read_rows``; only the config loader reads
-    another file. A new reader must not open a file strictly on its own."""
+# every table writer of the package, with a tiny input and its exact bytes:
+# 0.1 at 17 significant digits, -0.0, integer cells, an empty f_used cell and
+# a labels header
+WRITTEN = [
+    (write_data_csv, (DataMatrix([[0.1, -0.0], [3, 1e-300]], labels=("a", "b")),),
+     b"a,b\n0.10000000000000001,-0\n3,1e-300\n"),
+    (write_matrix_csv, ([[0.1, -0.0], [3, 2.5]],),
+     b"0.10000000000000001,-0\n3,2.5\n"),
+    (write_sector_tsv, (PriceTable(dates=("d1", "d2"), tickers=("AAA", "BBB"),
+                                   prices=[[1.0, 2.0], [3.0, 4.0]],
+                                   sectors=("tech", "energy")),),
+     b"ticker\tsector\nAAA\ttech\nBBB\tenergy\n"),
+    (write_edges_tsv, (EdgeSet(3, [(1, 2), (0, 2)]),
+                       np.array([[0, 0, 0.1], [0, 0, -0.0], [0, 0, 0]])),
+     b"j\tj'\tvalue\n1\t3\t0.10000000000000001\n2\t3\t-0\n"),
+    (write_partition_tsv, (Partition(3, (1, 2, 1)),),
+     b"node\tcomponent\n1\t1\n2\t2\n3\t1\n"),
+    (write_experiment_csv, ([(0, 0.1, "kendall", "C", 1, 0, 2, 0, 0.0, -0.0, 1, ""),
+                             (1, 0.25, "pearson", "B", 2, 1, 0, 0, 1.0, 0.0, 3, 1.5)],),
+     b"replicate,q_or_gamma,estimator,scenario,tp,fp,tn,fn,fpr,fnr,edge_count,f_used\n"
+     b"0,0.10000000000000001,kendall,C,1,0,2,0,0,-0,1,\n"
+     b"1,0.25,pearson,B,2,1,0,0,1,0,3,1.5\n"),
+    (write_sweep_csv, (SweepResult(grid=(0.0, 0.1), mean_tpr=(1.0, 0.5), mean_fpr=(1.0, -0.0),
+                                   per_replicate_tpr=(), per_replicate_fpr=()),),
+     b"gamma,mean_fpr,mean_tpr\n0,1,1\n0.10000000000000001,-0,0.5\n"),
+]
+
+
+@pytest.mark.parametrize("writer,args,expected", WRITTEN,
+                         ids=[writer.__name__ for writer, _, _ in WRITTEN])
+def test_writer_bytes(tmp_path, writer, args, expected):
+    path = tmp_path / "out"
+    writer(path, *args)
+    assert path.read_bytes() == expected
+
+
+def _calls_by_function(pattern):
+    """``file:function`` of each line of the package's modules that matches
+    ``pattern``, in file order."""
     src = Path(__file__).resolve().parents[1] / "src" / "tauscreen"
-    reads = re.compile(r"\bopen\(|\.read_text\(|\.read_bytes\(|loadtxt\(|genfromtxt\(")
-    writes = re.compile(r"""\bopen\([^,]+,\s*["'][wax]""")
-    readers = []
+    found = []
     for path in sorted(src.glob("*.py")):
         func = None
         for line in path.read_text().splitlines():
             defined = re.match(r"\s*def (\w+)", line)
             if defined:
                 func = defined.group(1)
-            if reads.search(line) and not writes.search(line):
-                readers.append(f"{path.name}:{func}")
+            if pattern(line):
+                found.append(f"{path.name}:{func}")
+    return found
+
+
+_WRITES = re.compile(r"""\bopen\([^,]+,\s*["'][wax]|\.write_text\(|\.write_bytes\(|savetxt\(""")
+
+
+def test_only_the_row_reader_opens_files_for_reading():
+    """Every table goes through ``io.read_rows``; only the config loader reads
+    another file. A new reader must not open a file strictly on its own."""
+    reads = re.compile(r"\bopen\(|\.read_text\(|\.read_bytes\(|loadtxt\(|genfromtxt\(")
+    readers = _calls_by_function(lambda line: reads.search(line) and not _WRITES.search(line))
     assert readers == ["cli.py:_load_config", "io.py:read_rows"]
+
+
+def test_only_the_row_writer_opens_files_for_writing():
+    """Every table goes out through ``io.write_rows``; only the JSON report is
+    written on its own, because it is not a row table."""
+    writers = _calls_by_function(_WRITES.search)
+    assert writers == ["evalbench.py:write_json_report", "io.py:write_rows"]

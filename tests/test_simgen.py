@@ -17,6 +17,7 @@ from tauscreen import (
     kendall_matrix,
     sample,
 )
+from tauscreen.simgen import _SUM_OF_SQUARES_MAX_DF
 
 
 class TestRngStream:
@@ -42,6 +43,20 @@ class TestRngStream:
         w = RngStream(4).chi_square(3.5, size=200_000)
         assert w.mean() == pytest.approx(3.5, abs=0.05)
         assert np.all(w > 0)
+
+    def test_chi_square_huge_integer_df_is_finite(self):
+        w = RngStream(8).chi_square(1e308, size=3)
+        assert w.shape == (3,) and np.all(np.isfinite(w))
+
+    def test_chi_square_integer_df_at_cap_sums_squares(self):
+        z = RngStream(9).standard_normal((4, _SUM_OF_SQUARES_MAX_DF))
+        w = RngStream(9).chi_square(_SUM_OF_SQUARES_MAX_DF, size=4)
+        assert np.array_equal(w, np.sum(z * z, axis=-1))
+
+    def test_chi_square_integer_df_above_cap_draws_gamma(self):
+        df = _SUM_OF_SQUARES_MAX_DF + 1
+        g = RngStream(10)._gamma(df / 2.0, 4)
+        assert np.array_equal(RngStream(10).chi_square(df, size=4), 2.0 * g)
 
     @pytest.mark.parametrize("df", [0.0, float("inf"), float("nan")])
     def test_chi_square_rejects_bad_df(self, df):
