@@ -151,6 +151,18 @@ def _sim_config(params) -> SimConfig:
         )
 
 
+def _distinct_outputs(*flags_paths) -> None:
+    """Refuse two outputs at one path, where the second write would replace
+    the first; ``flags_paths`` are (flag, path) pairs, path None if unset."""
+    seen = {}
+    for flag, path in flags_paths:
+        if path is None:
+            continue
+        other = seen.setdefault(os.path.abspath(path), flag)
+        if other != flag:
+            raise click.UsageError(f"{other} and {flag} name the same file {path}")
+
+
 def _parse_float_list(text: str, flag: str) -> list[float]:
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip()]
@@ -249,6 +261,7 @@ def screen(**params):
         raise click.UsageError("exactly one of --gamma, --rate, --fpr-q, --fpr-f is required")
     tspec = _threshold_spec(gamma=params["gamma"], rate=params["rate"],
                             f=params["fpr_f"], q=params["fpr_q"])
+    _distinct_outputs(("--out", params["out"]), ("--components-out", params["components_out"]))
 
     threads = _resolve_threads(params["threads"])
     data = read_data_csv(params["data_path"])
@@ -278,6 +291,7 @@ def ingest_prices_cmd(**params):
     """Turn a price table into a standardized log-return data CSV."""
     if params["sectors_out"] and not params["sectors_path"]:
         raise click.UsageError("--sectors-out needs --sectors")
+    _distinct_outputs(("--out", params["out"]), ("--sectors-out", params["sectors_out"]))
     sectors = read_sector_csv(params["sectors_path"]) if params["sectors_path"] else None
     table = read_price_csv(params["prices_path"], sectors=sectors)
     returns = ingest_prices(table)
@@ -313,6 +327,7 @@ def ingest_prices_cmd(**params):
 def bench(**params):
     """Run replicated experiments (table mode) or an ROC sweep (sweep mode)."""
     sim = _sim_config(params)
+    _distinct_outputs(("--out-csv", params["out_csv"]), ("--out-json", params["out_json"]))
     chosen = [k for k in ("q", "gamma", "rate") if params[k] is not None]
     if params["mode"] == "sweep":
         if chosen:
@@ -380,7 +395,7 @@ def bench(**params):
 @click.option("--edges", "edges_path", type=click.Path(), default=None)
 @click.option("--scenario", type=click.Choice(["A", "B", "C", "D"]), default=None)
 @click.option("--p", type=int, default=None)
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=int, default=None, help="Scenario mode only (default 0).")
 @click.option("--n", type=int, required=True, help="Sample size the conditions are judged at.")
 @click.option("--c1", type=float, default=0.6)
 @click.option("--kappa", type=float, default=0.25)
@@ -402,12 +417,16 @@ def diagnose(**params):
     from_files = all(files)
     if any(files) and not from_files:
         raise click.UsageError("--sigma, --precision and --edges go together")
+    scenario_flags = [f"--{k}" for k in ("scenario", "p", "seed") if params[k] is not None]
+    if from_files and scenario_flags:
+        raise click.UsageError(
+            f"--sigma/--precision/--edges do not take {', '.join(scenario_flags)}")
     if not from_files:
         if params["scenario"] is None or params["p"] is None:
             raise click.UsageError("supply --sigma/--precision/--edges or --scenario/--p")
+        seed = params["seed"] or 0
         with _usage_errors():
-            cfg = SimConfig(scenario=params["scenario"], n=params["n"],
-                            p=params["p"], seed=params["seed"])
+            cfg = SimConfig(scenario=params["scenario"], n=params["n"], p=params["p"], seed=seed)
     ns, ts = [params["n"]], [0.1, 0.2]
     if params["hoeffding_n"]:
         ns = _parse_float_list(params["hoeffding_n"], "--hoeffding-n")
@@ -422,10 +441,9 @@ def diagnose(**params):
         sigma = read_matrix_csv(params["sigma_path"])
         omega = read_matrix_csv(params["precision_path"])
         edges, _ = read_edges_tsv(params["edges_path"], p=sigma.shape[0])
-        gt = GroundTruth(sigma=sigma, omega=omega, edges=edges,
-                         scenario=params["scenario"] or "file")
+        gt = GroundTruth(sigma=sigma, omega=omega, edges=edges, scenario="file")
     else:
-        gt = generate_ground_truth(cfg, RngStream(params["seed"]))
+        gt = generate_ground_truth(cfg, RngStream(seed))
     report = check_assumptions(gt, params["n"], params["c1"], params["kappa"],
                                params["xi"], params["c2"], params["alpha"])
     conditioning = check_proposition1(gt, params["n"], params["c1"],

@@ -4,9 +4,10 @@ ROC sweeps over a fixed threshold grid.
 Each replicate r draws its own stream seeded with ``base_seed XOR r``. For
 scenarios with random graphs (A, B) the ground truth is re-drawn inside every
 replicate, so averages cover both graph and sampling randomness; C and D have
-deterministic ground truths. Replicates run independently (table-mode ones
-optionally across threads) and are aggregated in replicate order, so results
-do not depend on scheduling.
+deterministic ground truths. Replicates run independently and are aggregated
+in replicate order, so results do not depend on scheduling. Table-mode
+replicates always run in a pool of ``threads`` workers, 1 included; the ROC
+sweep runs its replicates on the calling thread.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .rankcorr import (
     sine_transform,
 )
 from .screening import EdgeSet, ThresholdSpec, screen_edges, threshold_matrix
-from .simgen import GroundTruth, RngStream, SimConfig, generate_ground_truth, sample
+from .simgen import RngStream, SimConfig, generate_ground_truth, sample
 
 ESTIMATORS = ("kendall", "pearson")
 
@@ -97,7 +98,15 @@ class ExperimentResult:
     spec: ExperimentSpec
     per_replicate: tuple[ConfusionMetrics, ...]
     f_per_replicate: tuple[float, ...] | None
-    q_convention: str | None
+
+    @property
+    def q_convention(self) -> str | None:
+        """How the fpr budget f was set: given directly, or q times each
+        replicate's true non-edge count; None outside fpr mode."""
+        threshold = self.spec.threshold
+        if threshold.mode != "fpr":
+            return None
+        return "f-direct" if threshold.f is not None else "q-times-true-nonedges"
 
     @property
     def f_used(self) -> float | None:
@@ -175,46 +184,34 @@ def screen_data(data: DataMatrix, estimator: str, spec: ThresholdSpec,
     return corr, screen_edges(corr, threshold_matrix(spec, data.n, data.p, jack=jack))
 
 
-def _resolve_fpr_budget(spec: ThresholdSpec, gt: GroundTruth) -> tuple[ThresholdSpec, float, str]:
-    """Convert a target rate q into a count budget f.
-
-    With ground truth in hand, q is interpreted against the true non-edge
-    count (f = q * |non-edges|). A directly-supplied f is passed through.
-    """
-    if spec.f is not None:
-        return spec, spec.f, "f-direct"
-    f = spec.q * gt.nonedge_count()
-    return ThresholdSpec.fpr(f=f), f, "q-times-true-nonedges"
-
-
-def _run_replicate(spec: ExperimentSpec, r: int):
+def _run_replicate(spec: ExperimentSpec, r: int) -> tuple[ConfusionMetrics, float | None]:
+    """Replicate r's metrics and, in fpr mode, its budget f: the spec's f, or
+    q times this replicate's true non-edge count."""
     try:
         rng = RngStream(spec.base_seed ^ r)
         gt = generate_ground_truth(spec.sim, rng)
         data = sample(gt, spec.sim, rng)
-        tspec, f_used, convention = spec.threshold, None, None
+        tspec, f = spec.threshold, None
         if tspec.mode == "fpr":
-            tspec, f_used, convention = _resolve_fpr_budget(tspec, gt)
+            f = tspec.f if tspec.f is not None else tspec.q * gt.nonedge_count()
+            tspec = ThresholdSpec.fpr(f=f)
         _, est = screen_data(data, spec.estimator, tspec)
-        return confusion(est, gt.edges), f_used, convention
+        return confusion(est, gt.edges), f
     except TauscreenError as exc:
         raise TauscreenError(f"replicate {r} failed: {exc}") from exc
 
 
 def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
-    """Run all replicates and collect per-replicate and mean metrics."""
-    indices = range(spec.replicates)
-    if threads > 1 and spec.replicates > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda r: _run_replicate(spec, r), indices))
-    else:
-        rows = [_run_replicate(spec, r) for r in indices]
-    metrics = tuple(m for m, _, _ in rows)
-    f_values = tuple(f for _, f, _ in rows)
-    convention = rows[0][2]
-    return ExperimentResult(spec=spec, per_replicate=metrics,
-                            f_per_replicate=None if f_values[0] is None else f_values,
-                            q_convention=convention)
+    """Run all replicates in a pool of ``threads`` workers and collect their
+    metrics in replicate order. A failing replicate ends the run: the pool
+    cancels the replicates still queued."""
+    if threads < 1:
+        raise InvalidInputError(f"threads must be >= 1, got {threads}")
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        rows = list(pool.map(lambda r: _run_replicate(spec, r), range(spec.replicates)))
+    f_values = tuple(f for _, f in rows) if spec.threshold.mode == "fpr" else None
+    return ExperimentResult(spec=spec, per_replicate=tuple(m for m, _ in rows),
+                            f_per_replicate=f_values)
 
 
 @dataclass(frozen=True)

@@ -520,6 +520,31 @@ class TestBench:
         assert "wat" in result.output
 
 
+class TestDistinctOutputs:
+    @pytest.mark.parametrize("command,args,message", [
+        ("bench", ["--scenario", "C", "--n", "20", "--p", "5", "--replicates", "2",
+                   "--gamma", "0.3", "--out-csv", "same.out", "--out-json", "same.out"],
+         "--out-csv and --out-json name the same file same.out"),
+        ("bench", ["--mode", "sweep", "--scenario", "C", "--n", "20", "--p", "5",
+                   "--out-csv", "same.out", "--out-json", "sub/../same.out"],
+         "--out-csv and --out-json name the same file sub/../same.out"),
+        ("screen", ["--data", "zv.csv", "--fpr-q", "0.05", "--out", "zv.tsv",
+                    "--components-out", "zv.tsv"],
+         "--out and --components-out name the same file zv.tsv"),
+        ("ingest-prices", ["--prices", "p.csv", "--sectors", "s.csv", "--out", "r.csv",
+                           "--sectors-out", "./r.csv"],
+         "--out and --sectors-out name the same file ./r.csv"),
+    ], ids=["bench-table", "bench-sweep", "screen", "ingest-prices"])
+    def test_shared_output_path_is_usage_error(self, runner, tmp_path, monkeypatch,
+                                               command, args, message):
+        # the inputs do not exist: the outputs are checked before any read
+        monkeypatch.chdir(tmp_path)
+        result = runner.invoke(main, [command, *args])
+        assert result.exit_code == 2
+        assert message in result.output
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestConfig:
     @pytest.mark.parametrize("command,config,message", [
         ("screen", {"gamma": 0.3, "components": "no"}, 'components must be true or false, got "no"'),
@@ -657,6 +682,30 @@ class TestDiagnose:
         assert result.exit_code == 2
         assert "--sigma, --precision and --edges go together" in result.output
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("extra,config,named", [
+        (["--p", "99", "--seed", "7", "--scenario", "A"], None, "--scenario, --p, --seed"),
+        (["--p", "12"], None, "--p"),
+        (["--seed", "0"], None, "--seed"),
+        (["--scenario", "C"], None, "--scenario"),
+        ([], {"seed": 7}, "--seed"),
+    ], ids=["all-three", "p", "default-seed", "scenario", "seed-from-config"])
+    def test_files_take_no_scenario_flags(self, runner, tmp_path, extra, config, named):
+        sim_dir = tmp_path / "sim"
+        invoke(runner, ["simulate", "--scenario", "C", "--n", "50", "--p", "12",
+                        "--out-dir", str(sim_dir)])
+        args = ["diagnose", "--sigma", str(sim_dir / "sim_sigma.csv"),
+                "--precision", str(sim_dir / "sim_precision.csv"),
+                "--edges", str(sim_dir / "sim_edges.tsv"), "--n", "80", *extra,
+                "--out", str(tmp_path / "r.json")]
+        if config is not None:
+            cfg = sim_dir / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            args += ["--config", str(cfg)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert f"--sigma/--precision/--edges do not take {named}" in result.output
+        assert not (tmp_path / "r.json").exists()
 
     def test_bad_scenario_shape_is_usage_error(self, runner, tmp_path):
         out = tmp_path / "report.json"

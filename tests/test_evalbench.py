@@ -1,5 +1,7 @@
 """Tests for confusion metrics, experiment runs, and ROC sweeps."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,6 +154,73 @@ class TestRunExperiment:
         agg = result.aggregate()
         assert agg["f_used"] == pytest.approx(np.mean(expect), rel=1e-15)
         assert agg["f_min"] == min(expect) and agg["f_max"] == max(expect)
+
+    def test_direct_f_is_every_replicates_budget(self, tmp_path):
+        sim = SimConfig(scenario="A", n=30, p=20, seed=0)
+        spec = ExperimentSpec(sim=sim, threshold=ThresholdSpec.fpr(f=2.0),
+                              estimator="kendall", replicates=3, base_seed=3)
+        result = run_experiment(spec)
+        assert result.q_convention == "f-direct"
+        assert result.f_per_replicate == (2.0,) * 3
+        agg = result.aggregate()
+        assert (agg["f_used"], agg["f_min"], agg["f_max"]) == (2.0, 2.0, 2.0)
+        assert agg["q"] is None and agg["q_convention"] == "f-direct"
+        path = tmp_path / "rows.csv"
+        write_experiment_csv(path, experiment_rows(result, 2.0))
+        lines = path.read_text().splitlines()
+        col = lines[0].split(",").index("f_used")
+        assert [float(line.split(",")[col]) for line in lines[1:]] == [2.0] * 3
+
+    def test_fixed_mode_has_no_budget(self, tmp_path):
+        sim = SimConfig(scenario="A", n=30, p=20, seed=0)
+        spec = ExperimentSpec(sim=sim, threshold=ThresholdSpec.fixed(0.3),
+                              estimator="kendall", replicates=3, base_seed=3)
+        result = run_experiment(spec)
+        assert result.q_convention is None and result.f_per_replicate is None
+        assert "f_used" not in result.aggregate()
+        path = tmp_path / "rows.csv"
+        write_experiment_csv(path, experiment_rows(result, 0.3))
+        lines = path.read_text().splitlines()
+        col = lines[0].split(",").index("f_used")
+        assert [line.split(",")[col] for line in lines[1:]] == [""] * 3
+
+    def test_fpr_q_threads_identical(self):
+        # scenario A redraws its graph per replicate, so each f differs
+        sim = SimConfig(scenario="A", n=30, p=40, seed=0)
+        spec = ExperimentSpec(sim=sim, threshold=ThresholdSpec.fpr(q=0.05),
+                              estimator="kendall", replicates=5, base_seed=9)
+        a = run_experiment(spec, threads=1)
+        b = run_experiment(spec, threads=3)
+        assert a.per_replicate == b.per_replicate
+        assert a.f_per_replicate == b.f_per_replicate
+        assert len(set(a.f_per_replicate)) > 1
+        assert a.aggregate() == b.aggregate()
+
+    def test_zero_threads_is_invalid(self):
+        spec = ExperimentSpec(sim=SimConfig(scenario="C", n=20, p=5),
+                              threshold=ThresholdSpec.fixed(0.3), replicates=2)
+        with pytest.raises(InvalidInputError, match="threads must be >= 1, got 0"):
+            run_experiment(spec, threads=0)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failing_replicate_cancels_the_queue(self, monkeypatch, threads):
+        drawn = []
+        real = evalbench.generate_ground_truth
+
+        def first_fails(sim, rng):
+            drawn.append(rng)
+            if len(drawn) == 1:
+                raise SingularMatrixError("not pd")
+            time.sleep(0.2)  # the replicates still running when the failure lands
+            return real(sim, rng)
+
+        monkeypatch.setattr(evalbench, "generate_ground_truth", first_fails)
+        spec = ExperimentSpec(sim=SimConfig(scenario="C", n=20, p=5),
+                              threshold=ThresholdSpec.fixed(0.3), replicates=40)
+        with pytest.raises(TauscreenError, match="^replicate 0 failed: not pd$"):
+            run_experiment(spec, threads=threads)
+        # replicate 0 plus at most one replicate per worker started before the cancel
+        assert len(drawn) <= threads + 1
 
     @pytest.mark.parametrize("estimator", ["kendall", "pearson"])
     def test_fpr_replicate_makes_one_sign_pass(self, sign_passes, estimator):
