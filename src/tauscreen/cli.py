@@ -245,11 +245,6 @@ def simulate(**params):
 @click.option("--components", is_flag=True, default=False)
 @click.option("--components-out", type=click.Path(), default=None)
 @click.option("--out", type=click.Path(), required=True)
-@click.option("--fpr-max-p", type=int, default=500,
-              help="Refuse fpr mode beyond this many columns: it runs one O(p^2 n^2) "
-                   "sign pass that yields both tau and the jackknife omega^2. The "
-                   "default keeps that pass to seconds at a few thousand rows "
-                   "(about 5 s at p=500, n=1257 on 2 threads).")
 @_threads_option
 @_config_option
 def screen(**params):
@@ -265,10 +260,6 @@ def screen(**params):
 
     threads = _resolve_threads(params["threads"])
     data = read_data_csv(params["data_path"])
-    if tspec.mode == "fpr" and data.p > params["fpr_max_p"]:
-        raise InvalidInputError(
-            f"p={data.p} exceeds --fpr-max-p={params['fpr_max_p']}; "
-            "fpr mode runs one O(p^2 n^2) sign pass for tau and omega^2")
     corr, edges = screen_data(data, params["estimator"], tspec, threads=threads)
     write_edges_tsv(params["out"], edges, corr)
     summary = {"edge_count": len(edges), "n": data.n, "p": data.p}

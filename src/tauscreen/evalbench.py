@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -184,21 +185,25 @@ def screen_data(data: DataMatrix, estimator: str, spec: ThresholdSpec,
     return corr, screen_edges(corr, threshold_matrix(spec, data.n, data.p, jack=jack))
 
 
-def _run_replicate(spec: ExperimentSpec, r: int) -> tuple[ConfusionMetrics, float | None]:
-    """Replicate r's metrics and, in fpr mode, its budget f: the spec's f, or
-    q times this replicate's true non-edge count."""
+def _replicate(sim: SimConfig, base_seed: int, score, r: int):
+    """``score(gt, data)`` of replicate r, drawn from the stream ``base_seed ^ r``."""
     try:
-        rng = RngStream(spec.base_seed ^ r)
-        gt = generate_ground_truth(spec.sim, rng)
-        data = sample(gt, spec.sim, rng)
-        tspec, f = spec.threshold, None
-        if tspec.mode == "fpr":
-            f = tspec.f if tspec.f is not None else tspec.q * gt.nonedge_count()
-            tspec = ThresholdSpec.fpr(f=f)
-        _, est = screen_data(data, spec.estimator, tspec)
-        return confusion(est, gt.edges), f
+        rng = RngStream(base_seed ^ r)
+        gt = generate_ground_truth(sim, rng)
+        return score(gt, sample(gt, sim, rng))
     except TauscreenError as exc:
         raise TauscreenError(f"replicate {r} failed: {exc}") from exc
+
+
+def _table_replicate(spec: ExperimentSpec, gt, data) -> tuple[ConfusionMetrics, float | None]:
+    """A replicate's metrics and, in fpr mode, its budget f: the spec's f, or
+    q times this replicate's true non-edge count."""
+    tspec, f = spec.threshold, None
+    if tspec.mode == "fpr":
+        f = tspec.f if tspec.f is not None else tspec.q * gt.nonedge_count()
+        tspec = ThresholdSpec.fpr(f=f)
+    _, est = screen_data(data, spec.estimator, tspec)
+    return confusion(est, gt.edges), f
 
 
 def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
@@ -208,7 +213,8 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
     if threads < 1:
         raise InvalidInputError(f"threads must be >= 1, got {threads}")
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        rows = list(pool.map(lambda r: _run_replicate(spec, r), range(spec.replicates)))
+        replicate = partial(_replicate, spec.sim, spec.base_seed, partial(_table_replicate, spec))
+        rows = list(pool.map(replicate, range(spec.replicates)))
     f_values = tuple(f for _, f in rows) if spec.threshold.mode == "fpr" else None
     return ExperimentResult(spec=spec, per_replicate=tuple(m for m, _ in rows),
                             f_per_replicate=f_values)
@@ -231,33 +237,27 @@ def default_grid() -> tuple[float, ...]:
     return tuple(np.linspace(0.0, 1.0, 50).tolist())
 
 
-def _sweep_replicate(sim: SimConfig, estimator: str, base_seed: int, r: int,
-                     grid: tuple[float, ...]):
-    try:
-        rng = RngStream(base_seed ^ r)
-        gt = generate_ground_truth(sim, rng)
-        data = sample(gt, sim, rng)
-        corr = estimator_matrix(data, estimator)
-        upper = np.triu_indices(sim.p, 1)
-        strength = np.abs(corr.entries[upper])
-        truth = np.zeros((sim.p, sim.p), dtype=bool)
-        truth[gt.edges.edges[:, 0], gt.edges.edges[:, 1]] = True
-        true_strength = strength[truth[upper]]
-        total, edges = strength.size, true_strength.size
-        # side="right" counts the pairs with |corr| <= gamma, so what remains
-        # is the strict |corr| > gamma rule of screen_edges, ties included
-        points = np.asarray(grid, dtype=np.float64)
-        kept = total - np.searchsorted(np.sort(strength), points, side="right")
-        hits = edges - np.searchsorted(np.sort(true_strength), points, side="right")
-        tprs, fprs = [], []
-        for k, tp in zip(kept.tolist(), hits.tolist()):
-            fp = k - tp
-            m = ConfusionMetrics.from_counts(tp, fp, total - edges - fp, edges - tp)
-            tprs.append(1.0 - m.fnr)
-            fprs.append(m.fpr)
-        return tuple(tprs), tuple(fprs)
-    except TauscreenError as exc:
-        raise TauscreenError(f"replicate {r} failed: {exc}") from exc
+def _sweep_replicate(estimator: str, grid: tuple[float, ...], gt, data):
+    """A replicate's (TPR, FPR) points at every grid value."""
+    corr = estimator_matrix(data, estimator)
+    upper = np.triu_indices(data.p, 1)
+    strength = np.abs(corr.entries[upper])
+    truth = np.zeros((data.p, data.p), dtype=bool)
+    truth[gt.edges.edges[:, 0], gt.edges.edges[:, 1]] = True
+    true_strength = strength[truth[upper]]
+    total, edges = strength.size, true_strength.size
+    # side="right" counts the pairs with |corr| <= gamma, so what remains
+    # is the strict |corr| > gamma rule of screen_edges, ties included
+    points = np.asarray(grid, dtype=np.float64)
+    kept = total - np.searchsorted(np.sort(strength), points, side="right")
+    hits = edges - np.searchsorted(np.sort(true_strength), points, side="right")
+    tprs, fprs = [], []
+    for k, tp in zip(kept.tolist(), hits.tolist()):
+        fp = k - tp
+        m = ConfusionMetrics.from_counts(tp, fp, total - edges - fp, edges - tp)
+        tprs.append(1.0 - m.fnr)
+        fprs.append(m.fpr)
+    return tuple(tprs), tuple(fprs)
 
 
 def roc_sweep(sim: SimConfig, estimator: str, replicates: int, base_seed: int,
@@ -287,7 +287,8 @@ def roc_sweep(sim: SimConfig, estimator: str, replicates: int, base_seed: int,
         raise InvalidInputError("grid values must be finite")
     if any(g < 0 for g in grid) or list(grid) != sorted(grid):
         raise InvalidInputError("grid values must be >= 0 and ascending")
-    rows = [_sweep_replicate(sim, estimator, base_seed, r, grid) for r in range(replicates)]
+    score = partial(_sweep_replicate, estimator, grid)
+    rows = [_replicate(sim, base_seed, score, r) for r in range(replicates)]
     tpr = np.array([row[0] for row in rows])
     fpr = np.array([row[1] for row in rows])
     return SweepResult(

@@ -6,7 +6,9 @@ refuses a line that is not UTF-8 with an error naming the path and the line,
 skips blank lines and splits each line into cells. Every table the package
 writes goes out through one streaming row writer, :func:`write_rows`: UTF-8
 text with ``\n`` line ends, cells joined by one delimiter, and floats at 17
-significant digits so doubles round-trip exactly.
+significant digits so doubles round-trip exactly; a cell that holds the
+delimiter is refused. Data, matrix and price tables share one row parse,
+:func:`_parse_row`: float64 cells, nan where ``float()`` refuses a cell.
 
 Data CSVs hold one observation per row. The delimiter (comma or tab) is
 auto-detected from the first non-blank line, and an optional single header
@@ -64,16 +66,33 @@ def read_rows(path, delimiter: str | None = None):
         raise InvalidInputError(f"{path}: empty file")
 
 
+def _line(path, cells, delimiter: str) -> str:
+    """One output line: a ``float`` cell as ``%.17g``, any other with ``str``;
+    a cell that holds the delimiter is refused."""
+    text = [_FMT % v if isinstance(v, float) else str(v) for v in cells]
+    line = delimiter.join(text)
+    if line.count(delimiter) >= max(len(text), 1):  # k cells need only k - 1
+        cell = next(c for c in text if delimiter in c)
+        raise InvalidInputError(f"{path}: cell {cell!r} holds the delimiter {delimiter!r}")
+    return line + "\n"
+
+
 def write_rows(path, rows, delimiter: str = ",", header=None) -> None:
     """Write ``header`` (when given) and then each row of ``rows``, one line
-    per row, streaming. A ``float`` cell is written as ``%.17g``, any other
-    cell with ``str``."""
+    per row, streaming. The header is checked before the file is opened."""
+    head = _line(path, header, delimiter) if header is not None else ""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if header is not None:
-            fh.write(delimiter.join(header) + "\n")
+        fh.write(head)
         for row in rows:
-            fh.write(delimiter.join([_FMT % v if isinstance(v, float) else str(v)
-                                     for v in row]) + "\n")
+            fh.write(_line(path, row, delimiter))
+
+
+def _parse_row(cells) -> np.ndarray:
+    """The cells of one row as float64; a cell ``float()`` refuses reads as nan."""
+    try:
+        return np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+    except ValueError:
+        return np.array([float(c) if _is_number(c) else np.nan for c in cells])
 
 
 def _read_numeric_table(path, labelled: bool) -> tuple[np.ndarray, tuple[str, ...] | None]:
@@ -94,10 +113,7 @@ def _read_numeric_table(path, labelled: bool) -> tuple[np.ndarray, tuple[str, ..
         if rows and len(cells) != rows[0].size:
             raise InvalidInputError(
                 f"{path}: row {i} has {len(cells)} cells, expected {rows[0].size}")
-        try:
-            row = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
-        except ValueError:  # rescan the row; a cell float() rejects reads as nan
-            row = np.array([float(c) if _is_number(c) else np.nan for c in cells])
+        row = _parse_row(cells)
         bad = np.flatnonzero(~np.isfinite(row))  # float() accepts nan and inf
         if bad.size:
             j = bad[0]
@@ -165,16 +181,14 @@ def read_price_csv(path, sectors: dict[str, str] | None = None) -> PriceTable:
         if len(row) != len(header):
             raise InvalidInputError(f"{path}: row {line_no} has {len(row)} cells, expected {len(header)}")
         dates.append(row[0].strip())
-        for ticker, cell in zip(tickers, row[1:]):
-            cell = cell.strip()
-            if not cell or not _is_number(cell):
-                raise InvalidInputError(
-                    f"{path}: missing or bad price at row {line_no} ({dates[-1]}), ticker {ticker}")
-            value = float(cell)
-            if not np.isfinite(value) or value <= 0:
-                raise InvalidInputError(
-                    f"{path}: nonpositive price {value} at row {line_no} ({dates[-1]}), ticker {ticker}")
-            prices.append(value)
+        values = _parse_row(row[1:])
+        bad = np.flatnonzero(~(values > 0) | np.isinf(values))  # nan is not > 0
+        if bad.size:
+            j = bad[0]  # an empty cell is not a number, so it reads as missing
+            what = (f"nonpositive price {float(values[j])}" if _is_number(row[j + 1])
+                    else "missing or bad price")
+            raise InvalidInputError(f"{path}: {what} at row {line_no} ({dates[-1]}), ticker {tickers[j]}")
+        prices.append(values)
     if len(dates) < 2:
         raise InvalidInputError(f"{path}: need a header and at least 2 price rows")
     sector_tuple = None
@@ -183,8 +197,7 @@ def read_price_csv(path, sectors: dict[str, str] | None = None) -> PriceTable:
         if missing:
             raise InvalidInputError(f"missing sector labels for: {missing}")
         sector_tuple = tuple(sectors[t] for t in tickers)
-    prices = np.array(prices).reshape(len(dates), len(tickers))
-    return PriceTable(tuple(dates), tickers, prices, sector_tuple)
+    return PriceTable(tuple(dates), tickers, np.vstack(prices), sector_tuple)
 
 
 def log_returns(table: PriceTable) -> DataMatrix:

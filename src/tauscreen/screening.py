@@ -62,12 +62,6 @@ class EdgeSet:
     def as_set(self) -> set[tuple[int, int]]:
         return set(map(tuple, self.edges.tolist()))
 
-    def neighbors(self, j: int) -> set[int]:
-        if not 0 <= j < self.p:
-            raise InvalidInputError(f"node {j} out of range for p={self.p}")
-        # an edge's other end sits in the other column of its row
-        return set(self.edges[:, ::-1][self.edges == j].tolist())
-
 
 @dataclass(frozen=True)
 class Partition:

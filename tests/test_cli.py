@@ -157,15 +157,6 @@ class TestScreen:
                                       "--out", str(tmp_path / "e.tsv")])
         assert result.exit_code == 1
 
-    def test_fpr_p_cap(self, runner, tmp_path):
-        rng = np.random.default_rng(0)
-        data = tmp_path / "d.csv"
-        write_data_csv(data, __import__("tauscreen").DataMatrix(rng.normal(size=(10, 6))))
-        result = runner.invoke(main, ["screen", "--data", str(data), "--fpr-q", "0.1",
-                                      "--out", str(tmp_path / "e.tsv"), "--fpr-max-p", "5"])
-        assert result.exit_code == 1
-        assert "fpr-max-p" in result.output
-
     def test_components_output(self, runner, tmp_path):
         sim_dir = tmp_path / "sim"
         invoke(runner, ["simulate", "--scenario", "B", "--n", "200", "--p", "20",
@@ -317,6 +308,17 @@ class TestIngestPrices:
         sidecar = (tmp_path / "r.csv.sectors.tsv").read_text().splitlines()
         assert sidecar[0] == "ticker\tsector"
         assert sidecar[1] == "S00\tTech"
+
+    def test_ticker_holding_the_output_delimiter_fails_before_writing(self, runner, tmp_path):
+        # a tab-delimited table may name a ticker "BRK,B"; written into the
+        # comma-delimited returns CSV it would read back as two columns
+        prices = tmp_path / "p.tsv"
+        prices.write_text("date\tAAA\tBRK,B\nd1\t10\t20\nd2\t11\t19\nd3\t12\t22\n")
+        out = tmp_path / "r.csv"
+        result = runner.invoke(main, ["ingest-prices", "--prices", str(prices), "--out", str(out)])
+        assert result.exit_code == 1
+        assert "cell 'BRK,B' holds the delimiter ','" in result.output
+        assert not out.exists()
 
     def test_sectors_out_without_sectors_is_usage_error(self, runner, tmp_path):
         prices = tmp_path / "p.csv"

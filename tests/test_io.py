@@ -21,7 +21,7 @@ from tauscreen.io import (
     write_matrix_csv,
 )
 from tauscreen.evalbench import SweepResult, write_experiment_csv, write_sweep_csv
-from tauscreen.io import write_sector_tsv
+from tauscreen.io import write_rows, write_sector_tsv
 from tauscreen.rankcorr import DataMatrix
 from tauscreen.screening import (
     EdgeSet,
@@ -177,6 +177,44 @@ class TestPrices:
         with pytest.raises(InvalidInputError, match="missing or bad price"):
             read_price_csv(path)
 
+    # each cell sits in column BBB of a row that follows a blank line, so the
+    # error must name the ticker and the row by its line in the file
+    @pytest.mark.parametrize("cell,expected", [
+        ("", "missing or bad price"),
+        ("abc", "missing or bad price"),
+        ("nan", "nonpositive price nan"),
+        ("inf", "nonpositive price inf"),
+        ("-1", "nonpositive price -1.0"),
+        ("0", "nonpositive price 0.0"),
+        ("-0", "nonpositive price -0.0"),
+        (" 7.5 ", 7.5),
+        ("1_0", 10.0),
+    ], ids=["empty", "word", "nan", "inf", "negative", "zero", "minus-zero", "padded",
+            "underscore"])
+    def test_price_cells(self, tmp_path, cell, expected):
+        path = tmp_path / "p.csv"
+        path.write_text(f"date,AAA,BBB\nd1,10,20\n\nd2,11,{cell}\nd3,12,21\n")
+        if isinstance(expected, str):
+            with pytest.raises(InvalidInputError) as err:
+                read_price_csv(path)
+            assert str(err.value) == f"{path}: {expected} at row 4 (d2), ticker BBB"
+            return
+        table = read_price_csv(path)
+        assert table.dates == ("d1", "d2", "d3") and table.tickers == ("AAA", "BBB")
+        assert table.prices.tolist() == [[10.0, 20.0], [11.0, expected], [12.0, 21.0]]
+
+    def test_prices_parse_like_data_cells(self, tmp_path):
+        rng = np.random.default_rng(4)
+        values = np.exp(rng.normal(0.0, 30.0, size=(20, 6)))
+        cells = [[repr(v) for v in row[:3]] + [f"{v + 1.0:.6f}" for v in row[3:]]
+                 for row in values.tolist()]
+        prices, data = tmp_path / "p.csv", tmp_path / "d.csv"
+        prices.write_text("date,A,B,C,D,E,F\n" + "".join(
+            f"d{i}," + ",".join(row) + "\n" for i, row in enumerate(cells)))
+        data.write_text("A,B,C,D,E,F\n" + "".join(",".join(row) + "\n" for row in cells))
+        got, want = read_price_csv(prices).prices, read_data_csv(data).values
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_sectors_carried(self, tmp_path):
         spath = tmp_path / "s.csv"
         spath.write_text("ticker,sector\nAAA,Tech\nBBB,Energy\n")
@@ -301,8 +339,27 @@ def test_only_the_row_reader_opens_files_for_reading():
     assert readers == ["cli.py:_load_config", "io.py:read_rows"]
 
 
+def test_one_row_parse_for_numeric_cells():
+    """Data, matrix and price tables turn cells into floats in one place."""
+    parsers = _calls_by_function(lambda line: "np.fromiter(map(float" in line)
+    assert len(parsers) == 1 and parsers[0].startswith("io.py:")
+
+
 def test_only_the_row_writer_opens_files_for_writing():
     """Every table goes out through ``io.write_rows``; only the JSON report is
     written on its own, because it is not a row table."""
     writers = _calls_by_function(_WRITES.search)
     assert writers == ["evalbench.py:write_json_report", "io.py:write_rows"]
+
+
+@pytest.mark.parametrize("rows,header", [([("ok", 1.5), ("a,b", 2)], None),
+                                         ([("ok", 1.5)], ("x", "y,z"))],
+                         ids=["row-cell", "header-cell"])
+def test_writer_refuses_a_cell_holding_the_delimiter(tmp_path, rows, header):
+    path = tmp_path / "out.csv"
+    with pytest.raises(InvalidInputError, match=r"cell '(a,b|y,z)' holds the delimiter ','"):
+        write_rows(path, rows, header=header)
+    if header is not None:
+        assert not path.exists()  # the header is checked before the file opens
+    write_rows(path, [("a,b", 1)], delimiter="\t")  # a comma is fine in a TSV
+    assert path.read_bytes() == b"a,b\t1\n"

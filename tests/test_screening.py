@@ -105,7 +105,6 @@ class TestScreening:
         corr = corr_from_offdiag(3, {(0, 1): 0.6, (0, 2): 0.2, (1, 2): -0.7})
         edges = screen_edges(corr, np.full((3, 3), 0.5))
         assert np.array_equal(edges.edges, [[0, 1], [1, 2]])
-        assert edges.neighbors(1) == {0, 2}
 
     def test_strict_inequality_at_threshold(self):
         corr = corr_from_offdiag(2, {(0, 1): 0.5})
@@ -120,13 +119,6 @@ class TestScreening:
         corr = corr_from_offdiag(3, {})
         with pytest.raises(InvalidInputError):
             screen_edges(corr, np.zeros((2, 2)))
-
-    def test_neighborhood_excludes_self_and_is_empty_when_isolated(self):
-        corr = corr_from_offdiag(3, {(0, 1): 0.9})
-        edges = screen_edges(corr, np.full((3, 3), 0.95))
-        assert edges.neighbors(0) == set()
-        with pytest.raises(InvalidInputError):
-            edges.neighbors(7)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.integers(min_value=2, max_value=8), st.randoms(use_true_random=False))
@@ -259,7 +251,6 @@ class TestEdgeSetType:
         for empty in ((), [], np.empty((0, 2), dtype=int)):
             e = EdgeSet(3, empty)
             assert e.edges.shape == (0, 2) and len(e) == 0 and e.as_set() == set()
-            assert e.neighbors(1) == set()
         assert [(j, k) for j, k in unsorted.edges] == [(0, 1), (0, 2), (1, 4), (3, 4)]
         assert unsorted.as_set() == {(0, 1), (0, 2), (1, 4), (3, 4)}
 
@@ -268,20 +259,6 @@ class TestEdgeSetType:
         with pytest.raises(ValueError):
             e.edges[0, 0] = 2
         assert np.array_equal(e.edges, [[0, 1], [2, 3]])
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(st.integers(min_value=1, max_value=10), st.randoms(use_true_random=False))
-    def test_neighbors_match_brute_force(self, p, rnd):
-        pairs = [(j, k) for j in range(p) for k in range(j + 1, p)]
-        edges = rnd.sample(pairs, rnd.randint(0, len(pairs)))
-        e = EdgeSet(p, edges)
-        for node in range(p):
-            expect = {k for j, k in edges if j == node} | {j for j, k in edges if k == node}
-            got = e.neighbors(node)
-            assert got == expect
-            assert all(type(v) is int for v in got)
-        with pytest.raises(InvalidInputError):
-            e.neighbors(p)
 
 
 class TestSerialization:
