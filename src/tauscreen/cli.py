@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import click
 import numpy as np
@@ -28,9 +29,9 @@ from .diagnostics import (check_assumptions, check_constants, check_proposition1
                           hoeffding_bound, neighborhood_size_bound)
 from .errors import InvalidInputError, TauscreenError
 from .evalbench import (
+    ESTIMATORS,
     ExperimentSpec,
     auc,
-    default_grid,
     experiment_rows,
     roc_sweep,
     run_experiment,
@@ -57,7 +58,7 @@ from .screening import (
     write_edges_tsv,
     write_partition_tsv,
 )
-from .simgen import GroundTruth, RngStream, SimConfig, generate_ground_truth, sample
+from .simgen import SCENARIOS, GroundTruth, RngStream, SimConfig, generate_ground_truth, sample
 
 _BASE_FLAGS = {"gaussian": "gaussian", "t": "student-t"}
 _TRANSFORM_FLAGS = {"none": "none", "npn": "nonparanormal"}
@@ -188,15 +189,18 @@ def _threshold_spec(gamma=None, rate=None, f=None, q=None) -> ThresholdSpec:
 
 
 class _Main(click.Group):
-    """Ends every command's runtime error as one ``error:`` line and exit 1;
-    any other exception is a bug and keeps its traceback."""
+    """Prints a command's warnings as one ``warning:`` line each and ends its
+    runtime error as one ``error:`` line and exit 1; any other exception is
+    a bug and keeps its traceback."""
 
     def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except (TauscreenError, OSError, UnicodeDecodeError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
+        with warnings.catch_warnings():  # the process's settings come back on return
+            warnings.showwarning = lambda message, *_: click.echo(f"warning: {message}", err=True)
+            try:
+                return super().invoke(ctx)
+            except (TauscreenError, OSError, UnicodeDecodeError) as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(1)
 
 
 @click.group(cls=_Main)
@@ -207,7 +211,7 @@ def main():
 
 
 @main.command()
-@click.option("--scenario", type=click.Choice(["A", "B", "C", "D"]), required=True)
+@click.option("--scenario", type=click.Choice(SCENARIOS), required=True)
 @click.option("--n", type=int, required=True)
 @click.option("--p", type=int, required=True)
 @click.option("--base", type=click.Choice(sorted(_BASE_FLAGS)), default="gaussian")
@@ -241,7 +245,7 @@ def simulate(**params):
 @click.option("--rate", default=None, help="'C1,KAPPA' for the rate threshold (2/3)C1 n^-kappa.")
 @click.option("--fpr-q", type=float, default=None, help="Target false-positive rate q in (0,1).")
 @click.option("--fpr-f", type=float, default=None, help="Expected false-positive count budget f.")
-@click.option("--estimator", type=click.Choice(["kendall", "pearson"]), default="kendall")
+@click.option("--estimator", type=click.Choice(ESTIMATORS), default="kendall")
 @click.option("--components", is_flag=True, default=False)
 @click.option("--components-out", type=click.Path(), default=None)
 @click.option("--out", type=click.Path(), required=True)
@@ -294,13 +298,13 @@ def ingest_prices_cmd(**params):
 
 @main.command()
 @click.option("--mode", type=click.Choice(["table", "sweep"]), default="table")
-@click.option("--scenario", type=click.Choice(["A", "B", "C", "D"]), required=True)
+@click.option("--scenario", type=click.Choice(SCENARIOS), required=True)
 @click.option("--n", type=int, default=100)
 @click.option("--p", type=int, default=200)
 @click.option("--base", type=click.Choice(sorted(_BASE_FLAGS)), default="gaussian")
 @click.option("--theta", type=float, default=5.0)
 @click.option("--transform", type=click.Choice(sorted(_TRANSFORM_FLAGS)), default="none")
-@click.option("--estimator", type=click.Choice(["kendall", "pearson"]), default="kendall")
+@click.option("--estimator", type=click.Choice(ESTIMATORS), default="kendall")
 @click.option("--replicates", type=int, default=50, callback=_check_count)
 @click.option("--seed", type=int, default=0)
 @click.option("--q", default=None,
@@ -324,9 +328,8 @@ def bench(**params):
         if chosen:
             raise click.UsageError(
                 f"sweep mode does not take {', '.join('--' + k for k in chosen)}")
-        if params["grid"] is None:
-            grid = default_grid()
-        else:
+        grid = None
+        if params["grid"] is not None:
             parts = _parse_float_list(params["grid"], "--grid")
             if len(parts) != 3:
                 raise click.UsageError("--grid expects 'MIN,MAX,COUNT'")
@@ -338,8 +341,7 @@ def bench(**params):
             if not (count.is_integer() and count >= 2):  # auc needs two points
                 raise click.UsageError("--grid: COUNT must be an integer >= 2")
             grid = tuple(np.linspace(lo, hi, int(count)).tolist())
-        sweep = roc_sweep(sim, params["estimator"], params["replicates"],
-                          params["seed"], grid=grid)
+        sweep = roc_sweep(sim, params["estimator"], params["replicates"], grid=grid)
         write_sweep_csv(params["out_csv"], sweep)
         doc = {
             "mode": "sweep",
@@ -349,30 +351,25 @@ def bench(**params):
             "auc": auc(sweep),
         }
         write_json_report(params["out_json"], doc)
-        _echo_json({"auc": doc["auc"], "grid_points": len(grid)})
+        _echo_json({"auc": doc["auc"], "grid_points": len(sweep.grid)})
         return
 
     if params["grid"] is not None:
         raise click.UsageError("table mode does not take --grid")
     if len(chosen) != 1:
         raise click.UsageError("table mode needs exactly one of --q, --gamma, --rate")
-    key = chosen[0]
-    if key == "rate":
-        tspec = _threshold_spec(rate=params["rate"])
-        cells = [(tspec.rate_gamma(sim.n), tspec)]
-    else:  # --q and --gamma take comma lists
-        cells = [(v, _threshold_spec(**{key: v}))
-                 for v in _parse_float_list(params[key], f"--{key}")]
+    key = chosen[0]  # --q and --gamma take comma lists, --rate one 'C1,KAPPA'
+    values = [params["rate"]] if key == "rate" else _parse_float_list(params[key], f"--{key}")
+    thresholds = [_threshold_spec(**{key: v}) for v in values]
     with _usage_errors():  # every cell is checked before any replicate runs
-        specs = [(v, ExperimentSpec(sim=sim, threshold=t, estimator=params["estimator"],
-                                    replicates=params["replicates"], base_seed=params["seed"]))
-                 for v, t in cells]
+        specs = [ExperimentSpec(sim=sim, threshold=t, estimator=params["estimator"],
+                                replicates=params["replicates"]) for t in thresholds]
     threads = _resolve_threads(params["threads"])
     rows, table = [], []
-    for q_or_gamma, spec in specs:
+    for spec in specs:
         result = run_experiment(spec, threads=threads)
-        rows.extend(experiment_rows(result, q_or_gamma))
-        table.append(result.aggregate() | {"q_or_gamma": q_or_gamma})
+        rows.extend(experiment_rows(result))
+        table.append(result.aggregate())
     write_experiment_csv(params["out_csv"], rows)
     doc = {"mode": "table", "sim": sim.to_json_dict(),
            "estimator": params["estimator"], "table": table}
@@ -384,7 +381,7 @@ def bench(**params):
 @click.option("--sigma", "sigma_path", type=click.Path(), default=None)
 @click.option("--precision", "precision_path", type=click.Path(), default=None)
 @click.option("--edges", "edges_path", type=click.Path(), default=None)
-@click.option("--scenario", type=click.Choice(["A", "B", "C", "D"]), default=None)
+@click.option("--scenario", type=click.Choice(SCENARIOS), default=None)
 @click.option("--p", type=int, default=None)
 @click.option("--seed", type=int, default=None, help="Scenario mode only (default 0).")
 @click.option("--n", type=int, required=True, help="Sample size the conditions are judged at.")

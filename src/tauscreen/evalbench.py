@@ -1,7 +1,7 @@
 """Replicated screening experiments: confusion metrics, FPR-target runs, and
 ROC sweeps over a fixed threshold grid.
 
-Each replicate r draws its own stream seeded with ``base_seed XOR r``. For
+Each replicate r draws its own stream seeded with ``sim.seed XOR r``. For
 scenarios with random graphs (A, B) the ground truth is re-drawn inside every
 replicate, so averages cover both graph and sampling randomness; C and D have
 deterministic ground truths. Replicates run independently and are aggregated
@@ -79,7 +79,6 @@ class ExperimentSpec:
     threshold: ThresholdSpec
     estimator: str = "kendall"
     replicates: int = 50
-    base_seed: int = 0
 
     def __post_init__(self):
         if self.estimator not in ESTIMATORS:
@@ -110,6 +109,16 @@ class ExperimentResult:
         return "f-direct" if threshold.f is not None else "q-times-true-nonedges"
 
     @property
+    def q_or_gamma(self) -> float:
+        """The threshold's value: gamma, the rate cutoff at n, q, or f given directly."""
+        threshold = self.spec.threshold
+        if threshold.mode == "fixed":
+            return threshold.gamma
+        if threshold.mode == "rate":
+            return threshold.rate_gamma(self.spec.sim.n)
+        return threshold.f if threshold.f is not None else threshold.q
+
+    @property
     def f_used(self) -> float | None:
         """Mean false-positive budget over the replicates (fpr mode)."""
         if self.f_per_replicate is None:
@@ -136,6 +145,7 @@ class ExperimentResult:
             "p": self.spec.sim.p,
             "replicates": self.spec.replicates,
             "threshold_mode": self.spec.threshold.mode,
+            "q_or_gamma": self.q_or_gamma,
             "mean_fpr": self.mean_fpr,
             "mean_fnr": self.mean_fnr,
             "mean_edge_count": self.mean_edge_count,
@@ -185,10 +195,10 @@ def screen_data(data: DataMatrix, estimator: str, spec: ThresholdSpec,
     return corr, screen_edges(corr, threshold_matrix(spec, data.n, data.p, jack=jack))
 
 
-def _replicate(sim: SimConfig, base_seed: int, score, r: int):
-    """``score(gt, data)`` of replicate r, drawn from the stream ``base_seed ^ r``."""
+def _replicate(sim: SimConfig, score, r: int):
+    """``score(gt, data)`` of replicate r, drawn from the stream ``sim.seed ^ r``."""
     try:
-        rng = RngStream(base_seed ^ r)
+        rng = RngStream(sim.seed ^ r)
         gt = generate_ground_truth(sim, rng)
         return score(gt, sample(gt, sim, rng))
     except TauscreenError as exc:
@@ -213,7 +223,7 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
     if threads < 1:
         raise InvalidInputError(f"threads must be >= 1, got {threads}")
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        replicate = partial(_replicate, spec.sim, spec.base_seed, partial(_table_replicate, spec))
+        replicate = partial(_replicate, spec.sim, partial(_table_replicate, spec))
         rows = list(pool.map(replicate, range(spec.replicates)))
     f_values = tuple(f for _, f in rows) if spec.threshold.mode == "fpr" else None
     return ExperimentResult(spec=spec, per_replicate=tuple(m for m, _ in rows),
@@ -240,11 +250,8 @@ def default_grid() -> tuple[float, ...]:
 def _sweep_replicate(estimator: str, grid: tuple[float, ...], gt, data):
     """A replicate's (TPR, FPR) points at every grid value."""
     corr = estimator_matrix(data, estimator)
-    upper = np.triu_indices(data.p, 1)
-    strength = np.abs(corr.entries[upper])
-    truth = np.zeros((data.p, data.p), dtype=bool)
-    truth[gt.edges.edges[:, 0], gt.edges.edges[:, 1]] = True
-    true_strength = strength[truth[upper]]
+    strength = np.abs(corr.entries[np.triu_indices(data.p, 1)])
+    true_strength = np.abs(corr.entries[gt.edges.edges[:, 0], gt.edges.edges[:, 1]])
     total, edges = strength.size, true_strength.size
     # side="right" counts the pairs with |corr| <= gamma, so what remains
     # is the strict |corr| > gamma rule of screen_edges, ties included
@@ -260,9 +267,8 @@ def _sweep_replicate(estimator: str, grid: tuple[float, ...], gt, data):
     return tuple(tprs), tuple(fprs)
 
 
-def roc_sweep(sim: SimConfig, estimator: str, replicates: int, base_seed: int,
-              grid=None) -> SweepResult:
-    """ROC points at every grid value from one sort per replicate.
+def roc_sweep(sim: SimConfig, estimator: str, replicates: int, grid=None) -> SweepResult:
+    """ROC points at every grid value (:func:`default_grid` if None) from one sort per replicate.
 
     Each replicate sorts the upper-triangle |corr| of its correlation matrix
     once, and separately the strengths of its true edges; the kept and
@@ -288,7 +294,7 @@ def roc_sweep(sim: SimConfig, estimator: str, replicates: int, base_seed: int,
     if any(g < 0 for g in grid) or list(grid) != sorted(grid):
         raise InvalidInputError("grid values must be >= 0 and ascending")
     score = partial(_sweep_replicate, estimator, grid)
-    rows = [_replicate(sim, base_seed, score, r) for r in range(replicates)]
+    rows = [_replicate(sim, score, r) for r in range(replicates)]
     tpr = np.array([row[0] for row in rows])
     fpr = np.array([row[1] for row in rows])
     return SweepResult(
@@ -322,16 +328,14 @@ EXPERIMENT_CSV_COLUMNS = ("replicate", "q_or_gamma", "estimator", "scenario",
                           "tp", "fp", "tn", "fn", "fpr", "fnr", "edge_count", "f_used")
 
 
-def experiment_rows(result: ExperimentResult, q_or_gamma: float) -> list[tuple]:
+def experiment_rows(result: ExperimentResult) -> list[tuple]:
     """One row per replicate; ``f_used`` is that replicate's budget f in fpr
     mode and empty otherwise."""
-    spec = result.spec
+    spec, q_or_gamma = result.spec, result.q_or_gamma
     f_values = result.f_per_replicate or ("",) * len(result.per_replicate)
-    rows = []
-    for r, (m, f) in enumerate(zip(result.per_replicate, f_values)):
-        rows.append((r, q_or_gamma, spec.estimator, spec.sim.scenario,
-                     m.tp, m.fp, m.tn, m.fn, m.fpr, m.fnr, m.edge_count, f))
-    return rows
+    return [(r, q_or_gamma, spec.estimator, spec.sim.scenario,
+             m.tp, m.fp, m.tn, m.fn, m.fpr, m.fnr, m.edge_count, f)
+            for r, (m, f) in enumerate(zip(result.per_replicate, f_values))]
 
 
 def write_experiment_csv(path, rows) -> None:

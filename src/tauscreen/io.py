@@ -234,7 +234,10 @@ def read_sector_csv(path) -> dict[str, str]:
             continue
         if len(row) < 2:
             raise InvalidInputError(f"{path}: row {line_no} needs ticker and sector")
-        out[row[0].strip()] = row[1].strip()
+        ticker, sector = row[0].strip(), row[1].strip()
+        if "\t" in ticker + sector:  # the sector TSV cannot hold a tab
+            raise InvalidInputError(f"{path}: row {line_no}: ticker {ticker!r} or its sector holds a tab")
+        out[ticker] = sector
     return out
 
 

@@ -72,20 +72,20 @@ def pin_blas_threads() -> dict[str, int | None]:
     return blas_threads()
 
 
-def check_symmetric(m, name: str = "matrix") -> np.ndarray:
+def check_symmetric(m) -> np.ndarray:
     """Validate that ``m`` is a square, finite, exactly symmetric 2-D array.
 
     Returns the validated array as float64 (copying only if needed).
     """
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidInputError(f"{name} must be square, got shape {a.shape}")
+        raise InvalidInputError(f"matrix must be square, got shape {a.shape}")
     if a.shape[0] < 1:
-        raise InvalidInputError(f"{name} must have dimension >= 1")
+        raise InvalidInputError("matrix must have dimension >= 1")
     if not np.all(np.isfinite(a)):
-        raise InvalidInputError(f"{name} contains non-finite entries")
+        raise InvalidInputError("matrix contains non-finite entries")
     if not np.array_equal(a, a.T):
-        raise InvalidInputError(f"{name} is not symmetric")
+        raise InvalidInputError("matrix is not symmetric")
     return a
 
 

@@ -27,7 +27,7 @@ Randomness comes from :class:`RngStream`, a counter-based Philox generator.
 Uniforms are (k + 1/2) / 2^53 over 53-bit integers (never exactly 0 or 1),
 normals are inverse-CDF transforms of those uniforms, and chi-square deviates
 are sums of squared normals for integer degrees of freedom (gamma rejection
-sampling otherwise). Replicate r of an experiment uses seed ``base_seed XOR r``.
+sampling otherwise). Replicate r of an experiment uses seed ``sim.seed XOR r``.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ class RngStream:
 
     Two streams with the same seed produce identical sequences; distinct seeds
     give statistically independent streams, so parallel replicates can safely
-    use ``RngStream(base_seed ^ replicate_index)``.
+    use ``RngStream(sim.seed ^ replicate_index)``.
     """
 
     def __init__(self, seed: int):
@@ -86,23 +86,16 @@ class RngStream:
         """Standard normals via the inverse normal CDF of open-interval uniforms."""
         return ndtri(self.uniform01(size))
 
-    def chi_square(self, df: float, size=None):
-        """Chi-square deviates with finite df > 0 degrees of freedom: sums of
-        df squared normals for an integer df up to
+    def chi_square(self, df: float, size: int) -> np.ndarray:
+        """``size`` chi-square deviates with finite df > 0 degrees of freedom:
+        sums of df squared normals for an integer df up to
         ``_SUM_OF_SQUARES_MAX_DF``, twice a Gamma(df/2) deviate otherwise."""
         if not 0 < df < math.inf:
             raise InvalidInputError("degrees of freedom must be positive and finite")
         if float(df).is_integer() and df <= _SUM_OF_SQUARES_MAX_DF:
-            k = int(df)
-            shape = () if size is None else (size if isinstance(size, tuple) else (size,))
-            z = self.standard_normal(shape + (k,))
-            out = np.sum(z * z, axis=-1)
-            return float(out) if size is None else out
-        total = 1 if size is None else int(np.prod(size))
-        out = 2.0 * self._gamma(df / 2.0, total)
-        if size is None:
-            return float(out[0])
-        return out.reshape(size)
+            z = self.standard_normal((size, int(df)))
+            return np.sum(z * z, axis=-1)
+        return 2.0 * self._gamma(df / 2.0, size)
 
     def _gamma(self, shape_param: float, count: int) -> np.ndarray:
         """Gamma(shape, 1) via the squeeze-free Marsaglia-Tsang method (shape >= 1)."""
@@ -347,7 +340,7 @@ def sample(gt: GroundTruth, cfg: SimConfig, rng: RngStream) -> DataMatrix:
     z = rng.standard_normal((cfg.n, cfg.p))
     x = z @ lower.T
     if cfg.base == "student-t":
-        w = np.asarray(rng.chi_square(cfg.theta, size=cfg.n))
+        w = rng.chi_square(cfg.theta, size=cfg.n)
         # scale so the sampled correlation matrix (not the scatter) is sigma
         x = x * np.sqrt(cfg.theta / w)[:, None] * np.sqrt((cfg.theta - 2.0) / cfg.theta)
     if cfg.transform == "nonparanormal":

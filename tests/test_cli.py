@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -21,6 +22,7 @@ from tauscreen import (
 )
 from tauscreen import evalbench, rankcorr
 from tauscreen.cli import main
+from tauscreen.evalbench import experiment_rows, write_experiment_csv
 from tauscreen.errors import SingularMatrixError
 from tauscreen.io import read_data_csv, read_matrix_csv, write_data_csv
 from tauscreen.linalg import _openblas_calls, blas_threads
@@ -320,6 +322,22 @@ class TestIngestPrices:
         assert "cell 'BRK,B' holds the delimiter ','" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("line,named", [
+        ("BBB,Energy\tMedia", "ticker 'BBB' or its sector holds a tab"),
+        ("B\tB,Energy", "ticker 'B\\tB' or its sector holds a tab"),
+    ], ids=["sector", "ticker"])
+    def test_tab_in_sector_file_fails_before_writing(self, runner, tmp_path, line, named):
+        # the sector TSV cannot hold a tab inside a cell
+        prices = tmp_path / "p.csv"
+        prices.write_text("date,AAA,BBB\nd1,10,20\nd2,11,19\nd3,12,22\n")
+        sectors = tmp_path / "s.csv"
+        sectors.write_text(f"ticker,sector\nAAA,Tech\n{line}\n")
+        result = runner.invoke(main, ["ingest-prices", "--prices", str(prices),
+                                      "--out", str(tmp_path / "r.csv"), "--sectors", str(sectors)])
+        assert result.exit_code == 1
+        assert result.stderr == f"error: {sectors}: row 3: {named}\n"
+        assert sorted(tmp_path.iterdir()) == [prices, sectors]
+
     def test_sectors_out_without_sectors_is_usage_error(self, runner, tmp_path):
         prices = tmp_path / "p.csv"
         write_price_fixture(prices, tickers=2, days=10, seed=2)
@@ -346,6 +364,23 @@ class TestBench:
         assert doc["mode"] == "table"
         for row in doc["table"]:
             assert {"mean_edge_count", "mean_fpr", "mean_fnr", "q_or_gamma"} <= set(row)
+
+    def test_json_sim_block_reproduces_csv_rows(self, runner, tmp_path):
+        # scenario A redraws its graph in every replicate
+        out_csv, out_json = tmp_path / "b.csv", tmp_path / "b.json"
+        result = invoke(runner, ["bench", "--scenario", "A", "--n", "30", "--p", "40",
+                                 "--replicates", "3", "--seed", "5", "--q", "0.05,0.1",
+                                 "--out-csv", str(out_csv), "--out-json", str(out_json)])
+        assert result.exit_code == 0, result.output
+        doc = json.loads(out_json.read_text())
+        sim = SimConfig(**doc["sim"])
+        rows = []
+        for cell in doc["table"]:
+            spec = ExperimentSpec(sim=sim, threshold=ThresholdSpec.fpr(q=cell["q"]),
+                                  estimator=doc["estimator"], replicates=cell["replicates"])
+            rows.extend(experiment_rows(run_experiment(spec)))
+        write_experiment_csv(tmp_path / "in_process.csv", rows)
+        assert (tmp_path / "in_process.csv").read_bytes() == out_csv.read_bytes()
 
     def test_sweep_mode(self, runner, tmp_path):
         result = invoke(runner, ["bench", "--mode", "sweep", "--scenario", "C", "--n", "40",
@@ -849,6 +884,30 @@ class TestErrorBoundary:
         assert sorted(tmp_path.iterdir()) == [bad]
 
 
+class TestWarnings:
+    """A warning of a command is one ``warning:`` line on stderr, and the
+    process's warning settings come back when the command returns."""
+
+    @pytest.mark.parametrize("command", ["screen", "bench"])
+    def test_warning_is_one_line(self, runner, tmp_path, command):
+        data = tmp_path / "const.csv"  # column b is constant: zero jackknife variance
+        data.write_text("a,b,c\n1,5,2\n2,5,1\n3,5,4\n4,5,3\n5,5,6\n")
+        args = {
+            "screen": ["screen", "--data", str(data), "--fpr-q", "0.1",
+                       "--out", str(tmp_path / "e.tsv")],
+            "bench": ["bench", "--scenario", "C", "--n", "4", "--p", "5", "--q", "0.1",
+                      "--replicates", "2", "--out-csv", str(tmp_path / "b.csv"),
+                      "--out-json", str(tmp_path / "b.json")],
+        }[command]
+        before = warnings.showwarning, list(warnings.filters)
+        result = runner.invoke(main, args, catch_exceptions=False)
+        assert (warnings.showwarning, warnings.filters) == before
+        assert result.exit_code == 0, result.output
+        assert result.stderr == ("warning: degenerate pair(s) with zero jackknife variance: "
+                                 "their threshold is 0 and they are kept whenever |corr| > 0\n")
+        assert json.loads(result.stdout)
+
+
 class TestSignBlocks:
     """CLI bytes do not depend on how many rows the tau-only sign kernel
     takes per matrix product."""
@@ -899,7 +958,7 @@ class TestPipelineConsistency:
         cli_metrics = confusion(est, truth)
 
         spec = ExperimentSpec(sim=sim, threshold=ThresholdSpec.rate(0.5, 0.25),
-                              estimator="kendall", replicates=1, base_seed=seed)
+                              estimator="kendall", replicates=1)
         in_process = run_experiment(spec).per_replicate[0]
         assert cli_metrics == in_process
 
@@ -919,7 +978,7 @@ class TestPipelineConsistency:
         cli_metrics = confusion(est, truth)
 
         spec = ExperimentSpec(sim=sim, threshold=ThresholdSpec.fpr(q=0.1),
-                              estimator="kendall", replicates=1, base_seed=seed)
+                              estimator="kendall", replicates=1)
         in_process = run_experiment(spec).per_replicate[0]
         assert cli_metrics == in_process
 

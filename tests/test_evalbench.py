@@ -87,9 +87,9 @@ class TestConfusion:
 
 class TestRunExperiment:
     def test_single_replicate_reduces_to_direct_computation(self):
-        sim = SimConfig(scenario="C", n=80, p=10, seed=0)
+        sim = SimConfig(scenario="C", n=80, p=10, seed=99)
         spec = ExperimentSpec(sim=sim, threshold=ThresholdSpec.rate(0.5, 0.25),
-                              estimator="kendall", replicates=1, base_seed=99)
+                              estimator="kendall", replicates=1)
         result = run_experiment(spec)
         rng = RngStream(99)
         gt = generate_ground_truth(sim, rng)
@@ -100,35 +100,35 @@ class TestRunExperiment:
         assert result.per_replicate[0] == expect
 
     def test_deterministic(self):
-        sim = SimConfig(scenario="B", n=40, p=20, seed=0)
+        sim = SimConfig(scenario="B", n=40, p=20, seed=5)
         spec = ExperimentSpec(sim=sim, threshold=ThresholdSpec.fpr(q=0.2),
-                              estimator="kendall", replicates=4, base_seed=5)
+                              estimator="kendall", replicates=4)
         a = run_experiment(spec)
         b = run_experiment(spec)
         assert a.per_replicate == b.per_replicate
         assert a.f_used == b.f_used
 
     def test_threads_identical(self):
-        sim = SimConfig(scenario="A", n=40, p=25, seed=0)
+        sim = SimConfig(scenario="A", n=40, p=25, seed=17)
         spec = ExperimentSpec(sim=sim, threshold=ThresholdSpec.fixed(0.3),
-                              estimator="kendall", replicates=6, base_seed=17)
+                              estimator="kendall", replicates=6)
         a = run_experiment(spec, threads=1)
         b = run_experiment(spec, threads=4)
         assert a.per_replicate == b.per_replicate
 
     def test_aggregate_is_plain_mean(self):
-        sim = SimConfig(scenario="C", n=30, p=8, seed=0)
+        sim = SimConfig(scenario="C", n=30, p=8, seed=3)
         spec = ExperimentSpec(sim=sim, threshold=ThresholdSpec.fixed(0.2),
-                              estimator="pearson", replicates=5, base_seed=3)
+                              estimator="pearson", replicates=5)
         result = run_experiment(spec)
         assert result.mean_fpr == float(np.mean([m.fpr for m in result.per_replicate]))
         assert result.mean_edge_count == float(
             np.mean([m.edge_count for m in result.per_replicate]))
 
     def test_q_converts_through_true_nonedges(self):
-        sim = SimConfig(scenario="D", n=50, p=20, seed=0)
+        sim = SimConfig(scenario="D", n=50, p=20, seed=1)
         spec = ExperimentSpec(sim=sim, threshold=ThresholdSpec.fpr(q=0.1),
-                              estimator="kendall", replicates=1, base_seed=1)
+                              estimator="kendall", replicates=1)
         result = run_experiment(spec)
         gt = generate_ground_truth(sim)
         assert result.f_used == pytest.approx(0.1 * gt.nonedge_count())
@@ -139,15 +139,15 @@ class TestRunExperiment:
 
     def test_f_reported_per_replicate(self, tmp_path):
         # scenario A redraws its graph per replicate, so f = q * |non-edges| varies
-        sim = SimConfig(scenario="A", n=30, p=100, seed=0)
+        sim = SimConfig(scenario="A", n=30, p=100, seed=3)
         spec = ExperimentSpec(sim=sim, threshold=ThresholdSpec.fpr(q=0.05),
-                              estimator="kendall", replicates=5, base_seed=3)
+                              estimator="kendall", replicates=5)
         result = run_experiment(spec)
         expect = [0.05 * generate_ground_truth(sim, RngStream(3 ^ r)).nonedge_count()
                   for r in range(5)]
         assert len(set(expect)) > 1
         path = tmp_path / "rows.csv"
-        write_experiment_csv(path, experiment_rows(result, 0.05))
+        write_experiment_csv(path, experiment_rows(result))
         lines = path.read_text().splitlines()
         col = lines[0].split(",").index("f_used")
         assert [float(line.split(",")[col]) for line in lines[1:]] == expect
@@ -156,9 +156,9 @@ class TestRunExperiment:
         assert agg["f_min"] == min(expect) and agg["f_max"] == max(expect)
 
     def test_direct_f_is_every_replicates_budget(self, tmp_path):
-        sim = SimConfig(scenario="A", n=30, p=20, seed=0)
+        sim = SimConfig(scenario="A", n=30, p=20, seed=3)
         spec = ExperimentSpec(sim=sim, threshold=ThresholdSpec.fpr(f=2.0),
-                              estimator="kendall", replicates=3, base_seed=3)
+                              estimator="kendall", replicates=3)
         result = run_experiment(spec)
         assert result.q_convention == "f-direct"
         assert result.f_per_replicate == (2.0,) * 3
@@ -166,29 +166,29 @@ class TestRunExperiment:
         assert (agg["f_used"], agg["f_min"], agg["f_max"]) == (2.0, 2.0, 2.0)
         assert agg["q"] is None and agg["q_convention"] == "f-direct"
         path = tmp_path / "rows.csv"
-        write_experiment_csv(path, experiment_rows(result, 2.0))
+        write_experiment_csv(path, experiment_rows(result))
         lines = path.read_text().splitlines()
         col = lines[0].split(",").index("f_used")
         assert [float(line.split(",")[col]) for line in lines[1:]] == [2.0] * 3
 
     def test_fixed_mode_has_no_budget(self, tmp_path):
-        sim = SimConfig(scenario="A", n=30, p=20, seed=0)
+        sim = SimConfig(scenario="A", n=30, p=20, seed=3)
         spec = ExperimentSpec(sim=sim, threshold=ThresholdSpec.fixed(0.3),
-                              estimator="kendall", replicates=3, base_seed=3)
+                              estimator="kendall", replicates=3)
         result = run_experiment(spec)
         assert result.q_convention is None and result.f_per_replicate is None
         assert "f_used" not in result.aggregate()
         path = tmp_path / "rows.csv"
-        write_experiment_csv(path, experiment_rows(result, 0.3))
+        write_experiment_csv(path, experiment_rows(result))
         lines = path.read_text().splitlines()
         col = lines[0].split(",").index("f_used")
         assert [line.split(",")[col] for line in lines[1:]] == [""] * 3
 
     def test_fpr_q_threads_identical(self):
         # scenario A redraws its graph per replicate, so each f differs
-        sim = SimConfig(scenario="A", n=30, p=40, seed=0)
+        sim = SimConfig(scenario="A", n=30, p=40, seed=9)
         spec = ExperimentSpec(sim=sim, threshold=ThresholdSpec.fpr(q=0.05),
-                              estimator="kendall", replicates=5, base_seed=9)
+                              estimator="kendall", replicates=5)
         a = run_experiment(spec, threads=1)
         b = run_experiment(spec, threads=3)
         assert a.per_replicate == b.per_replicate
@@ -224,11 +224,31 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("estimator", ["kendall", "pearson"])
     def test_fpr_replicate_makes_one_sign_pass(self, sign_passes, estimator):
-        sim = SimConfig(scenario="B", n=40, p=20, seed=0)
+        sim = SimConfig(scenario="B", n=40, p=20, seed=5)
         spec = ExperimentSpec(sim=sim, threshold=ThresholdSpec.fpr(q=0.2),
-                              estimator=estimator, replicates=3, base_seed=5)
+                              estimator=estimator, replicates=3)
         run_experiment(spec, threads=1)
         assert sign_passes == ["_sign_moments"] * 3
+
+
+class TestQOrGamma:
+    @pytest.mark.parametrize("tspec,value", [
+        (ThresholdSpec.fixed(0.3), 0.3),
+        (ThresholdSpec.rate(0.6, 0.25), (2.0 / 3.0) * 0.6 * 30.0 ** -0.25),
+        (ThresholdSpec.fpr(q=0.1), 0.1),
+        (ThresholdSpec.fpr(f=4.0), 4.0),
+    ], ids=["fixed", "rate", "fpr-q", "fpr-f"])
+    def test_column_and_key_are_the_thresholds_value(self, tmp_path, tspec, value):
+        spec = ExperimentSpec(sim=SimConfig(scenario="C", n=30, p=8),
+                              threshold=tspec, replicates=2)
+        result = run_experiment(spec)
+        assert result.q_or_gamma == value
+        assert result.aggregate()["q_or_gamma"] == value
+        path = tmp_path / "rows.csv"
+        write_experiment_csv(path, experiment_rows(result))
+        lines = path.read_text().splitlines()
+        col = lines[0].split(",").index("q_or_gamma")
+        assert [float(line.split(",")[col]) for line in lines[1:]] == [value] * 2
 
 
 class TestScreenData:
@@ -270,7 +290,7 @@ class TestReplicateErrors:
                 run_experiment(ExperimentSpec(sim=sim, threshold=ThresholdSpec.fixed(0.3),
                                               replicates=2))
             else:
-                roc_sweep(sim, "kendall", replicates=2, base_seed=0)
+                roc_sweep(sim, "kendall", replicates=2)
         assert type(info.value) is expected
         if expected is TauscreenError:
             assert info.value.__cause__ is raised
@@ -285,17 +305,15 @@ class TestRocSweep:
     def test_extreme_grid_points(self):
         # n = 62 makes n(n-1)/2 odd, so a tie-free tau numerator is odd and
         # can never be exactly zero; gamma = 0 then keeps every pair
-        sim = SimConfig(scenario="C", n=62, p=8, seed=0)
-        sweep = roc_sweep(sim, "kendall", replicates=2, base_seed=11,
-                          grid=(0.0, 1.05))
+        sim = SimConfig(scenario="C", n=62, p=8, seed=11)
+        sweep = roc_sweep(sim, "kendall", replicates=2, grid=(0.0, 1.05))
         assert sweep.mean_tpr[0] == 1.0 and sweep.mean_fpr[0] == 1.0
         # gamma > 1: nothing kept
         assert sweep.mean_tpr[-1] == 0.0 and sweep.mean_fpr[-1] == 0.0
 
     def test_monotone_along_grid(self):
-        sim = SimConfig(scenario="B", n=50, p=20, seed=0)
-        sweep = roc_sweep(sim, "kendall", replicates=3, base_seed=2,
-                          grid=tuple(np.linspace(0, 1, 21)))
+        sim = SimConfig(scenario="B", n=50, p=20, seed=2)
+        sweep = roc_sweep(sim, "kendall", replicates=3, grid=tuple(np.linspace(0, 1, 21)))
         for row in (sweep.mean_tpr, sweep.mean_fpr):
             diffs = np.diff(row)
             assert np.all(diffs <= 1e-15)
@@ -306,15 +324,15 @@ class TestRocSweep:
     def test_grid_validation(self):
         sim = SimConfig(scenario="C", n=20, p=5, seed=0)
         with pytest.raises(InvalidInputError):
-            roc_sweep(sim, "kendall", 1, 0, grid=(0.5, 0.2))
+            roc_sweep(sim, "kendall", 1, grid=(0.5, 0.2))
         with pytest.raises(InvalidInputError):
-            roc_sweep(sim, "kendall", 1, 0, grid=(-0.1, 0.5))
+            roc_sweep(sim, "kendall", 1, grid=(-0.1, 0.5))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_grid_rejected(self, bad):
         sim = SimConfig(scenario="C", n=20, p=5, seed=0)
         with pytest.raises(InvalidInputError, match="finite"):
-            roc_sweep(sim, "kendall", 1, 0, grid=(0.1, bad))
+            roc_sweep(sim, "kendall", 1, grid=(0.1, bad))
 
     def test_default_grid(self):
         grid = default_grid()
@@ -322,21 +340,21 @@ class TestRocSweep:
         assert grid[0] == 0.0 and grid[-1] == 1.0
 
 
-def replicate_draw(sim, estimator, base_seed, r):
+def replicate_draw(sim, estimator, r):
     """Replicate r's truth and correlation estimate, drawn from
-    ``RngStream(base_seed ^ r)`` in the order the sweep draws them."""
-    rng = RngStream(base_seed ^ r)
+    ``RngStream(sim.seed ^ r)`` in the order the sweep draws them."""
+    rng = RngStream(sim.seed ^ r)
     gt = generate_ground_truth(sim, rng)
     data = sample(gt, sim, rng)
     return gt, estimator_matrix(data, estimator)
 
 
-def reference_sweep(sim, estimator, replicates, base_seed, grid):
+def reference_sweep(sim, estimator, replicates, grid):
     """Per-replicate TPR and FPR tuples from one ``screen_edges`` and
     ``confusion`` pass per grid value."""
     tprs, fprs = [], []
     for r in range(replicates):
-        gt, corr = replicate_draw(sim, estimator, base_seed, r)
+        gt, corr = replicate_draw(sim, estimator, r)
         rep_tpr, rep_fpr = [], []
         for gamma in grid:
             m = confusion(screen_edges(corr, np.full((sim.p, sim.p), gamma)), gt.edges)
@@ -347,12 +365,12 @@ def reference_sweep(sim, estimator, replicates, base_seed, grid):
     return tuple(tprs), tuple(fprs)
 
 
-def tie_grid(sim, estimator, replicates, base_seed):
+def tie_grid(sim, estimator, replicates):
     """Every distinct upper-triangle |corr| value of every replicate, so each
     grid point ties with some pair, plus repeated points, 0, 1 and 1.5."""
     values = set()
     for r in range(replicates):
-        _, corr = replicate_draw(sim, estimator, base_seed, r)
+        _, corr = replicate_draw(sim, estimator, r)
         values.update(np.abs(corr.entries[np.triu_indices(sim.p, 1)]).tolist())
     distinct = sorted(values)
     return tuple(sorted(distinct + distinct[::5] + [0.0, 0.0, 1.0, 1.0, 1.5]))
@@ -366,35 +384,35 @@ class TestSweepMatchesScreenLoop:
     @pytest.mark.parametrize("scenario,n,p", [("A", 30, 20), ("B", 25, 20),
                                               ("C", 15, 12), ("D", 25, 20)])
     def test_tie_at_every_grid_point(self, scenario, n, p, estimator):
-        sim = SimConfig(scenario=scenario, n=n, p=p, seed=0)
-        grid = tie_grid(sim, estimator, 2, 41)
-        sweep = roc_sweep(sim, estimator, replicates=2, base_seed=41, grid=grid)
+        sim = SimConfig(scenario=scenario, n=n, p=p, seed=41)
+        grid = tie_grid(sim, estimator, 2)
+        sweep = roc_sweep(sim, estimator, replicates=2, grid=grid)
         assert (sweep.per_replicate_tpr, sweep.per_replicate_fpr) == reference_sweep(
-            sim, estimator, 2, 41, grid)
+            sim, estimator, 2, grid)
 
     @pytest.mark.parametrize("estimator", ["kendall", "pearson"])
     @pytest.mark.parametrize("scenario,p", [("A", 2), ("B", 10), ("C", 2), ("D", 10)])
     def test_smallest_p(self, scenario, p, estimator):
-        sim = SimConfig(scenario=scenario, n=9, p=p, seed=0)
-        grid = tie_grid(sim, estimator, 3, 7)
-        sweep = roc_sweep(sim, estimator, replicates=3, base_seed=7, grid=grid)
+        sim = SimConfig(scenario=scenario, n=9, p=p, seed=7)
+        grid = tie_grid(sim, estimator, 3)
+        sweep = roc_sweep(sim, estimator, replicates=3, grid=grid)
         assert (sweep.per_replicate_tpr, sweep.per_replicate_fpr) == reference_sweep(
-            sim, estimator, 3, 7, grid)
+            sim, estimator, 3, grid)
 
     @pytest.mark.parametrize("estimator", ["kendall", "pearson"])
     def test_no_true_edges(self, estimator):
         # seed 7 draws no scenario-A edge on 15 pairs in any of the 3 replicates
-        sim = SimConfig(scenario="A", n=12, p=6, seed=0)
-        assert all(len(replicate_draw(sim, estimator, 7, r)[0].edges) == 0 for r in range(3))
-        grid = tie_grid(sim, estimator, 3, 7)
-        sweep = roc_sweep(sim, estimator, replicates=3, base_seed=7, grid=grid)
+        sim = SimConfig(scenario="A", n=12, p=6, seed=7)
+        assert all(len(replicate_draw(sim, estimator, r)[0].edges) == 0 for r in range(3))
+        grid = tie_grid(sim, estimator, 3)
+        sweep = roc_sweep(sim, estimator, replicates=3, grid=grid)
         assert (sweep.per_replicate_tpr, sweep.per_replicate_fpr) == reference_sweep(
-            sim, estimator, 3, 7, grid)
+            sim, estimator, 3, grid)
         assert set(sweep.mean_tpr) == {1.0}
 
     def test_makes_no_screen_or_confusion_call(self, screen_calls):
         sim = SimConfig(scenario="C", n=20, p=8, seed=0)
-        roc_sweep(sim, "kendall", replicates=2, base_seed=0)
+        roc_sweep(sim, "kendall", replicates=2)
         assert screen_calls == []
         # the counter sees the table-mode replicate's calls
         run_experiment(ExperimentSpec(sim=sim, threshold=ThresholdSpec.fixed(0.3),
@@ -430,10 +448,10 @@ class TestWriters:
     def test_experiment_csv(self, tmp_path):
         sim = SimConfig(scenario="C", n=30, p=6, seed=0)
         spec = ExperimentSpec(sim=sim, threshold=ThresholdSpec.fixed(0.4),
-                              estimator="kendall", replicates=2, base_seed=0)
+                              estimator="kendall", replicates=2)
         result = run_experiment(spec)
         path = tmp_path / "rows.csv"
-        write_experiment_csv(path, experiment_rows(result, 0.4))
+        write_experiment_csv(path, experiment_rows(result))
         lines = path.read_text().splitlines()
         assert lines[0] == ("replicate,q_or_gamma,estimator,scenario,tp,fp,tn,fn,fpr,fnr,"
                             "edge_count,f_used")
@@ -442,7 +460,7 @@ class TestWriters:
 
     def test_sweep_csv(self, tmp_path):
         sim = SimConfig(scenario="C", n=30, p=6, seed=0)
-        sweep = roc_sweep(sim, "pearson", replicates=1, base_seed=0, grid=(0.1, 0.5))
+        sweep = roc_sweep(sim, "pearson", replicates=1, grid=(0.1, 0.5))
         path = tmp_path / "sweep.csv"
         write_sweep_csv(path, sweep)
         lines = path.read_text().splitlines()
