@@ -10,7 +10,10 @@ no file. Runtime errors of every command (a model error, an OS error, input
 that is not UTF-8) meet one boundary, the ``main`` group, which prints one
 ``error: ...`` line to stderr; no input ends in a traceback. All outputs are
 deterministic functions of the flags and seed, byte-for-byte: BLAS runs on
-one thread, so ``OPENBLAS_NUM_THREADS`` does not change them.
+one thread, so ``OPENBLAS_NUM_THREADS`` does not change them. Only the
+commands that simulate (``simulate``, ``bench``, ``diagnose --scenario``)
+load scipy, on their first draw; ``screen``, ``ingest-prices``, ``diagnose``
+from files and ``--help`` import no scipy module.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from .io import (
     write_matrix_csv,
     write_sector_tsv,
 )
-from .linalg import eig_extremes, pin_blas_threads
+from .linalg import check_symmetric, eig_extremes, pin_blas_threads
 from .screening import (
     ThresholdSpec,
     connected_components,
@@ -377,6 +380,16 @@ def bench(**params):
     _echo_json({"rows": len(rows), "cells": len(table)})
 
 
+def _read_symmetric(path) -> np.ndarray:
+    """A matrix CSV that must hold a square, exactly symmetric matrix; an
+    error names the path."""
+    matrix = read_matrix_csv(path)
+    try:
+        return check_symmetric(matrix)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None
+
+
 @main.command()
 @click.option("--sigma", "sigma_path", type=click.Path(), default=None)
 @click.option("--precision", "precision_path", type=click.Path(), default=None)
@@ -426,8 +439,11 @@ def diagnose(**params):
         if not all(math.isfinite(v) and v > 0 for v in ts):
             raise click.UsageError("--hoeffding-t: deviations must be finite and > 0")
     if from_files:
-        sigma = read_matrix_csv(params["sigma_path"])
-        omega = read_matrix_csv(params["precision_path"])
+        sigma, omega = (_read_symmetric(params[k]) for k in ("sigma_path", "precision_path"))
+        if omega.shape != sigma.shape:
+            raise InvalidInputError(
+                f"{params['precision_path']}: matrix is {len(omega)}x{len(omega)}, "
+                f"but {params['sigma_path']} is {len(sigma)}x{len(sigma)}")
         edges, _ = read_edges_tsv(params["edges_path"], p=sigma.shape[0])
         gt = GroundTruth(sigma=sigma, omega=omega, edges=edges, scenario="file")
     else:

@@ -171,10 +171,14 @@ class PriceTable:
 def read_price_csv(path, sectors: dict[str, str] | None = None) -> PriceTable:
     """Read a price table; first column is the date, remaining are tickers."""
     rows = read_rows(path)
-    header = [cell.strip() for cell in next(rows)[1]]
+    header_line, header = next(rows)
+    header = [cell.strip() for cell in header]
     if len(header) < 2:
         raise InvalidInputError(f"{path}: need a date column plus at least one ticker")
     tickers = tuple(header[1:])
+    if len(set(tickers)) < len(tickers):
+        repeated = next(t for i, t in enumerate(tickers) if t in tickers[:i])
+        raise InvalidInputError(f"{path}: row {header_line}: ticker {repeated!r} repeats")
     dates = []
     prices = []
     for line_no, row in rows:
@@ -227,17 +231,22 @@ def ingest_prices(table: PriceTable) -> DataMatrix:
 
 
 def read_sector_csv(path) -> dict[str, str]:
-    """Two-column ticker,sector mapping (comma or tab delimited)."""
-    out = {}
+    """Two-column ticker,sector mapping (comma or tab delimited); each
+    ticker on one row only."""
+    out, first_row = {}, {}
     for k, (line_no, row) in enumerate(read_rows(path)):
         if k == 0 and row[0].strip().lower() in ("ticker", "symbol"):
             continue
-        if len(row) < 2:
-            raise InvalidInputError(f"{path}: row {line_no} needs ticker and sector")
+        if len(row) != 2:
+            raise InvalidInputError(
+                f"{path}: row {line_no} needs ticker and sector, got {len(row)} cells")
         ticker, sector = row[0].strip(), row[1].strip()
         if "\t" in ticker + sector:  # the sector TSV cannot hold a tab
             raise InvalidInputError(f"{path}: row {line_no}: ticker {ticker!r} or its sector holds a tab")
-        out[ticker] = sector
+        if ticker in out:
+            raise InvalidInputError(
+                f"{path}: row {line_no}: ticker {ticker!r} repeats row {first_row[ticker]}")
+        out[ticker], first_row[ticker] = sector, line_no
     return out
 
 

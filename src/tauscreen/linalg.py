@@ -4,15 +4,22 @@ All functions are pure, deterministic, and operate on square symmetric
 ``numpy`` arrays in float64. Positive definiteness is always decided by a
 Cholesky factorization; a pivot at or below ``1e-12 * max(diag)`` counts as
 failure.
+
+Only :func:`invert_pd` needs scipy (its ``cho_solve`` fixes the simulated
+bits). It imports ``scipy.linalg`` on its first call, so a process that never
+inverts (``screen``, ``ingest-prices``, ``diagnose`` from files) loads no
+scipy module and does not pay its import, some tenths of a second and
+~30 MB of RSS.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import importlib
+import sys
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .errors import InvalidInputError, SingularMatrixError
 
@@ -23,7 +30,8 @@ PD_PIVOT_RTOL = 1e-12
 # numpy and scipy each bundle their own OpenBLAS (numpy's ILP64 build with a
 # "64_" symbol suffix). Each row names an extension module linked against one
 # of them, so a symbol lookup on that module's handle reaches that library,
-# and the library's thread-count setter and getter.
+# and the library's thread-count setter and getter. A library counts as
+# loaded once its module's package (``numpy._core``, ``scipy.linalg``) is.
 _OPENBLAS = (
     ("numpy", "numpy._core._multiarray_umath",
      "scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
@@ -33,10 +41,14 @@ _OPENBLAS = (
 
 
 def _openblas_calls() -> dict[str, tuple | None]:
-    """Setter and getter of each bundled OpenBLAS, or None where this build
-    has no such library (another BLAS, or another module layout)."""
+    """Setter and getter of each loaded bundled OpenBLAS, or None where this
+    build has no such library (another BLAS, or another module layout). A
+    library whose package is not imported yet has no key; nothing is
+    imported here."""
     calls = {}
     for name, module, setter, getter in _OPENBLAS:
+        if module.rpartition(".")[0] not in sys.modules:
+            continue
         try:
             lib = ctypes.CDLL(importlib.import_module(module).__file__)
             set_fn, get_fn = getattr(lib, setter), getattr(lib, getter)
@@ -49,27 +61,45 @@ def _openblas_calls() -> dict[str, tuple | None]:
     return calls
 
 
-def blas_threads() -> dict[str, int | None]:
-    """Effective thread count of numpy's and of scipy's bundled OpenBLAS
-    (None for a library this build does not have)."""
-    return {name: None if fns is None else fns[1]()
-            for name, fns in _openblas_calls().items()}
+def blas_threads() -> dict[str, int | str | None]:
+    """Effective thread count of numpy's and of scipy's bundled OpenBLAS:
+    ``"not loaded"`` for a library whose package is not imported yet, None
+    for a library this build does not have."""
+    calls = _openblas_calls()
+    return {name: "not loaded" if name not in calls else None if calls[name] is None
+            else calls[name][1]() for name, *_ in _OPENBLAS}
 
 
-def pin_blas_threads() -> dict[str, int | None]:
-    """Set numpy's and scipy's bundled OpenBLAS to one thread each.
+def pin_blas_threads() -> dict[str, int | str | None]:
+    """Set each loaded bundled OpenBLAS (numpy's, and scipy's once
+    ``scipy.linalg`` is imported) to one thread; imports nothing.
 
     The program owns its parallelism: the sign kernel splits its rows over
     its own threads and ``bench`` runs table-mode replicates in a pool, so
     BLAS threads would only contend with them, and spin on the small
     products. With one BLAS thread every product also sums in one fixed
-    order, so outputs do not depend on ``OPENBLAS_NUM_THREADS``. Returns
-    :func:`blas_threads`.
+    order, so outputs do not depend on ``OPENBLAS_NUM_THREADS``. scipy's
+    library, if loaded later, takes numpy's count then (see
+    :func:`invert_pd`). Returns :func:`blas_threads`.
     """
     for fns in _openblas_calls().values():
         if fns is not None:
             fns[0](1)
     return blas_threads()
+
+
+@functools.cache
+def _scipy_linalg():
+    """``scipy.linalg``, imported on the first call, with its OpenBLAS set to
+    numpy's current thread count: one under the CLI, which pins numpy's
+    first, and the libraries' shared default for a library caller. Threads
+    that call it first at once may each run it; each sets the same count."""
+    import scipy.linalg
+
+    calls = _openblas_calls()
+    if calls.get("numpy") and calls.get("scipy"):
+        calls["scipy"][0](calls["numpy"][1]())
+    return scipy.linalg
 
 
 def check_symmetric(m) -> np.ndarray:
@@ -118,10 +148,10 @@ def invert_pd(m) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix via Cholesky.
 
     The result is explicitly symmetrized so that downstream exact-symmetry
-    checks hold.
+    checks hold. The first call imports ``scipy.linalg`` for ``cho_solve``.
     """
     lower = cholesky_lower(m)
-    inv = cho_solve((lower, True), np.eye(lower.shape[0]))
+    inv = _scipy_linalg().cho_solve((lower, True), np.eye(lower.shape[0]))
     return (inv + inv.T) / 2.0
 
 

@@ -7,7 +7,9 @@ Three threshold rules are supported:
   every sufficiently strong edge with high probability.
 * ``fpr``: per-pair cutoffs (pi/2) * omega_hat * z / sqrt(n) with
   z = Phi^{-1}(1 - f / (p(p-1))), built from the jackknife variance estimates,
-  which targets an expected false-positive budget of f non-edges.
+  which targets an expected false-positive budget of f non-edges. Phi^{-1}
+  is :func:`_ndtri`, a port of the cephes routine behind
+  ``scipy.special.ndtri`` that returns the same doubles.
 
 Edges are kept on strict inequality |corr| > gamma. Node indices are 0-based
 in memory and 1-based in the TSV interchange format.
@@ -20,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import InvalidInputError, MissingInputError
 from .io import read_rows, write_rows
@@ -152,6 +153,66 @@ class ThresholdSpec:
         return (2.0 / 3.0) * self.c1 * float(n) ** (-self.kappa)
 
 
+# The cephes ndtri coefficients, leading first: P0/Q0 for |y - 1/2| <= 3/8,
+# P1/Q1 for sqrt(-2 log y) in [2, 8), P2/Q2 for [8, 64). Each Q leads with the
+# 1 that cephes's p1evl implies; 1.0 * x + c is x + c exactly.
+_NDTRI_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+             1.39312609387279679503E1, -1.23916583867381258016E0)
+_NDTRI_Q0 = (1.0, 1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+             -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+             1.59056225126211695515E1, -1.18331621121330003142E0)
+_NDTRI_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+             4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+             -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4)
+_NDTRI_Q1 = (1.0, 1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+             1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+             -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_NDTRI_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+             1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+             3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
+_NDTRI_Q2 = (1.0, 6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+             2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+             2.89247864745380683936E-6, 6.79019408009981274425E-9)
+_EXP_MINUS_2 = 0.13533528323661269189
+_SQRT_2PI = 2.50662827463100050242E0
+
+
+def _polevl(x: float, coef: tuple) -> float:
+    """Horner's rule, leading coefficient first (cephes ``polevl``)."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(y0: float) -> float:
+    """Phi^{-1}(y0) for y0 in [0, 1], the same double as ``scipy.special.ndtri``:
+    the cephes algorithm, step for step, so the fpr cutoffs need no scipy."""
+    if y0 == 0.0:
+        return -math.inf
+    if y0 == 1.0:
+        return math.inf
+    negate = True
+    y = y0
+    if y > 1.0 - _EXP_MINUS_2:
+        y = 1.0 - y
+        negate = False
+    if y > _EXP_MINUS_2:
+        y = y - 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _NDTRI_P0) / _polevl(y2, _NDTRI_Q0))
+        return x * _SQRT_2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:  # y > exp(-32)
+        x1 = z * _polevl(z, _NDTRI_P1) / _polevl(z, _NDTRI_Q1)
+    else:
+        x1 = z * _polevl(z, _NDTRI_P2) / _polevl(z, _NDTRI_Q2)
+    x = x0 - x1
+    return -x if negate else x
+
+
 def threshold_matrix(spec: ThresholdSpec, n: int, p: int, jack: JackknifeVarMatrix | None = None) -> np.ndarray:
     """Materialize the p x p matrix of per-pair cutoffs for a threshold rule.
 
@@ -173,7 +234,7 @@ def threshold_matrix(spec: ThresholdSpec, n: int, p: int, jack: JackknifeVarMatr
         f = spec.resolve_f(p)
         if not f < p * (p - 1) / 2.0:
             raise InvalidInputError(f"need f < p(p-1)/2, got f={f} with p={p}")
-        z = float(ndtri(1.0 - f / (p * (p - 1))))
+        z = _ndtri(1.0 - f / (p * (p - 1)))
         omega = np.sqrt(jack.entries)
         if p > 1:
             off = omega[~np.eye(p, dtype=bool)]
@@ -204,14 +265,24 @@ def screen_edges(corr: CorrMatrix, thresholds: np.ndarray) -> EdgeSet:
 def connected_components(e: EdgeSet) -> Partition:
     """Partition of the nodes of ``e`` into connected components, labelled
     1..k in order of each component's lowest node."""
-    # imported here: csgraph costs ~4 MB of RSS and 30-45 ms to import, which
-    # callers that never ask for components (the ROC sweep) should not pay
-    from scipy.sparse import coo_array
-    from scipy.sparse.csgraph import connected_components as label_components
-
+    # Hook and shortcut: each node points at a lower or equal node, and after
+    # the shortcut at its tree's root, the tree's lowest node. While an edge
+    # joins two trees, the higher root hooks onto the lowest root it meets.
+    roots = np.arange(e.p)
     j, k = e.edges.T
-    graph = coo_array((np.ones(len(e), dtype=np.int8), (j, k)), shape=(e.p, e.p))
-    _, labels = label_components(graph, directed=False)
+    while True:
+        rj, rk = roots[j], roots[k]
+        apart = rj != rk
+        if not apart.any():
+            break
+        rj, rk = rj[apart], rk[apart]
+        np.minimum.at(roots, np.maximum(rj, rk), np.minimum(rj, rk))
+        while True:
+            jumped = roots[roots]
+            if np.array_equal(jumped, roots):
+                break
+            roots = jumped
+    _, labels = np.unique(roots, return_inverse=True)
     return Partition(e.p, tuple((labels + 1).tolist()))
 
 

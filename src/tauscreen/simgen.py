@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import InvalidInputError
 from .linalg import cholesky_lower, eig_extremes, invert_pd, rescale_to_unit_diagonal
@@ -84,6 +83,8 @@ class RngStream:
 
     def standard_normal(self, size=None):
         """Standard normals via the inverse normal CDF of open-interval uniforms."""
+        from scipy.special import ndtri  # imported here: only simulation needs scipy
+
         return ndtri(self.uniform01(size))
 
     def chi_square(self, df: float, size: int) -> np.ndarray:

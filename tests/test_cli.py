@@ -24,7 +24,7 @@ from tauscreen import evalbench, rankcorr
 from tauscreen.cli import main
 from tauscreen.evalbench import experiment_rows, write_experiment_csv
 from tauscreen.errors import SingularMatrixError
-from tauscreen.io import read_data_csv, read_matrix_csv, write_data_csv
+from tauscreen.io import read_data_csv, read_matrix_csv, write_data_csv, write_matrix_csv
 from tauscreen.linalg import _openblas_calls, blas_threads
 from tauscreen.rankcorr import (
     CorrMatrix,
@@ -337,6 +337,33 @@ class TestIngestPrices:
         assert result.exit_code == 1
         assert result.stderr == f"error: {sectors}: row 3: {named}\n"
         assert sorted(tmp_path.iterdir()) == [prices, sectors]
+
+    @pytest.mark.parametrize("prices_text,sectors_text,named", [
+        ("date,AAA,BBB\nd1,10,20\nd2,11,19\nd3,12,22\n",
+         "ticker,sector\nAAA,Tech\nBBB,Energy\nAAA,Media\n",
+         "{sectors}: row 4: ticker 'AAA' repeats row 2"),
+        ("date,AAA,BBB\nd1,10,20\nd2,11,19\nd3,12,22\n",
+         "ticker,sector\nAAA,Tech\nBBB,Energy\nAAA,Media,Extra\n",
+         "{sectors}: row 4 needs ticker and sector, got 3 cells"),
+        ("date,AAA,AAA\nd1,10,20\nd2,11,19\nd3,12,22\n", None,
+         "{prices}: row 1: ticker 'AAA' repeats"),
+    ], ids=["sector-ticker", "sector-extra-cell", "price-ticker"])
+    def test_repeated_ticker_fails_before_writing(self, runner, tmp_path, prices_text,
+                                                  sectors_text, named):
+        prices = tmp_path / "p.csv"
+        prices.write_text(prices_text)
+        inputs = [prices]
+        args = ["ingest-prices", "--prices", str(prices), "--out", str(tmp_path / "r.csv")]
+        if sectors_text is not None:
+            sectors = tmp_path / "s.csv"
+            sectors.write_text(sectors_text)
+            inputs.append(sectors)
+            args += ["--sectors", str(sectors)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.stderr == "error: " + named.format(prices=prices,
+                                                         sectors=tmp_path / "s.csv") + "\n"
+        assert sorted(tmp_path.iterdir()) == sorted(inputs)
 
     def test_sectors_out_without_sectors_is_usage_error(self, runner, tmp_path):
         prices = tmp_path / "p.csv"
@@ -808,6 +835,32 @@ class TestDiagnose:
         assert f"error: {edges}: line {line} has 2 cells, expected 3" in result.output
 
 
+    @pytest.mark.parametrize("which,edit,message", [
+        ("sigma", lambda m: m[:, :3], "matrix must be square, got shape (4, 3)"),
+        ("precision", lambda m: m[:3, :3], "matrix is 3x3, but {sigma} is 4x4"),
+        ("sigma", lambda m: m + np.triu(np.full_like(m, 0.01), 1),
+         "matrix is not symmetric"),
+        ("precision", lambda m: m + np.triu(np.full_like(m, 0.01), 1),
+         "matrix is not symmetric"),
+    ], ids=["sigma-not-square", "precision-other-size", "sigma-asymmetric",
+            "precision-asymmetric"])
+    def test_bad_matrix_file_fails_before_writing(self, runner, tmp_path, which, edit,
+                                                  message):
+        sim_dir = tmp_path / "sim"
+        invoke(runner, ["simulate", "--scenario", "C", "--n", "50", "--p", "4",
+                        "--out-dir", str(sim_dir)])
+        files = {"sigma": sim_dir / "sim_sigma.csv", "precision": sim_dir / "sim_precision.csv"}
+        bad = tmp_path / f"bad_{which}.csv"
+        write_matrix_csv(bad, edit(read_matrix_csv(files[which])))
+        files[which] = bad
+        out = tmp_path / "report.json"
+        result = runner.invoke(main, [
+            "diagnose", "--sigma", str(files["sigma"]), "--precision", str(files["precision"]),
+            "--edges", str(sim_dir / "sim_edges.tsv"), "--n", "200", "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.stderr == f"error: {bad}: {message.format(sigma=files['sigma'])}\n"
+        assert not out.exists()
+
 class TestErrorBoundary:
     """A runtime error of any command ends at the ``main`` group as one
     ``error:`` line and exit 1, never as a raw exception."""
@@ -990,6 +1043,8 @@ class TestBlasThreads:
     @pytest.mark.parametrize("command", ["simulate", "screen", "bench", "diagnose",
                                          "ingest-prices"])
     def test_every_command_pins_blas(self, runner, tmp_path, command):
+        import scipy.linalg  # noqa: F401  (loads scipy's OpenBLAS, whatever ran before)
+
         calls = _openblas_calls()
         if None in calls.values():
             pytest.skip("numpy or scipy does not bundle OpenBLAS here")
@@ -1053,3 +1108,75 @@ class TestBlasThreads:
             trees.append((result.stdout, read_bytes_map(out), read_bytes_map(out / "sim")))
         assert len(trees[0][1]) == 9 and len(trees[0][2]) == 5
         assert trees[0] == trees[1]
+
+
+class TestScipyImports:
+    """``screen``, ``ingest-prices``, ``diagnose`` from files and ``--help``
+    load no scipy module; the commands that simulate load it, with its
+    OpenBLAS on one thread. Each case runs in a fresh interpreter, under two
+    OpenBLAS threads by default."""
+
+    SCRIPT = (
+        "import json, sys\n"
+        "from tauscreen.cli import main\n"
+        "from tauscreen.linalg import blas_threads\n"
+        "assert main.main(args=json.loads(sys.argv[1]), standalone_mode=False) in (None, 0)\n"
+        "print(json.dumps({'scipy': [m for m in sys.modules if m.split('.')[0] == 'scipy'],\n"
+        "                  'blas': blas_threads()}))\n")
+
+    def _run(self, args):
+        src = os.path.dirname(os.path.dirname(__import__("tauscreen").__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(args)],
+                                env=env, capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr[-2000:]
+        return json.loads(result.stdout.splitlines()[-1])
+
+    @pytest.mark.parametrize("command", ["screen --gamma", "screen --rate", "screen --fpr-q",
+                                         "screen --fpr-f", "ingest-prices",
+                                         "diagnose from files", "--help"])
+    def test_no_scipy_module(self, runner, tmp_path, command):
+        data = tmp_path / "d.csv"
+        write_data_csv(data, __import__("tauscreen").DataMatrix(
+            np.random.default_rng(1).normal(size=(40, 12))))
+        screen = ["screen", "--data", str(data), "--components", "--out", str(tmp_path / "e.tsv")]
+        prices, sectors = tmp_path / "p.csv", tmp_path / "s.csv"
+        write_price_fixture(prices)
+        sectors.write_text("ticker,sector\nS00,Tech\nS01,Energy\nS02,Media\n")
+        sim = tmp_path / "sim"
+        if command == "diagnose from files":
+            invoke(runner, ["simulate", "--scenario", "B", "--n", "50", "--p", "20",
+                            "--out-dir", str(sim)])
+        args = {
+            "screen --gamma": screen + ["--gamma", "0.3"],
+            "screen --rate": screen + ["--rate", "0.9,0.25"],
+            "screen --fpr-q": screen + ["--fpr-q", "0.05"],
+            "screen --fpr-f": screen + ["--fpr-f", "2"],
+            "ingest-prices": ["ingest-prices", "--prices", str(prices), "--sectors",
+                              str(sectors), "--out", str(tmp_path / "r.csv")],
+            "diagnose from files": ["diagnose", "--sigma", str(sim / "sim_sigma.csv"),
+                                    "--precision", str(sim / "sim_precision.csv"),
+                                    "--edges", str(sim / "sim_edges.tsv"), "--n", "50",
+                                    "--out", str(tmp_path / "g.json")],
+            "--help": ["--help"],
+        }[command]
+        loaded = self._run(args)
+        assert loaded["scipy"] == []
+        assert loaded["blas"]["scipy"] == "not loaded"
+
+    @pytest.mark.parametrize("command", ["simulate", "bench sweep", "bench table"])
+    def test_simulation_pins_scipy_blas(self, tmp_path, command):
+        bench = ["bench", "--scenario", "A", "--n", "40", "--p", "30", "--replicates", "4",
+                 "--out-csv", str(tmp_path / "b.csv"), "--out-json", str(tmp_path / "b.json")]
+        args = {
+            "simulate": ["simulate", "--scenario", "A", "--n", "40", "--p", "30",
+                         "--out-dir", str(tmp_path / "sim")],
+            "bench sweep": bench + ["--mode", "sweep"],
+            "bench table": bench + ["--q", "0.1", "--threads", "4"],
+        }[command]
+        loaded = self._run(args)
+        if None in loaded["blas"].values():
+            pytest.skip("numpy or scipy does not bundle OpenBLAS here")
+        assert "scipy.linalg" in loaded["scipy"]
+        assert loaded["blas"] == {"numpy": 1, "scipy": 1}

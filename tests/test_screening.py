@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components as csgraph_components
 from scipy.special import ndtri
 
 from tauscreen import (
@@ -20,6 +22,7 @@ from tauscreen import (
     threshold_matrix,
 )
 from tauscreen.screening import (
+    _ndtri,
     read_edges_tsv,
     read_partition_tsv,
     write_edges_tsv,
@@ -88,6 +91,33 @@ class TestThresholdMatrix:
         with pytest.warns(UserWarning):
             t = threshold_matrix(ThresholdSpec.fpr(f=0.5), n=100, p=2, jack=jack)
         assert t[0, 1] == 0.0
+
+
+class TestNdtri:
+    """``_ndtri`` returns the same double as ``scipy.special.ndtri``."""
+
+    def test_bit_identical_to_scipy(self):
+        rng = np.random.default_rng(20240809)
+        split = np.exp(-2.0)  # the central/tail split; x = 8 is y = exp(-32)
+        points = np.concatenate([
+            rng.uniform(0.0, 1.0, 60_000),
+            np.exp(-rng.uniform(0.0, np.log(1e300), 20_000)),  # lower tail to 1e-300
+            1.0 - np.exp(-rng.uniform(0.0, np.log(1e15), 20_000)),  # upper tail to 1 - 1e-15
+            rng.uniform(split * (1 - 1e-6), split * (1 + 1e-6), 1_000),
+            1.0 - rng.uniform(split * (1 - 1e-6), split * (1 + 1e-6), 1_000),
+            np.exp(-32.0) * rng.uniform(1 - 1e-6, 1 + 1e-6, 1_000),
+            1.0 - np.exp(-32.0) * rng.uniform(1 - 1e-6, 1 + 1e-6, 1_000),
+            np.nextafter(split, [0.0, 1.0]), np.nextafter(1.0 - split, [0.0, 1.0]),
+            np.nextafter(np.exp(-32.0), [0.0, 1.0]),
+            [split, 1.0 - split, np.exp(-32.0), 1e-300, 1.0 - 1e-15, 5e-324, 0.5],
+        ])
+        assert points.size >= 100_000 and 0.0 < points.min() and points.max() < 1.0
+        mine = np.array([_ndtri(y) for y in points.tolist()])
+        assert mine.tobytes() == ndtri(points).tobytes()
+
+    def test_ends_are_infinite(self):
+        assert _ndtri(0.0) == -np.inf
+        assert _ndtri(1.0) == np.inf
 
 
 class TestScreening:
@@ -182,6 +212,32 @@ class TestComponents:
 
     def test_single_node(self):
         assert connected_components(EdgeSet(1, ())).component_id == (1,)
+
+    @staticmethod
+    def _csgraph_labels(e):
+        j, k = e.edges.T
+        graph = coo_array((np.ones(len(e), dtype=np.int8), (j, k)), shape=(e.p, e.p))
+        return tuple((csgraph_components(graph, directed=False)[1] + 1).tolist())
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(min_value=1, max_value=60).flatmap(lambda p: st.tuples(
+        st.just(p), st.lists(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)),
+                             max_size=2 * p))))
+    def test_matches_csgraph(self, graph):
+        # empty edge sets, p = 1, isolated nodes and repeated draws all occur
+        p, drawn = graph
+        edges = {(min(a, b), max(a, b)) for a, b in drawn if a != b}
+        e = EdgeSet(p, tuple(edges))
+        assert connected_components(e).component_id == self._csgraph_labels(e)
+
+    @pytest.mark.parametrize("p", [2, 1000, 5000])
+    def test_long_shuffled_path_matches_csgraph(self, p):
+        order = np.random.default_rng(p).permutation(p)
+        pairs = np.sort(np.column_stack([order[:-1], order[1:]]), axis=1)
+        e = EdgeSet(p + 3, pairs)  # three isolated nodes at the end
+        part = connected_components(e)
+        assert part.component_id == self._csgraph_labels(e)
+        assert part.component_id == (1,) * p + (2, 3, 4)
 
     def test_compare_partitions(self):
         a = Partition(3, (1, 1, 2))
