@@ -446,7 +446,12 @@ def diagnose(**params):
                 f"but {params['sigma_path']} is {len(sigma)}x{len(sigma)}")
         edges, _ = read_edges_tsv(params["edges_path"], p=sigma.shape[0])
         gt = GroundTruth(sigma=sigma, omega=omega, edges=edges, scenario="file")
-    else:
+        try:  # each file passed its own checks; now they must agree
+            gt.validate()
+        except TauscreenError as exc:
+            paths = ", ".join(params[k] for k in ("sigma_path", "precision_path", "edges_path"))
+            raise InvalidInputError(f"{paths}: not one ground truth: {exc}") from None
+    else:  # a scenario's ground truth is valid by construction
         gt = generate_ground_truth(cfg, RngStream(seed))
     report = check_assumptions(gt, params["n"], params["c1"], params["kappa"],
                                params["xi"], params["c2"], params["alpha"])

@@ -25,7 +25,6 @@ from .io import write_rows as _write_rows
 from .rankcorr import (
     CorrMatrix,
     DataMatrix,
-    JackknifeVarMatrix,
     jackknife_matrix,
     kendall_matrix,
     pearson_matrix,
@@ -168,16 +167,14 @@ class ExperimentResult:
         return out
 
 
-def estimator_matrix(data: DataMatrix, estimator: str, jack: JackknifeVarMatrix | None = None,
+def estimator_matrix(data: DataMatrix, estimator: str, tau: CorrMatrix | None = None,
                      threads: int = 1):
-    """The screened correlation estimate. A jackknife matrix that carries tau
-    (as :func:`jackknife_matrix` returns it) spares the kendall estimator its
-    own sign pass; otherwise that pass splits its rows over ``threads``.
-    Replicate pools leave ``threads`` at 1, so pools never nest."""
+    """The screened correlation estimate. A raw ``tau`` of ``data`` (as
+    :func:`jackknife_matrix` returns it) spares the kendall estimator its own
+    sign pass; otherwise that pass splits its rows over ``threads``. Replicate
+    pools leave ``threads`` at 1, so pools never nest."""
     if estimator == "kendall":
-        if jack is not None and jack.tau is not None:
-            tau = jack.tau
-        else:
+        if tau is None:
             tau = kendall_matrix(data, threads=threads)
         return sine_transform(tau)
     if estimator == "pearson":
@@ -190,8 +187,10 @@ def screen_data(data: DataMatrix, estimator: str, spec: ThresholdSpec,
     """The screened correlation estimate of ``data`` and its edges under
     ``spec``. In fpr mode one sign pass gives both the kendall estimator's
     tau and the thresholds' jackknife omega^2; ``threads`` splits it by rows."""
-    jack = jackknife_matrix(data, threads=threads) if spec.mode == "fpr" else None
-    corr = estimator_matrix(data, estimator, jack=jack, threads=threads)
+    tau = jack = None
+    if spec.mode == "fpr":
+        tau, jack = jackknife_matrix(data, threads=threads)
+    corr = estimator_matrix(data, estimator, tau=tau, threads=threads)
     return corr, screen_edges(corr, threshold_matrix(spec, data.n, data.p, jack=jack))
 
 

@@ -51,7 +51,8 @@ def read_rows(path, delimiter: str | None = None):
     comma otherwise. A line that is not UTF-8, or a file with no non-blank
     line, raises an error naming the path (and the line)."""
     empty = True
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    # utf-8-sig drops the byte-order mark that Excel writes before a "CSV UTF-8"
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for i, line in enumerate(fh, 1):
             if not line.isascii() and _UNDECODED.search(line):
                 raise InvalidInputError(f"{path}: line {i} is not UTF-8 text")
@@ -161,8 +162,8 @@ class PriceTable:
         t, p = prices.shape
         if t != len(self.dates) or p != len(self.tickers):
             raise InvalidInputError("price matrix shape does not match dates/tickers")
-        if t < 2:
-            raise InvalidInputError("need at least 2 dates to form returns")
+        if t < 3:  # two returns: a data matrix needs 2 observations
+            raise InvalidInputError(f"need at least 3 dates to form 2 returns, got {t}")
         if self.sectors is not None and len(self.sectors) != p:
             raise InvalidInputError("sector labels must match ticker count")
         object.__setattr__(self, "prices", prices)
@@ -193,8 +194,9 @@ def read_price_csv(path, sectors: dict[str, str] | None = None) -> PriceTable:
                     else "missing or bad price")
             raise InvalidInputError(f"{path}: {what} at row {line_no} ({dates[-1]}), ticker {tickers[j]}")
         prices.append(values)
-    if len(dates) < 2:
-        raise InvalidInputError(f"{path}: need a header and at least 2 price rows")
+    if len(dates) < 3:
+        raise InvalidInputError(
+            f"{path}: need a header and at least 3 price rows (2 returns), got {len(dates)}")
     sector_tuple = None
     if sectors is not None:
         missing = [t for t in tickers if t not in sectors]

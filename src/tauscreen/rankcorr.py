@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateColumnError, InvalidInputError
+from .linalg import check_symmetric
 
 CORR_KINDS = ("kendall-raw", "kendall-sine", "pearson")
 
@@ -75,7 +76,8 @@ class CorrMatrix:
 
     ``kind`` records which estimator produced it: "kendall-raw" for plain tau,
     "kendall-sine" for the sine-mapped latent-correlation estimate, "pearson"
-    for the linear baseline.
+    for the linear baseline. Squareness, finiteness and exact symmetry are
+    :func:`linalg.check_symmetric`'s.
     """
 
     entries: np.ndarray
@@ -84,11 +86,7 @@ class CorrMatrix:
     def __post_init__(self):
         if self.kind not in CORR_KINDS:
             raise InvalidInputError(f"unknown correlation kind {self.kind!r}")
-        e = np.asarray(self.entries, dtype=np.float64)
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise InvalidInputError("correlation matrix must be square")
-        if not np.array_equal(e, e.T):
-            raise InvalidInputError("correlation matrix must be symmetric")
+        e = check_symmetric(self.entries)
         off = e[~np.eye(e.shape[0], dtype=bool)]
         if off.size and (np.min(off) < -1.0 or np.max(off) > 1.0):
             raise InvalidInputError("off-diagonal correlations must lie in [-1, 1]")
@@ -103,30 +101,14 @@ class CorrMatrix:
 
 @dataclass(frozen=True, eq=False)
 class JackknifeVarMatrix:
-    """Pairwise leave-one-out variance estimates; diagonal fixed at 0.
-
-    ``tau`` optionally carries the raw Kendall's tau matrix of the same data;
-    :func:`jackknife_matrix` fills it from the pass that built the variances.
-    """
+    """Pairwise leave-one-out variance estimates; diagonal fixed at 0."""
 
     entries: np.ndarray
-    tau: CorrMatrix | None = None
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=np.float64)
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise InvalidInputError("variance matrix must be square")
-        if not np.array_equal(e, e.T):
-            raise InvalidInputError("variance matrix must be symmetric")
+        e = check_symmetric(self.entries)
         if np.any(e < 0):
             raise InvalidInputError("variance estimates must be nonnegative")
-        if self.tau is not None:
-            if not isinstance(self.tau, CorrMatrix) or self.tau.kind != "kendall-raw":
-                raise InvalidInputError("tau must be a kendall-raw CorrMatrix")
-            if self.tau.dim != e.shape[0]:
-                raise InvalidInputError(
-                    f"tau is {self.tau.dim}x{self.tau.dim}, variances are "
-                    f"{e.shape[0]}x{e.shape[0]}")
         object.__setattr__(self, "entries", e)
 
     @property
@@ -428,23 +410,25 @@ def jackknife_variance(data, j: int, jp: int) -> float:
     return 4.0 * (n - 1) / (n - 2) ** 2 * float(np.sum((loo - tau) ** 2))
 
 
-def jackknife_matrix(data, threads: int = 1) -> JackknifeVarMatrix:
-    """Leave-one-out tau variance estimates for every column pair.
+def jackknife_matrix(data, threads: int = 1) -> tuple[CorrMatrix, JackknifeVarMatrix]:
+    """The raw tau matrix and the leave-one-out tau variance estimates of
+    every column pair, from one sign pass.
 
     One O(p^2 n^2) pass of the sign kernel, one observation a product and a
     float32 buffer of p x n cells per thread, its rows split over
-    ``threads``, yields both moments, so the result also carries the raw tau
-    matrix (``.tau``), bit-identical to :func:`kendall_matrix`. All
-    intermediate sums are exact integers, so nothing depends on ``threads``.
+    ``threads``, yields both moments: s1 gives tau, bit-identical to
+    :func:`kendall_matrix`, and s1 with s2 give omega^2. All intermediate
+    sums are exact integers, so nothing depends on ``threads``.
     """
     dm = as_data_matrix(data)
     n = dm.n
     if n < 3:
         raise InvalidInputError("jackknife variance needs n >= 3")
     s1, s2 = _sign_moments(dm.values, second=True, threads=threads)
-    tau = s1 / (n * (n - 1))
-    spread = s2 / (n - 1) ** 2 - 2.0 * tau * s1 / (n - 1) + n * tau * tau
+    tau = _tau_from_numerator(s1, n)
+    t = tau.entries  # s1 / (n(n-1)) off the diagonal; omega^2's diagonal is zeroed below
+    spread = s2 / (n - 1) ** 2 - 2.0 * t * s1 / (n - 1) + n * t * t
     omega2 = 4.0 * (n - 1) / (n - 2) ** 2 * spread
     omega2 = np.maximum(omega2, 0.0)
     np.fill_diagonal(omega2, 0.0)
-    return JackknifeVarMatrix(omega2, tau=_tau_from_numerator(s1, n))
+    return tau, JackknifeVarMatrix(omega2)

@@ -199,19 +199,16 @@ class GroundTruth:
 
 
 def _finish_from_precision(precision: np.ndarray, edges: EdgeSet, scenario: str,
-                           block_slices=None) -> GroundTruth:
+                           block_slices: list[slice]) -> GroundTruth:
     """Invert, rescale to unit diagonal, and rescale the precision to match.
 
-    With ``block_slices`` the inversion runs per diagonal block, so entries
-    outside the blocks are exactly zero in both factors.
+    The inversion runs per diagonal block of ``block_slices`` (one block of
+    all p for scenario A), so entries outside the blocks are exactly zero in
+    both factors.
     """
-    p = precision.shape[0]
-    if block_slices is None:
-        cov = invert_pd(precision)
-    else:
-        cov = np.zeros_like(precision)
-        for sl in block_slices:
-            cov[sl, sl] = invert_pd(precision[sl, sl])
+    cov = np.zeros_like(precision)
+    for sl in block_slices:
+        cov[sl, sl] = invert_pd(precision[sl, sl])
     d = np.diag(cov).copy()
     sigma = rescale_to_unit_diagonal(cov)
     # (D^-1/2 cov D^-1/2)^-1 = D^1/2 precision D^1/2, applied analytically
@@ -242,7 +239,7 @@ def gen_precision_A(p: int, rng: RngStream) -> GroundTruth:
     m = p * (p - 1) // 2
     mask = rng.uniform01(m) < _EDGE_PROBABILITY
     precision, pairs = _random_weighted_precision(p, mask, rng)
-    return _finish_from_precision(precision, EdgeSet(p, pairs), "A")
+    return _finish_from_precision(precision, EdgeSet(p, pairs), "A", [slice(0, p)])
 
 
 def _contiguous_blocks(p: int, n_blocks: int) -> list[slice]:
@@ -266,8 +263,7 @@ def gen_precision_B(p: int, rng: RngStream) -> GroundTruth:
     mask = _within_block_mask(p, blocks)
     precision, _ = _random_weighted_precision(p, mask, rng)
     pairs = np.transpose(np.triu_indices(p, 1))[mask]
-    return _finish_from_precision(precision, EdgeSet(p, pairs), "B",
-                                  block_slices=blocks)
+    return _finish_from_precision(precision, EdgeSet(p, pairs), "B", blocks)
 
 
 def gen_correlation_C(p: int) -> GroundTruth:
@@ -301,8 +297,7 @@ def gen_precision_D(p: int) -> GroundTruth:
     for sl in blocks:
         precision[sl, sl] = block
     pairs = np.transpose(np.triu_indices(p, 1))[_within_block_mask(p, blocks)]
-    return _finish_from_precision(precision, EdgeSet(p, pairs), "D",
-                                  block_slices=blocks)
+    return _finish_from_precision(precision, EdgeSet(p, pairs), "D", blocks)
 
 
 def generate_ground_truth(cfg: SimConfig, rng: RngStream | None = None) -> GroundTruth:

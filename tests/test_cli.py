@@ -205,7 +205,7 @@ class TestScreen:
                                                              data.values[:, k])
             tau = CorrMatrix(tau, "kendall-raw")
         corr = sine_transform(tau)
-        jack = jackknife_matrix(data)
+        _, jack = jackknife_matrix(data)
         gammas = threshold_matrix(ThresholdSpec.fpr(q=0.05), data.n, data.p, jack=jack)
         edges = screen_edges(corr, gammas)
         ref_edges, ref_comp = tmp_path / "ref.tsv", tmp_path / "ref.components.tsv"
@@ -364,6 +364,17 @@ class TestIngestPrices:
         assert result.stderr == "error: " + named.format(prices=prices,
                                                          sectors=tmp_path / "s.csv") + "\n"
         assert sorted(tmp_path.iterdir()) == sorted(inputs)
+
+    def test_two_price_rows_fail_naming_the_file(self, runner, tmp_path):
+        # two prices give one return, and a data matrix needs two observations
+        prices = tmp_path / "p.csv"
+        prices.write_text("date,AAA,BBB\nd1,10,20\nd2,11,19\n")
+        result = runner.invoke(main, ["ingest-prices", "--prices", str(prices),
+                                      "--out", str(tmp_path / "r.csv")])
+        assert result.exit_code == 1
+        assert result.stderr == (f"error: {prices}: need a header and at least 3 price rows "
+                                 "(2 returns), got 2\n")
+        assert list(tmp_path.iterdir()) == [prices]
 
     def test_sectors_out_without_sectors_is_usage_error(self, runner, tmp_path):
         prices = tmp_path / "p.csv"
@@ -679,33 +690,31 @@ class TestDiagnose:
         assert len(doc["hoeffding"]) == 4
         assert doc["neighborhood_size_bound"] > 0
 
-    def test_from_files_matches_scenario(self, runner, tmp_path):
+    @pytest.mark.parametrize("scenario,p", [("A", 150), ("B", 200), ("C", 30), ("D", 40)])
+    def test_from_files_matches_scenario(self, runner, tmp_path, scenario, p):
+        """The ground-truth check accepts simulate's files (doubles at 17
+        digits), and the report from them is the scenario's, byte for byte."""
         sim_dir = tmp_path / "sim"
-        invoke(runner, ["simulate", "--scenario", "D", "--n", "50", "--p", "20",
-                        "--seed", "0", "--out-dir", str(sim_dir)])
-        out = tmp_path / "report.json"
+        invoke(runner, ["simulate", "--scenario", scenario, "--n", "60", "--p", str(p),
+                        "--seed", "5", "--out-dir", str(sim_dir)])
+        by_files, by_scenario = tmp_path / "files.json", tmp_path / "scenario.json"
         result = invoke(runner, ["diagnose", "--sigma", str(sim_dir / "sim_sigma.csv"),
                                  "--precision", str(sim_dir / "sim_precision.csv"),
                                  "--edges", str(sim_dir / "sim_edges.tsv"),
-                                 "--n", "50", "--out", str(out)])
-        assert result.exit_code == 0
-        doc = json.loads(out.read_text())
-        out2 = tmp_path / "report2.json"
-        invoke(runner, ["diagnose", "--scenario", "D", "--p", "20", "--seed", "0",
-                        "--n", "50", "--out", str(out2)])
-        doc2 = json.loads(out2.read_text())
-        assert doc["assumptions"]["min_edge_corr"] == pytest.approx(
-            doc2["assumptions"]["min_edge_corr"], rel=1e-12)
+                                 "--n", "60", "--out", str(by_files)])
+        assert result.exit_code == 0, result.output
+        invoke(runner, ["diagnose", "--scenario", scenario, "--p", str(p), "--seed", "5",
+                        "--n", "60", "--out", str(by_scenario)])
+        assert by_files.read_bytes() == by_scenario.read_bytes()
 
     def test_edgeless_graph_report_is_valid_json(self, runner, tmp_path):
-        sim_dir = tmp_path / "sim"
-        invoke(runner, ["simulate", "--scenario", "D", "--n", "50", "--p", "10",
-                        "--seed", "0", "--out-dir", str(sim_dir)])
-        edges = sim_dir / "sim_edges.tsv"
-        edges.write_text(edges.read_text().splitlines()[0] + "\n")
+        # independent variables: identity sigma and precision, no edges
+        identity, edges = tmp_path / "identity.csv", tmp_path / "edges.tsv"
+        write_matrix_csv(identity, np.eye(10))
+        edges.write_text("j\tj'\tvalue\n")
         out = tmp_path / "report.json"
-        result = invoke(runner, ["diagnose", "--sigma", str(sim_dir / "sim_sigma.csv"),
-                                 "--precision", str(sim_dir / "sim_precision.csv"),
+        result = invoke(runner, ["diagnose", "--sigma", str(identity),
+                                 "--precision", str(identity),
                                  "--edges", str(edges), "--n", "100", "--out", str(out)])
         assert result.exit_code == 0
 
@@ -818,6 +827,34 @@ class TestDiagnose:
         assert result.exit_code == 2
         assert message in result.output
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("which,edit,message", [
+        ("sigma", lambda m: 2.0 * m, "sigma diagonal is not 1"),
+        ("precision", lambda m: np.eye(len(m)), "sigma * omega deviates from identity by 0.3"),
+        ("edges", lambda text: text + "1\t3\t0.5\n",
+         "edge set does not match the precision support"),
+    ], ids=["twice-sigma", "identity-precision", "extra-edge"])
+    def test_files_that_disagree_are_refused(self, runner, tmp_path, which, edit, message):
+        sim_dir = tmp_path / "sim"
+        invoke(runner, ["simulate", "--scenario", "C", "--n", "50", "--p", "4",
+                        "--out-dir", str(sim_dir)])
+        files = {"sigma": sim_dir / "sim_sigma.csv", "precision": sim_dir / "sim_precision.csv",
+                 "edges": sim_dir / "sim_edges.tsv"}
+        bad = tmp_path / f"bad_{which}"
+        if which == "edges":
+            bad.write_text(edit(files[which].read_text()))
+        else:
+            write_matrix_csv(bad, edit(read_matrix_csv(files[which])))
+        files[which] = bad
+        out = tmp_path / "report.json"
+        result = runner.invoke(main, [
+            "diagnose", "--sigma", str(files["sigma"]), "--precision", str(files["precision"]),
+            "--edges", str(files["edges"]), "--n", "50", "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        named = ", ".join(str(files[k]) for k in ("sigma", "precision", "edges"))
+        assert result.stderr == f"error: {named}: not one ground truth: {message}\n"
+        assert not out.exists()
 
     def test_malformed_edges_file_is_located_error(self, runner, tmp_path):
         sim_dir = tmp_path / "sim"

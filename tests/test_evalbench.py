@@ -265,8 +265,8 @@ class TestScreenData:
         # kendall needs the one sign pass for tau, pearson only for fpr's omega^2
         assert sign_passes == ["_sign_moments"] * (estimator == "kendall" or fpr)
 
-        jack = jackknife_matrix(data) if fpr else None
-        ref_corr = estimator_matrix(data, estimator, jack=jack)
+        tau, jack = jackknife_matrix(data) if fpr else (None, None)
+        ref_corr = estimator_matrix(data, estimator, tau=tau)
         ref = screen_edges(ref_corr, threshold_matrix(tspec, data.n, data.p, jack=jack))
         assert np.array_equal(corr.entries, ref_corr.entries)
         assert np.array_equal(edges.edges, ref.edges)

@@ -90,6 +90,40 @@ class TestDataCsv:
         assert str(err.value) == f"{path}: need at least 2 observations, got 1"
 
 
+BOM = "\ufeff".encode()
+
+
+@pytest.mark.parametrize("reader,text", [
+    (read_data_csv, "1.5,2\n3,4\n5,6\n7,8\n"),
+    (read_data_csv, "x,y\n1.5,2\n3,4\n"),
+    (read_price_csv, "date,AAA,BBB\nd1,10,20\nd2,11,19\nd3,12,21\n"),
+    (read_sector_csv, "ticker,sector\nAAA,Tech\n"),
+    (read_sector_csv, "AAA,Tech\nBBB,Energy\n"),
+], ids=["data-headerless", "data-labelled", "price-header", "sector-header",
+        "sector-headerless"])
+def test_utf8_bom_reads_as_without(tmp_path, reader, text):
+    """A UTF-8 byte-order mark (Excel's "CSV UTF-8") is not part of the
+    first cell: the file reads exactly as it does without one."""
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(BOM + text.encode())
+
+    def fields(table):  # a sector mapping, or a dataclass that holds arrays
+        if isinstance(table, dict):
+            return table
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(table).items()}
+
+    assert fields(reader(marked)) == fields(reader(plain))
+
+
+def test_bom_then_bad_byte_located(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_bytes(BOM + b"\xff1,2\n3,4\n")
+    with pytest.raises(InvalidInputError) as err:
+        read_data_csv(path)
+    assert str(err.value) == f"{path}: line 1 is not UTF-8 text"
+
+
 class TestMatrixCsv:
     def test_roundtrip(self, tmp_path):
         m = np.random.default_rng(1).normal(size=(4, 4))
@@ -230,6 +264,17 @@ class TestPrices:
         with pytest.raises(InvalidInputError, match="row 4 needs ticker and sector"):
             read_sector_csv(spath)
 
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_fewer_than_two_returns_located(self, tmp_path, rows):
+        path = tmp_path / "p.csv"
+        path.write_text("date,AAA\n" + "".join(f"d{i},{10 + i}\n" for i in range(rows)))
+        with pytest.raises(InvalidInputError) as err:
+            read_price_csv(path)
+        assert str(err.value) == (
+            f"{path}: need a header and at least 3 price rows (2 returns), got {rows}")
+        with pytest.raises(InvalidInputError, match="need at least 3 dates to form 2 returns"):
+            price_table([[10.0], [11.0]])
+
     def test_missing_sector_rejected(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("date,AAA,BBB\n2020-01-01,10,20\n2020-01-02,11,19\n2020-01-03,12,21\n")
@@ -284,8 +329,8 @@ WRITTEN = [
      b"a,b\n0.10000000000000001,-0\n3,1e-300\n"),
     (write_matrix_csv, ([[0.1, -0.0], [3, 2.5]],),
      b"0.10000000000000001,-0\n3,2.5\n"),
-    (write_sector_tsv, (PriceTable(dates=("d1", "d2"), tickers=("AAA", "BBB"),
-                                   prices=[[1.0, 2.0], [3.0, 4.0]],
+    (write_sector_tsv, (PriceTable(dates=("d1", "d2", "d3"), tickers=("AAA", "BBB"),
+                                   prices=[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]],
                                    sectors=("tech", "energy")),),
      b"ticker\tsector\nAAA\ttech\nBBB\tenergy\n"),
     (write_edges_tsv, (EdgeSet(3, [(1, 2), (0, 2)]),

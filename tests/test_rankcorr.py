@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tauscreen import (
+    CorrMatrix,
     DataMatrix,
     DegenerateColumnError,
     InvalidInputError,
@@ -278,29 +279,62 @@ class TestJackknifeMatrix:
     def test_two_columns_match_scalar_version(self):
         rng = np.random.default_rng(15)
         data = rng.normal(size=(20, 2))
-        m = jackknife_matrix(data).entries
+        m = jackknife_matrix(data)[1].entries
         assert m[0, 1] == pytest.approx(jackknife_variance(data, 0, 1), rel=1e-12, abs=1e-14)
 
     def test_duplicated_column_pair_is_zero(self):
         x = np.random.default_rng(16).normal(size=(15, 1))
-        m = jackknife_matrix(np.hstack([x, x])).entries
+        m = jackknife_matrix(np.hstack([x, x]))[1].entries
         assert m[0, 1] == 0.0
 
     def test_symmetric_exactly(self):
         rng = np.random.default_rng(17)
         data = rng.normal(size=(30, 5))
-        m = jackknife_matrix(data).entries
+        m = jackknife_matrix(data)[1].entries
         assert np.array_equal(m, m.T)
         assert np.all(np.diag(m) == 0.0)
 
     def test_matches_double_loop(self):
         rng = np.random.default_rng(18)
         data = np.round(rng.normal(size=(12, 4)), 1)
-        m = jackknife_matrix(data).entries
+        m = jackknife_matrix(data)[1].entries
         for j in range(4):
             for k in range(j + 1, 4):
                 assert m[j, k] == pytest.approx(
                     jackknife_by_double_loop(data[:, j], data[:, k]), rel=1e-12, abs=1e-12)
+
+
+class TestMatrixChecks:
+    """``CorrMatrix`` and ``JackknifeVarMatrix`` share ``linalg.check_symmetric``
+    and add only their own checks."""
+
+    @pytest.mark.parametrize("entries,message", [
+        (np.zeros((2, 3)), "matrix must be square, got shape (2, 3)"),
+        (np.array([[0.0, np.nan], [np.nan, 0.0]]), "matrix contains non-finite entries"),
+        (np.array([[0.0, 0.1], [0.2, 0.0]]), "matrix is not symmetric"),
+    ], ids=["not-square", "nan", "asymmetric"])
+    def test_shared_check(self, entries, message):
+        corr = entries + np.eye(*entries.shape)  # a unit diagonal where square
+        with pytest.raises(InvalidInputError) as err:
+            JackknifeVarMatrix(entries)
+        assert str(err.value) == message
+        with pytest.raises(InvalidInputError) as err:
+            CorrMatrix(corr, "kendall-raw")
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("entries,kind,message", [
+        ([[1.0, 1.5], [1.5, 1.0]], "pearson", "off-diagonal correlations must lie in [-1, 1]"),
+        ([[1.0, 0.5], [0.5, 0.9]], "pearson", "diagonal entries must equal 1"),
+        ([[1.0, 0.5], [0.5, 1.0]], "spearman", "unknown correlation kind 'spearman'"),
+    ], ids=["range", "diagonal", "kind"])
+    def test_own_corr_checks(self, entries, kind, message):
+        with pytest.raises(InvalidInputError) as err:
+            CorrMatrix(np.array(entries), kind)
+        assert str(err.value) == message
+
+    def test_variances_nonnegative(self):
+        with pytest.raises(InvalidInputError, match="must be nonnegative"):
+            JackknifeVarMatrix(np.array([[0.0, -1e-300], [-1e-300, 0.0]]))
 
 
 def _neighbours(x, count):
@@ -346,8 +380,9 @@ def assert_tau_matches_naive(data):
 
 def assert_jackknife_matches_reference(data):
     p = data.shape[1]
-    jack = jackknife_matrix(data)
-    assert jack.tau.entries.tobytes() == kendall_matrix(data).entries.tobytes()
+    tau, jack = jackknife_matrix(data)
+    assert tau.kind == "kendall-raw"
+    assert tau.entries.tobytes() == kendall_matrix(data).entries.tobytes()
     assert np.all(np.diag(jack.entries) == 0.0)
     for j in range(p):
         for k in range(j + 1, p):
@@ -401,14 +436,6 @@ class TestKernelPaths:
         data = rng.integers(0, 3, size=(70, 5)).astype(float)
         assert_tau_matches_naive(data)
         assert_jackknife_matches_reference(data)
-
-    def test_tau_field_is_validated(self):
-        tau = kendall_matrix(np.random.default_rng(22).normal(size=(10, 3)))
-        with pytest.raises(InvalidInputError):
-            JackknifeVarMatrix(np.zeros((2, 2)), tau=tau)
-        with pytest.raises(InvalidInputError):
-            JackknifeVarMatrix(np.zeros((3, 3)), tau=sine_transform(tau))
-        assert JackknifeVarMatrix(np.zeros((3, 3)), tau=tau).tau is tau
 
     def test_refuses_n_past_the_exact_range(self):
         # zero-stride views: the guard must fire before any per-row work
@@ -488,12 +515,12 @@ class TestSplitKernel:
 
     def test_matrices_do_not_depend_on_threads(self):
         data = np.random.default_rng(33).integers(0, 4, size=(60, 6)).astype(float)
-        tau, jack = kendall_matrix(data), jackknife_matrix(data)
+        tau, (_, jack) = kendall_matrix(data), jackknife_matrix(data)
         for k in (2, 5):
             assert kendall_matrix(data, threads=k).entries.tobytes() == tau.entries.tobytes()
-            split = jackknife_matrix(data, threads=k)
+            split_tau, split = jackknife_matrix(data, threads=k)
             assert split.entries.tobytes() == jack.entries.tobytes()
-            assert split.tau.entries.tobytes() == tau.entries.tobytes()
+            assert split_tau.entries.tobytes() == tau.entries.tobytes()
 
     @pytest.mark.parametrize("n,threads,parts", [(3, 4, 3), (7, 2, 2), (5, 1, 1)])
     def test_rows_dealt_to_at_most_n_parts(self, monkeypatch, n, threads, parts):
