@@ -6,8 +6,9 @@ and checked as the flag's would be, and explicit flags override it. Unknown
 keys, and values of the wrong JSON type (bool for a switch, integer for an
 int flag, number for a float flag, string otherwise), are usage errors.
 Exit codes: 0 success, 1 runtime error, 2 usage error. A usage error writes
-no file. Runtime errors of every command (a model error, an OS error, input
-that is not UTF-8) meet one boundary, the ``main`` group, which prints one
+no file; an output that names an input or another output is one. Runtime
+errors of every command (a model error, an OS error, input that is not UTF-8,
+a failed allocation) meet one boundary, the ``main`` group, which prints one
 ``error: ...`` line to stderr; no input ends in a traceback. All outputs are
 deterministic functions of the flags and seed, byte-for-byte: BLAS runs on
 one thread, so ``OPENBLAS_NUM_THREADS`` does not change them. Only the
@@ -81,6 +82,7 @@ def _load_config(ctx, param, value):
     """Check the config file's keys and JSON types; it becomes click's default map."""
     if value is None:
         return
+    ctx.meta["tauscreen.config"] = value  # a read of the file rule (_check_paths)
     try:
         with open(value, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -155,16 +157,32 @@ def _sim_config(params) -> SimConfig:
         )
 
 
-def _distinct_outputs(*flags_paths) -> None:
-    """Refuse two outputs at one path, where the second write would replace
-    the first; ``flags_paths`` are (flag, path) pairs, path None if unset."""
-    seen = {}
-    for flag, path in flags_paths:
-        if path is None:
+def _file_keys(path) -> set:
+    """A file, to the file rule: its resolved path and, once it exists, its
+    (device, inode), so a symlink, a hard link or ``..`` names its target."""
+    keys = {os.path.realpath(path)}
+    with contextlib.suppress(OSError):
+        st = os.stat(path)
+        keys.add((st.st_dev, st.st_ino))
+    return keys
+
+
+def _check_paths(reads, writes) -> None:
+    """The file rule, checked before a command reads or writes any file: a
+    write may not name a read (``--config`` among them) or another write;
+    reads may share a file. ``reads`` and ``writes`` are (flag, path) pairs,
+    path None if unset."""
+    config = click.get_current_context().meta.get("tauscreen.config")
+    seen = []  # (flag, is_write, keys) of each path checked so far
+    for flag, path, is_write in ([("--config", config, False)] + [(*r, False) for r in reads]
+                                 + [(*w, True) for w in writes]):
+        if not path:
             continue
-        other = seen.setdefault(os.path.abspath(path), flag)
-        if other != flag:
-            raise click.UsageError(f"{other} and {flag} name the same file {path}")
+        keys = _file_keys(path)
+        for other_flag, other_write, other_keys in seen:
+            if (is_write or other_write) and keys & other_keys:
+                raise click.UsageError(f"{other_flag} and {flag} name the same file {path}")
+        seen.append((flag, is_write, keys))
 
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
@@ -201,8 +219,8 @@ class _Main(click.Group):
             warnings.showwarning = lambda message, *_: click.echo(f"warning: {message}", err=True)
             try:
                 return super().invoke(ctx)
-            except (TauscreenError, OSError, UnicodeDecodeError) as exc:
-                click.echo(f"error: {exc}", err=True)
+            except (TauscreenError, OSError, UnicodeDecodeError, MemoryError) as exc:
+                click.echo(f"error: {str(exc) or type(exc).__name__}", err=True)
                 sys.exit(1)
 
 
@@ -227,17 +245,18 @@ def main():
 def simulate(**params):
     """Generate a synthetic dataset plus its ground truth files."""
     cfg = _sim_config(params)
+    out = {name: os.path.join(params["out_dir"], f"{params['prefix']}_{name}") for name in
+           ("data.csv", "sigma.csv", "precision.csv", "edges.tsv", "config.json")}
+    _check_paths([], [("--out-dir", path) for path in out.values()])
     rng = RngStream(cfg.seed)
     gt = generate_ground_truth(cfg, rng)
     data = sample(gt, cfg, rng)
-    out_dir = params["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    prefix = os.path.join(out_dir, params["prefix"])
-    write_data_csv(prefix + "_data.csv", data)
-    write_matrix_csv(prefix + "_sigma.csv", gt.sigma)
-    write_matrix_csv(prefix + "_precision.csv", gt.omega)
-    write_edges_tsv(prefix + "_edges.tsv", gt.edges, gt.omega)
-    write_json_report(prefix + "_config.json", cfg.to_json_dict())
+    os.makedirs(params["out_dir"], exist_ok=True)
+    write_data_csv(out["data.csv"], data)
+    write_matrix_csv(out["sigma.csv"], gt.sigma)
+    write_matrix_csv(out["precision.csv"], gt.omega)
+    write_edges_tsv(out["edges.tsv"], gt.edges, gt.omega)
+    write_json_report(out["config.json"], cfg.to_json_dict())
     lam_min, lam_max = eig_extremes(gt.sigma)
     _echo_json({"edge_count": len(gt.edges), "lambda_min": lam_min, "lambda_max": lam_max})
 
@@ -256,23 +275,22 @@ def simulate(**params):
 @_config_option
 def screen(**params):
     """Screen edges of a data CSV by thresholding a correlation estimate."""
-    modes = [name for name, key in (("--gamma", "gamma"), ("--rate", "rate"),
-                                    ("--fpr-q", "fpr_q"), ("--fpr-f", "fpr_f"))
-             if params[key] is not None]
-    if len(modes) != 1:
+    if sum(params[key] is not None for key in ("gamma", "rate", "fpr_q", "fpr_f")) != 1:
         raise click.UsageError("exactly one of --gamma, --rate, --fpr-q, --fpr-f is required")
     tspec = _threshold_spec(gamma=params["gamma"], rate=params["rate"],
                             f=params["fpr_f"], q=params["fpr_q"])
-    _distinct_outputs(("--out", params["out"]), ("--components-out", params["components_out"]))
+    comp_path = params["components_out"] or (
+        params["out"] + ".components.tsv" if params["components"] else None)
+    _check_paths([("--data", params["data_path"])],
+                 [("--out", params["out"]), ("--components-out", comp_path)])
 
     threads = _resolve_threads(params["threads"])
     data = read_data_csv(params["data_path"])
     corr, edges = screen_data(data, params["estimator"], tspec, threads=threads)
     write_edges_tsv(params["out"], edges, corr)
     summary = {"edge_count": len(edges), "n": data.n, "p": data.p}
-    if params["components"] or params["components_out"]:
+    if comp_path is not None:
         part = connected_components(edges)
-        comp_path = params["components_out"] or params["out"] + ".components.tsv"
         write_partition_tsv(comp_path, part)
         summary["components"] = part.n_components
     _echo_json(summary)
@@ -289,13 +307,16 @@ def ingest_prices_cmd(**params):
     """Turn a price table into a standardized log-return data CSV."""
     if params["sectors_out"] and not params["sectors_path"]:
         raise click.UsageError("--sectors-out needs --sectors")
-    _distinct_outputs(("--out", params["out"]), ("--sectors-out", params["sectors_out"]))
+    sectors_out = params["sectors_path"] and (
+        params["sectors_out"] or params["out"] + ".sectors.tsv")
+    _check_paths([("--prices", params["prices_path"]), ("--sectors", params["sectors_path"])],
+                 [("--out", params["out"]), ("--sectors-out", sectors_out)])
     sectors = read_sector_csv(params["sectors_path"]) if params["sectors_path"] else None
     table = read_price_csv(params["prices_path"], sectors=sectors)
     returns = ingest_prices(table)
     write_data_csv(params["out"], returns)
-    if table.sectors is not None:
-        write_sector_tsv(params["sectors_out"] or params["out"] + ".sectors.tsv", table)
+    if sectors_out:
+        write_sector_tsv(sectors_out, table)
     _echo_json({"rows": returns.n, "tickers": returns.p})
 
 
@@ -325,7 +346,7 @@ def ingest_prices_cmd(**params):
 def bench(**params):
     """Run replicated experiments (table mode) or an ROC sweep (sweep mode)."""
     sim = _sim_config(params)
-    _distinct_outputs(("--out-csv", params["out_csv"]), ("--out-json", params["out_json"]))
+    _check_paths([], [("--out-csv", params["out_csv"]), ("--out-json", params["out_json"])])
     chosen = [k for k in ("q", "gamma", "rate") if params[k] is not None]
     if params["mode"] == "sweep":
         if chosen:
@@ -346,13 +367,8 @@ def bench(**params):
             grid = tuple(np.linspace(lo, hi, int(count)).tolist())
         sweep = roc_sweep(sim, params["estimator"], params["replicates"], grid=grid)
         write_sweep_csv(params["out_csv"], sweep)
-        doc = {
-            "mode": "sweep",
-            "sim": sim.to_json_dict(),
-            "estimator": params["estimator"],
-            "replicates": params["replicates"],
-            "auc": auc(sweep),
-        }
+        doc = {"mode": "sweep", "sim": sim.to_json_dict(), "estimator": params["estimator"],
+               "replicates": params["replicates"], "auc": auc(sweep)}
         write_json_report(params["out_json"], doc)
         _echo_json({"auc": doc["auc"], "grid_points": len(sweep.grid)})
         return
@@ -438,6 +454,8 @@ def diagnose(**params):
         ts = _parse_float_list(params["hoeffding_t"], "--hoeffding-t")
         if not all(math.isfinite(v) and v > 0 for v in ts):
             raise click.UsageError("--hoeffding-t: deviations must be finite and > 0")
+    _check_paths([("--sigma", params["sigma_path"]), ("--precision", params["precision_path"]),
+                  ("--edges", params["edges_path"])], [("--out", params["out"])])
     if from_files:
         sigma, omega = (_read_symmetric(params[k]) for k in ("sigma_path", "precision_path"))
         if omega.shape != sigma.shape:

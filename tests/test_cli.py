@@ -8,6 +8,7 @@ import sys
 import warnings
 from unittest import mock
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -20,7 +21,7 @@ from tauscreen import (
     generate_ground_truth,
     run_experiment,
 )
-from tauscreen import evalbench, rankcorr
+from tauscreen import cli, evalbench, rankcorr
 from tauscreen.cli import main
 from tauscreen.evalbench import experiment_rows, write_experiment_csv
 from tauscreen.errors import SingularMatrixError
@@ -619,6 +620,90 @@ class TestDistinctOutputs:
         assert message in result.output
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command,args,message", [
+        ("screen", ["--data", "d.csv", "--gamma", "0.1", "--out", "d.csv"],
+         "--data and --out name the same file d.csv"),
+        ("screen", ["--data", "d.csv", "--gamma", "0.1", "--out", "e.tsv",
+                    "--components-out", "d.csv"],
+         "--data and --components-out name the same file d.csv"),
+        ("screen", ["--data", "e.tsv.components.tsv", "--gamma", "0.1", "--components",
+                    "--out", "e.tsv"],
+         "--data and --components-out name the same file e.tsv.components.tsv"),
+        ("screen", ["--data", "d.csv", "--gamma", "0.1", "--out", "link.tsv"],
+         "--data and --out name the same file link.tsv"),
+        ("screen", ["--data", "d.csv", "--gamma", "0.1", "--out", "hard.tsv"],
+         "--data and --out name the same file hard.tsv"),
+        ("screen", ["--config", "c.json", "--data", "d.csv", "--gamma", "0.1",
+                    "--out", "sub/../c.json"],
+         "--config and --out name the same file sub/../c.json"),
+        ("ingest-prices", ["--prices", "p.csv", "--out", "p.csv"],
+         "--prices and --out name the same file p.csv"),
+        ("ingest-prices", ["--prices", "p.csv", "--sectors", "r.csv.sectors.tsv",
+                           "--out", "r.csv"],
+         "--sectors and --sectors-out name the same file r.csv.sectors.tsv"),
+        ("ingest-prices", ["--prices", "p.csv", "--sectors", "s.csv", "--out", "r.csv",
+                           "--sectors-out", "p.csv"],
+         "--prices and --sectors-out name the same file p.csv"),
+        ("diagnose", ["--sigma", "s.csv", "--precision", "w.csv", "--edges", "g.tsv",
+                      "--n", "30", "--out", "s.csv"],
+         "--sigma and --out name the same file s.csv"),
+        ("bench", ["--config", "c.json", "--scenario", "C", "--n", "20", "--p", "5",
+                   "--gamma", "0.3", "--out-csv", "o.csv", "--out-json", "c.json"],
+         "--config and --out-json name the same file c.json"),
+        ("simulate", ["--config", "sim_config.json", "--out-dir", "."],
+         "--config and --out-dir name the same file ./sim_config.json"),
+    ], ids=["screen-data", "screen-components-out", "screen-derived-components",
+            "screen-symlink", "screen-hard-link", "screen-config", "ingest-prices",
+            "ingest-derived-sectors", "ingest-sectors-out", "diagnose", "bench-config",
+            "simulate-config"])
+    def test_output_naming_an_input_is_usage_error(self, runner, tmp_path, monkeypatch,
+                                                   command, args, message):
+        # the inputs hold no valid table: the rule refuses before any is read
+        monkeypatch.chdir(tmp_path)
+        for name in ("d.csv", "e.tsv.components.tsv", "p.csv", "s.csv", "r.csv.sectors.tsv",
+                     "w.csv", "g.tsv"):
+            (tmp_path / name).write_text(f"{name}\n")
+        (tmp_path / "c.json").write_text("{}")
+        (tmp_path / "sim_config.json").write_text('{"scenario": "C", "n": 10, "p": 5}')
+        (tmp_path / "link.tsv").symlink_to("d.csv")
+        os.link(tmp_path / "d.csv", tmp_path / "hard.tsv")
+        (tmp_path / "sub").mkdir()
+        before = read_bytes_map(tmp_path)
+        result = runner.invoke(main, [command, *args])
+        assert result.exit_code == 2
+        assert f"Error: {message}\n" in result.output
+        assert read_bytes_map(tmp_path) == before
+        assert sorted(os.listdir(tmp_path)) == sorted([*before, "sub"])
+        assert (tmp_path / "link.tsv").is_symlink()
+
+    # Each command's flags, besides its paths, that carry it to the file rule.
+    RULE_ARGS = {
+        "simulate": ["--scenario", "C", "--n", "10", "--p", "5"],
+        "screen": ["--gamma", "0.3"],
+        "ingest-prices": [],
+        "bench": ["--scenario", "C", "--n", "20", "--p", "5", "--replicates", "1",
+                  "--gamma", "0.3"],
+        "diagnose": ["--n", "30"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(main.commands))
+    def test_every_path_option_is_in_the_rule(self, runner, tmp_path, monkeypatch, command):
+        """Every click.Path option, --config and --out-dir included, is a read
+        or a write of the file rule, so a new path flag cannot skip it."""
+        options = [p for p in main.commands[command].params if isinstance(p.type, click.Path)]
+        paths = {opt.opts[0]: str(tmp_path / opt.name) for opt in options}
+        (tmp_path / "config").write_text("{}")
+        checked = []
+        file_keys = cli._file_keys
+        monkeypatch.setattr(cli, "_file_keys", lambda path: checked.append(path) or file_keys(path))
+        args = [command, *self.RULE_ARGS[command]]
+        for flag, path in paths.items():
+            args += [flag, path]
+        runner.invoke(main, args)
+        assert "--config" in paths
+        for flag, path in paths.items():
+            assert any(path in (p, os.path.dirname(p)) for p in checked), flag
+
 
 class TestConfig:
     @pytest.mark.parametrize("command,config,message", [
@@ -940,6 +1025,24 @@ class TestErrorBoundary:
         assert len(result.stderr.splitlines()) == 1
         assert message in result.stderr
 
+
+    @pytest.mark.parametrize("error,line", [
+        (MemoryError("Unable to allocate 728. TiB for an array"),
+         "error: Unable to allocate 728. TiB for an array\n"),
+        (MemoryError(), "error: MemoryError\n"),
+    ], ids=["numpy-message", "bare"])
+    def test_memory_error_is_one_line(self, runner, tmp_path, monkeypatch, error, line):
+        # a stand-in for numpy's refusal of a huge array: no real allocation is tried
+        def no_memory(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "generate_ground_truth", no_memory)
+        result = runner.invoke(main, ["simulate", "--scenario", "C", "--n", "10", "--p", "10",
+                                      "--out-dir", str(tmp_path / "sim")], catch_exceptions=False)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == line
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["screen", "ingest-prices", "diagnose-sigma",
                                          "diagnose-edges"])
