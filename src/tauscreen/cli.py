@@ -3,8 +3,9 @@
 Every command accepts ``--config FILE`` with a JSON object of defaults, keyed
 by parameter name; it becomes click's default map, so each value is converted
 and checked as the flag's would be, and explicit flags override it. Unknown
-keys, and values of the wrong JSON type (bool for a switch, integer for an
-int flag, number for a float flag, string otherwise), are usage errors.
+keys, values of the wrong JSON type (bool for a switch, integer for an
+int flag, number for a float flag, string otherwise) and strings that hold a
+NUL byte are usage errors.
 Exit codes: 0 success, 1 runtime error, 2 usage error. A usage error writes
 no file; an output that names an input or another output is one. Runtime
 errors of every command (a model error, an OS error, input that is not UTF-8,
@@ -99,6 +100,8 @@ def _load_config(ctx, param, value):
         if type(item) not in types:
             raise click.UsageError(
                 f"config {value}: {key} must be {kind}, got {json.dumps(item)}")
+        if type(item) is str and "\0" in item:  # no path or choice holds NUL
+            raise click.UsageError(f"config {value}: {key} must not hold a NUL byte")
     ctx.default_map = doc
 
 

@@ -715,8 +715,9 @@ class TestConfig:
         ("simulate", {"n": "40"}, 'n must be an integer, got "40"'),
         ("screen", {"gamma": 0.3, "threads": 1.5}, "threads must be an integer, got 1.5"),
         ("bench", {"q": "0.1", "replicates": "3"}, 'replicates must be an integer, got "3"'),
+        ("screen", {"data_path": "d\u0000.csv", "gamma": 0.3}, "data_path must not hold a NUL byte"),
     ], ids=["flag-string", "choice-typo", "choice-unknown", "float-string", "int-string",
-            "int-numeral-string", "int-fraction", "count-string"])
+            "int-numeral-string", "int-fraction", "count-string", "path-nul"])
     def test_bad_value_is_usage_error(self, runner, tmp_path, command, config, message):
         inputs = tmp_path / "in"
         inputs.mkdir()

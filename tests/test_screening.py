@@ -22,7 +22,6 @@ from tauscreen import (
     threshold_matrix,
 )
 from tauscreen.screening import (
-    _ndtri,
     read_edges_tsv,
     read_partition_tsv,
     write_edges_tsv,
@@ -77,6 +76,30 @@ class TestThresholdMatrix:
         assert t[0, 1] == pytest.approx(0.30787, abs=5e-5)
         assert t[0, 1] == pytest.approx(np.pi / 2 * ndtri(0.975) / 10.0, abs=1e-12)
 
+    def test_fpr_z_matches_scipy_ndtri(self):
+        # unit variance estimate, p=2: the cutoff is (pi/2) * PhiInv(1 - f/2) / sqrt(n)
+        jack = JackknifeVarMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        half_f = np.geomspace(1e-15, 0.4999, 10_000)
+        mine = np.array([
+            threshold_matrix(ThresholdSpec.fpr(f=2.0 * h), n=100, p=2, jack=jack)[0, 1]
+            for h in half_f.tolist()
+        ])
+        ref = np.pi / 2 * ndtri(1.0 - half_f) / 10.0
+        assert np.all(np.abs(mine - ref) <= 2e-15 * ref)
+
+    def test_fpr_budget_rounding_to_one_gives_inf(self):
+        # f / (p(p-1)) = 1e-300 / 2: 1 - that rounds to 1.0, so z is infinite
+        jack = JackknifeVarMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        t = threshold_matrix(ThresholdSpec.fpr(f=1e-300), n=100, p=2, jack=jack)
+        assert t[0, 1] == t[1, 0] == np.inf
+
+    def test_zero_variance_pair_keeps_zero_cutoff_at_infinite_z(self):
+        jack = JackknifeVarMatrix(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0], [1.0, 2.0, 0.0]]))
+        with pytest.warns(UserWarning) as record:
+            t = threshold_matrix(ThresholdSpec.fpr(f=1e-300), n=100, p=3, jack=jack)
+        assert [w.category for w in record] == [UserWarning]
+        assert np.array_equal(t, [[0.0, 0.0, np.inf], [0.0, 0.0, np.inf], [np.inf, np.inf, 0.0]])
+
     def test_fpr_requires_jack(self):
         with pytest.raises(MissingInputError):
             threshold_matrix(ThresholdSpec.fpr(q=0.1), n=100, p=3)
@@ -91,33 +114,6 @@ class TestThresholdMatrix:
         with pytest.warns(UserWarning):
             t = threshold_matrix(ThresholdSpec.fpr(f=0.5), n=100, p=2, jack=jack)
         assert t[0, 1] == 0.0
-
-
-class TestNdtri:
-    """``_ndtri`` returns the same double as ``scipy.special.ndtri``."""
-
-    def test_bit_identical_to_scipy(self):
-        rng = np.random.default_rng(20240809)
-        split = np.exp(-2.0)  # the central/tail split; x = 8 is y = exp(-32)
-        points = np.concatenate([
-            rng.uniform(0.0, 1.0, 60_000),
-            np.exp(-rng.uniform(0.0, np.log(1e300), 20_000)),  # lower tail to 1e-300
-            1.0 - np.exp(-rng.uniform(0.0, np.log(1e15), 20_000)),  # upper tail to 1 - 1e-15
-            rng.uniform(split * (1 - 1e-6), split * (1 + 1e-6), 1_000),
-            1.0 - rng.uniform(split * (1 - 1e-6), split * (1 + 1e-6), 1_000),
-            np.exp(-32.0) * rng.uniform(1 - 1e-6, 1 + 1e-6, 1_000),
-            1.0 - np.exp(-32.0) * rng.uniform(1 - 1e-6, 1 + 1e-6, 1_000),
-            np.nextafter(split, [0.0, 1.0]), np.nextafter(1.0 - split, [0.0, 1.0]),
-            np.nextafter(np.exp(-32.0), [0.0, 1.0]),
-            [split, 1.0 - split, np.exp(-32.0), 1e-300, 1.0 - 1e-15, 5e-324, 0.5],
-        ])
-        assert points.size >= 100_000 and 0.0 < points.min() and points.max() < 1.0
-        mine = np.array([_ndtri(y) for y in points.tolist()])
-        assert mine.tobytes() == ndtri(points).tobytes()
-
-    def test_ends_are_infinite(self):
-        assert _ndtri(0.0) == -np.inf
-        assert _ndtri(1.0) == np.inf
 
 
 class TestScreening:
