@@ -50,10 +50,8 @@ from .io import (
     read_data_csv,
     read_matrix_csv,
     read_price_csv,
-    read_sector_csv,
     write_data_csv,
     write_matrix_csv,
-    write_sector_tsv,
 )
 from .linalg import check_symmetric, eig_extremes, pin_blas_threads
 from .screening import (
@@ -302,24 +300,12 @@ def screen(**params):
 @main.command("ingest-prices")
 @click.option("--prices", "prices_path", type=click.Path(), required=True)
 @click.option("--out", type=click.Path(), required=True)
-@click.option("--sectors", "sectors_path", type=click.Path(), default=None,
-              help="Optional ticker,sector CSV carried through to --sectors-out.")
-@click.option("--sectors-out", type=click.Path(), default=None)
 @_config_option
 def ingest_prices_cmd(**params):
     """Turn a price table into a standardized log-return data CSV."""
-    if params["sectors_out"] and not params["sectors_path"]:
-        raise click.UsageError("--sectors-out needs --sectors")
-    sectors_out = params["sectors_path"] and (
-        params["sectors_out"] or params["out"] + ".sectors.tsv")
-    _check_paths([("--prices", params["prices_path"]), ("--sectors", params["sectors_path"])],
-                 [("--out", params["out"]), ("--sectors-out", sectors_out)])
-    sectors = read_sector_csv(params["sectors_path"]) if params["sectors_path"] else None
-    table = read_price_csv(params["prices_path"], sectors=sectors)
-    returns = ingest_prices(table)
+    _check_paths([("--prices", params["prices_path"])], [("--out", params["out"])])
+    returns = ingest_prices(read_price_csv(params["prices_path"]))
     write_data_csv(params["out"], returns)
-    if sectors_out:
-        write_sector_tsv(sectors_out, table)
     _echo_json({"rows": returns.n, "tickers": returns.p})
 
 

@@ -1,4 +1,4 @@
-"""File formats: numeric data CSV, dense matrix CSV, and price-table ingestion.
+"""File formats: numeric data CSV, dense matrix CSV, and price-CSV ingestion.
 
 Every table the package reads, the edge and partition TSVs included, goes
 through one streaming row reader, :func:`read_rows`: it numbers the lines,
@@ -12,18 +12,18 @@ delimiter is refused. Data, matrix and price tables share one row parse,
 
 Data CSVs hold one observation per row. The delimiter (comma or tab) is
 auto-detected from the first non-blank line, and an optional single header
-row of column labels is auto-detected by its first cell being non-numeric.
+row of column labels is auto-detected by its first cell being non-numeric;
+so the writer refuses labels whose first one reads as a number.
 
-Price tables are CSVs with a leading date column and one column per ticker.
-Ingestion turns T prices into T-1 log returns ``log(S[t+1] / S[t])`` and
-standardizes each column to mean 0 and standard deviation 1 (sample sd,
-divisor rows-1).
+Price CSVs hold a leading date column and one column per ticker; they read
+as a price matrix labelled by ticker. Ingestion turns T prices into T-1 log
+returns ``log(S[t+1] / S[t])`` and standardizes each column to mean 0 and
+standard deviation 1 (sample sd, divisor rows-1).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,6 +135,13 @@ def read_data_csv(path) -> DataMatrix:
 
 
 def write_data_csv(path, data: DataMatrix) -> None:
+    """Write an observation matrix, its labels (if any) as the header. A
+    first label that reads as a number is refused before the file opens:
+    the reader would take the header for an observation."""
+    if data.labels and _is_number(data.labels[0]):
+        raise InvalidInputError(
+            f"{path}: first label {data.labels[0]!r} reads as a number, "
+            "so the header would read back as an observation")
     write_rows(path, (row.tolist() for row in data.values), header=data.labels)
 
 
@@ -148,29 +155,10 @@ def write_matrix_csv(path, matrix) -> None:
     write_rows(path, (row.tolist() for row in m))
 
 
-@dataclass(frozen=True, eq=False)
-class PriceTable:
-    """Daily closing prices: T dates by p tickers, optionally with sectors."""
-
-    dates: tuple[str, ...]
-    tickers: tuple[str, ...]
-    prices: np.ndarray
-    sectors: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        prices = np.asarray(self.prices, dtype=np.float64)
-        t, p = prices.shape
-        if t != len(self.dates) or p != len(self.tickers):
-            raise InvalidInputError("price matrix shape does not match dates/tickers")
-        if t < 3:  # two returns: a data matrix needs 2 observations
-            raise InvalidInputError(f"need at least 3 dates to form 2 returns, got {t}")
-        if self.sectors is not None and len(self.sectors) != p:
-            raise InvalidInputError("sector labels must match ticker count")
-        object.__setattr__(self, "prices", prices)
-
-
-def read_price_csv(path, sectors: dict[str, str] | None = None) -> PriceTable:
-    """Read a price table; first column is the date, remaining are tickers."""
+def read_price_csv(path) -> DataMatrix:
+    """Read a price table: a date column, then one column per ticker. The
+    prices come back labelled by ticker; an error names the row by its line
+    in the file and its date."""
     rows = read_rows(path)
     header_line, header = next(rows)
     header = [cell.strip() for cell in header]
@@ -180,36 +168,29 @@ def read_price_csv(path, sectors: dict[str, str] | None = None) -> PriceTable:
     if len(set(tickers)) < len(tickers):
         repeated = next(t for i, t in enumerate(tickers) if t in tickers[:i])
         raise InvalidInputError(f"{path}: row {header_line}: ticker {repeated!r} repeats")
-    dates = []
     prices = []
     for line_no, row in rows:
         if len(row) != len(header):
             raise InvalidInputError(f"{path}: row {line_no} has {len(row)} cells, expected {len(header)}")
-        dates.append(row[0].strip())
         values = _parse_row(row[1:])
         bad = np.flatnonzero(~(values > 0) | np.isinf(values))  # nan is not > 0
         if bad.size:
             j = bad[0]  # an empty cell is not a number, so it reads as missing
             what = (f"nonpositive price {float(values[j])}" if _is_number(row[j + 1])
                     else "missing or bad price")
-            raise InvalidInputError(f"{path}: {what} at row {line_no} ({dates[-1]}), ticker {tickers[j]}")
+            raise InvalidInputError(
+                f"{path}: {what} at row {line_no} ({row[0].strip()}), ticker {tickers[j]}")
         prices.append(values)
-    if len(dates) < 3:
+    if len(prices) < 3:
         raise InvalidInputError(
-            f"{path}: need a header and at least 3 price rows (2 returns), got {len(dates)}")
-    sector_tuple = None
-    if sectors is not None:
-        missing = [t for t in tickers if t not in sectors]
-        if missing:
-            raise InvalidInputError(f"missing sector labels for: {missing}")
-        sector_tuple = tuple(sectors[t] for t in tickers)
-    return PriceTable(tuple(dates), tickers, np.vstack(prices), sector_tuple)
+            f"{path}: need a header and at least 3 price rows (2 returns), got {len(prices)}")
+    return DataMatrix(np.vstack(prices), labels=tickers)
 
 
-def log_returns(table: PriceTable) -> DataMatrix:
+def log_returns(prices: DataMatrix) -> DataMatrix:
     """Raw (unstandardized) log returns log(S[t+1] / S[t])."""
-    ret = np.log(table.prices[1:] / table.prices[:-1])
-    return DataMatrix(ret, labels=table.tickers)
+    ret = np.log(prices.values[1:] / prices.values[:-1])
+    return DataMatrix(ret, labels=prices.labels)
 
 
 def standardize_columns(data: DataMatrix) -> DataMatrix:
@@ -227,33 +208,7 @@ def standardize_columns(data: DataMatrix) -> DataMatrix:
     return DataMatrix(centered / sd, labels=data.labels)
 
 
-def ingest_prices(table: PriceTable) -> DataMatrix:
-    """Standardized log-return matrix from a price table."""
-    return standardize_columns(log_returns(table))
+def ingest_prices(prices: DataMatrix) -> DataMatrix:
+    """Standardized log-return matrix from a price matrix."""
+    return standardize_columns(log_returns(prices))
 
-
-def read_sector_csv(path) -> dict[str, str]:
-    """Two-column ticker,sector mapping (comma or tab delimited); each
-    ticker on one row only."""
-    out, first_row = {}, {}
-    for k, (line_no, row) in enumerate(read_rows(path)):
-        if k == 0 and row[0].strip().lower() in ("ticker", "symbol"):
-            continue
-        if len(row) != 2:
-            raise InvalidInputError(
-                f"{path}: row {line_no} needs ticker and sector, got {len(row)} cells")
-        ticker, sector = row[0].strip(), row[1].strip()
-        if "\t" in ticker + sector:  # the sector TSV cannot hold a tab
-            raise InvalidInputError(f"{path}: row {line_no}: ticker {ticker!r} or its sector holds a tab")
-        if ticker in out:
-            raise InvalidInputError(
-                f"{path}: row {line_no}: ticker {ticker!r} repeats row {first_row[ticker]}")
-        out[ticker], first_row[ticker] = sector, line_no
-    return out
-
-
-def write_sector_tsv(path, table: PriceTable) -> None:
-    if table.sectors is None:
-        raise InvalidInputError("price table carries no sector labels")
-    write_rows(path, zip(table.tickers, table.sectors), delimiter="\t",
-               header=("ticker", "sector"))

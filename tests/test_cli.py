@@ -299,19 +299,6 @@ class TestIngestPrices:
                                       "--out", str(tmp_path / "r.csv")])
         assert result.exit_code == 1
 
-    def test_sectors_sidecar(self, runner, tmp_path):
-        prices = tmp_path / "p.csv"
-        write_price_fixture(prices, tickers=2, days=10, seed=2)
-        sectors = tmp_path / "s.csv"
-        sectors.write_text("ticker,sector\nS00,Tech\nS01,Energy\n")
-        out = tmp_path / "r.csv"
-        result = invoke(runner, ["ingest-prices", "--prices", str(prices),
-                                 "--out", str(out), "--sectors", str(sectors)])
-        assert result.exit_code == 0
-        sidecar = (tmp_path / "r.csv.sectors.tsv").read_text().splitlines()
-        assert sidecar[0] == "ticker\tsector"
-        assert sidecar[1] == "S00\tTech"
-
     def test_ticker_holding_the_output_delimiter_fails_before_writing(self, runner, tmp_path):
         # a tab-delimited table may name a ticker "BRK,B"; written into the
         # comma-delimited returns CSV it would read back as two columns
@@ -323,48 +310,18 @@ class TestIngestPrices:
         assert "cell 'BRK,B' holds the delimiter ','" in result.output
         assert not out.exists()
 
-    @pytest.mark.parametrize("line,named", [
-        ("BBB,Energy\tMedia", "ticker 'BBB' or its sector holds a tab"),
-        ("B\tB,Energy", "ticker 'B\\tB' or its sector holds a tab"),
-    ], ids=["sector", "ticker"])
-    def test_tab_in_sector_file_fails_before_writing(self, runner, tmp_path, line, named):
-        # the sector TSV cannot hold a tab inside a cell
-        prices = tmp_path / "p.csv"
-        prices.write_text("date,AAA,BBB\nd1,10,20\nd2,11,19\nd3,12,22\n")
-        sectors = tmp_path / "s.csv"
-        sectors.write_text(f"ticker,sector\nAAA,Tech\n{line}\n")
-        result = runner.invoke(main, ["ingest-prices", "--prices", str(prices),
-                                      "--out", str(tmp_path / "r.csv"), "--sectors", str(sectors)])
-        assert result.exit_code == 1
-        assert result.stderr == f"error: {sectors}: row 3: {named}\n"
-        assert sorted(tmp_path.iterdir()) == [prices, sectors]
-
-    @pytest.mark.parametrize("prices_text,sectors_text,named", [
-        ("date,AAA,BBB\nd1,10,20\nd2,11,19\nd3,12,22\n",
-         "ticker,sector\nAAA,Tech\nBBB,Energy\nAAA,Media\n",
-         "{sectors}: row 4: ticker 'AAA' repeats row 2"),
-        ("date,AAA,BBB\nd1,10,20\nd2,11,19\nd3,12,22\n",
-         "ticker,sector\nAAA,Tech\nBBB,Energy\nAAA,Media,Extra\n",
-         "{sectors}: row 4 needs ticker and sector, got 3 cells"),
-        ("date,AAA,AAA\nd1,10,20\nd2,11,19\nd3,12,22\n", None,
+    @pytest.mark.parametrize("prices_text,named", [
+        ("date,AAA,AAA\nd1,10,20\nd2,11,19\nd3,12,22\n",
          "{prices}: row 1: ticker 'AAA' repeats"),
-    ], ids=["sector-ticker", "sector-extra-cell", "price-ticker"])
-    def test_repeated_ticker_fails_before_writing(self, runner, tmp_path, prices_text,
-                                                  sectors_text, named):
+    ], ids=["price-ticker"])
+    def test_repeated_ticker_fails_before_writing(self, runner, tmp_path, prices_text, named):
         prices = tmp_path / "p.csv"
         prices.write_text(prices_text)
-        inputs = [prices]
-        args = ["ingest-prices", "--prices", str(prices), "--out", str(tmp_path / "r.csv")]
-        if sectors_text is not None:
-            sectors = tmp_path / "s.csv"
-            sectors.write_text(sectors_text)
-            inputs.append(sectors)
-            args += ["--sectors", str(sectors)]
-        result = runner.invoke(main, args)
+        result = runner.invoke(main, ["ingest-prices", "--prices", str(prices),
+                                      "--out", str(tmp_path / "r.csv")])
         assert result.exit_code == 1
-        assert result.stderr == "error: " + named.format(prices=prices,
-                                                         sectors=tmp_path / "s.csv") + "\n"
-        assert sorted(tmp_path.iterdir()) == sorted(inputs)
+        assert result.stderr == "error: " + named.format(prices=prices) + "\n"
+        assert list(tmp_path.iterdir()) == [prices]
 
     def test_two_price_rows_fail_naming_the_file(self, runner, tmp_path):
         # two prices give one return, and a data matrix needs two observations
@@ -377,15 +334,50 @@ class TestIngestPrices:
                                  "(2 returns), got 2\n")
         assert list(tmp_path.iterdir()) == [prices]
 
-    def test_sectors_out_without_sectors_is_usage_error(self, runner, tmp_path):
+    @pytest.mark.parametrize("ticker", ["7203", "INF", "1_0"])
+    def test_numeric_first_ticker_fails_before_writing(self, runner, tmp_path, ticker):
+        # the data CSV reader takes a first line whose first cell is a number
+        # for an observation, so the header would read back as a row
+        prices = tmp_path / "p.csv"
+        prices.write_text(f"date,{ticker},BBB\nd1,10,20\nd2,11,19\nd3,12,22\n")
+        out = tmp_path / "r.csv"
+        result = runner.invoke(main, ["ingest-prices", "--prices", str(prices), "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == (f"error: {out}: first label {ticker!r} reads as a number, "
+                                 "so the header would read back as an observation\n")
+        assert list(tmp_path.iterdir()) == [prices]
+
+    def test_numeric_later_ticker_reads_back_as_header(self, runner, tmp_path):
+        prices = tmp_path / "p.csv"
+        write_price_fixture(prices, tickers=3, days=30, seed=3)
+        lines = prices.read_text().splitlines()
+        prices.write_text("\n".join(["date,AAA,7203,BBB"] + lines[1:]) + "\n")
+        out = tmp_path / "r.csv"
+        ingested = json.loads(invoke(runner, ["ingest-prices", "--prices", str(prices),
+                                              "--out", str(out)]).output)
+        screened = json.loads(invoke(runner, ["screen", "--data", str(out), "--gamma", "0.5",
+                                              "--out", str(tmp_path / "e.tsv")]).output)
+        assert ingested == {"rows": 29, "tickers": 3}
+        assert screened["n"] == ingested["rows"] and screened["p"] == 3
+        assert read_data_csv(out).labels == ("AAA", "7203", "BBB")
+
+    def test_sectors_flag_is_gone(self, runner, tmp_path):
         prices = tmp_path / "p.csv"
         write_price_fixture(prices, tickers=2, days=10, seed=2)
-        result = runner.invoke(main, ["ingest-prices", "--prices", str(prices),
-                                      "--out", str(tmp_path / "r.csv"),
-                                      "--sectors-out", str(tmp_path / "s.tsv")])
+        sectors = tmp_path / "s.csv"
+        sectors.write_text("ticker,sector\nS00,Tech\nS01,Energy\n")
+        result = runner.invoke(main, ["ingest-prices", "--prices", str(prices), "--sectors",
+                                      str(sectors), "--out", str(tmp_path / "r.csv")])
         assert result.exit_code == 2
-        assert "--sectors-out needs --sectors" in result.output
-        assert list(tmp_path.iterdir()) == [prices]
+        assert "No such option" in result.output and "--sectors" in result.output
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"sectors_path": str(sectors)}))
+        result = runner.invoke(main, ["ingest-prices", "--config", str(cfg), "--prices",
+                                      str(prices), "--out", str(tmp_path / "r.csv")])
+        assert result.exit_code == 2
+        assert "unknown config keys: ['sectors_path']" in result.output
+        assert sorted(tmp_path.iterdir()) == [cfg, prices, sectors]
 
 
 class TestBench:
@@ -607,10 +599,7 @@ class TestDistinctOutputs:
         ("screen", ["--data", "zv.csv", "--fpr-q", "0.05", "--out", "zv.tsv",
                     "--components-out", "zv.tsv"],
          "--out and --components-out name the same file zv.tsv"),
-        ("ingest-prices", ["--prices", "p.csv", "--sectors", "s.csv", "--out", "r.csv",
-                           "--sectors-out", "./r.csv"],
-         "--out and --sectors-out name the same file ./r.csv"),
-    ], ids=["bench-table", "bench-sweep", "screen", "ingest-prices"])
+    ], ids=["bench-table", "bench-sweep", "screen"])
     def test_shared_output_path_is_usage_error(self, runner, tmp_path, monkeypatch,
                                                command, args, message):
         # the inputs do not exist: the outputs are checked before any read
@@ -638,12 +627,6 @@ class TestDistinctOutputs:
          "--config and --out name the same file sub/../c.json"),
         ("ingest-prices", ["--prices", "p.csv", "--out", "p.csv"],
          "--prices and --out name the same file p.csv"),
-        ("ingest-prices", ["--prices", "p.csv", "--sectors", "r.csv.sectors.tsv",
-                           "--out", "r.csv"],
-         "--sectors and --sectors-out name the same file r.csv.sectors.tsv"),
-        ("ingest-prices", ["--prices", "p.csv", "--sectors", "s.csv", "--out", "r.csv",
-                           "--sectors-out", "p.csv"],
-         "--prices and --sectors-out name the same file p.csv"),
         ("diagnose", ["--sigma", "s.csv", "--precision", "w.csv", "--edges", "g.tsv",
                       "--n", "30", "--out", "s.csv"],
          "--sigma and --out name the same file s.csv"),
@@ -654,14 +637,12 @@ class TestDistinctOutputs:
          "--config and --out-dir name the same file ./sim_config.json"),
     ], ids=["screen-data", "screen-components-out", "screen-derived-components",
             "screen-symlink", "screen-hard-link", "screen-config", "ingest-prices",
-            "ingest-derived-sectors", "ingest-sectors-out", "diagnose", "bench-config",
-            "simulate-config"])
+            "diagnose", "bench-config", "simulate-config"])
     def test_output_naming_an_input_is_usage_error(self, runner, tmp_path, monkeypatch,
                                                    command, args, message):
         # the inputs hold no valid table: the rule refuses before any is read
         monkeypatch.chdir(tmp_path)
-        for name in ("d.csv", "e.tsv.components.tsv", "p.csv", "s.csv", "r.csv.sectors.tsv",
-                     "w.csv", "g.tsv"):
+        for name in ("d.csv", "e.tsv.components.tsv", "p.csv", "s.csv", "w.csv", "g.tsv"):
             (tmp_path / name).write_text(f"{name}\n")
         (tmp_path / "c.json").write_text("{}")
         (tmp_path / "sim_config.json").write_text('{"scenario": "C", "n": 10, "p": 5}')
@@ -1282,9 +1263,8 @@ class TestScipyImports:
         write_data_csv(data, __import__("tauscreen").DataMatrix(
             np.random.default_rng(1).normal(size=(40, 12))))
         screen = ["screen", "--data", str(data), "--components", "--out", str(tmp_path / "e.tsv")]
-        prices, sectors = tmp_path / "p.csv", tmp_path / "s.csv"
+        prices = tmp_path / "p.csv"
         write_price_fixture(prices)
-        sectors.write_text("ticker,sector\nS00,Tech\nS01,Energy\nS02,Media\n")
         sim = tmp_path / "sim"
         if command == "diagnose from files":
             invoke(runner, ["simulate", "--scenario", "B", "--n", "50", "--p", "20",
@@ -1294,8 +1274,8 @@ class TestScipyImports:
             "screen --rate": screen + ["--rate", "0.9,0.25"],
             "screen --fpr-q": screen + ["--fpr-q", "0.05"],
             "screen --fpr-f": screen + ["--fpr-f", "2"],
-            "ingest-prices": ["ingest-prices", "--prices", str(prices), "--sectors",
-                              str(sectors), "--out", str(tmp_path / "r.csv")],
+            "ingest-prices": ["ingest-prices", "--prices", str(prices),
+                              "--out", str(tmp_path / "r.csv")],
             "diagnose from files": ["diagnose", "--sigma", str(sim / "sim_sigma.csv"),
                                     "--precision", str(sim / "sim_precision.csv"),
                                     "--edges", str(sim / "sim_edges.tsv"), "--n", "50",

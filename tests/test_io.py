@@ -7,21 +7,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tauscreen import DegenerateColumnError, InvalidInputError
+import tauscreen.io
+from tauscreen import DegenerateColumnError, InvalidInputError, evalbench, screening
 from tauscreen.io import (
-    PriceTable,
     ingest_prices,
     log_returns,
     read_data_csv,
     read_matrix_csv,
     read_price_csv,
-    read_sector_csv,
     standardize_columns,
     write_data_csv,
     write_matrix_csv,
 )
 from tauscreen.evalbench import SweepResult, write_experiment_csv, write_sweep_csv
-from tauscreen.io import write_rows, write_sector_tsv
+from tauscreen.io import write_rows
 from tauscreen.rankcorr import DataMatrix
 from tauscreen.screening import (
     EdgeSet,
@@ -97,10 +96,7 @@ BOM = "\ufeff".encode()
     (read_data_csv, "1.5,2\n3,4\n5,6\n7,8\n"),
     (read_data_csv, "x,y\n1.5,2\n3,4\n"),
     (read_price_csv, "date,AAA,BBB\nd1,10,20\nd2,11,19\nd3,12,21\n"),
-    (read_sector_csv, "ticker,sector\nAAA,Tech\n"),
-    (read_sector_csv, "AAA,Tech\nBBB,Energy\n"),
-], ids=["data-headerless", "data-labelled", "price-header", "sector-header",
-        "sector-headerless"])
+], ids=["data-headerless", "data-labelled", "price-header"])
 def test_utf8_bom_reads_as_without(tmp_path, reader, text):
     """A UTF-8 byte-order mark (Excel's "CSV UTF-8") is not part of the
     first cell: the file reads exactly as it does without one."""
@@ -108,9 +104,7 @@ def test_utf8_bom_reads_as_without(tmp_path, reader, text):
     plain.write_bytes(text.encode())
     marked.write_bytes(BOM + text.encode())
 
-    def fields(table):  # a sector mapping, or a dataclass that holds arrays
-        if isinstance(table, dict):
-            return table
+    def fields(table):  # a dataclass that holds arrays
         return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(table).items()}
 
     assert fields(reader(marked)) == fields(reader(plain))
@@ -151,12 +145,9 @@ class TestMatrixCsv:
             read_matrix_csv(path)
 
 
-def price_table(prices, tickers=None, dates=None):
+def price_table(prices):
     prices = np.asarray(prices, dtype=np.float64)
-    t, p = prices.shape
-    tickers = tickers or tuple(f"T{j}" for j in range(p))
-    dates = dates or tuple(f"2020-01-{d + 1:02d}" for d in range(t))
-    return PriceTable(dates=tuple(dates), tickers=tuple(tickers), prices=prices)
+    return DataMatrix(prices, labels=tuple(f"T{j}" for j in range(prices.shape[1])))
 
 
 class TestPrices:
@@ -172,7 +163,7 @@ class TestPrices:
         assert np.max(np.abs(out.values.mean(axis=0))) <= 1e-12
         sds = out.values.std(axis=0, ddof=1)
         assert np.max(np.abs(sds - 1.0)) <= 1e-12
-        assert out.labels == table.tickers
+        assert out.labels == table.labels
 
     def test_constant_prices_rejected(self):
         table = price_table([[50.0], [50.0], [50.0], [50.0]])
@@ -189,9 +180,8 @@ class TestPrices:
         path = tmp_path / "p.csv"
         path.write_text("date,AAA,BBB\n2020-01-01,10,20\n2020-01-02,11,19\n2020-01-03,12,21\n")
         table = read_price_csv(path)
-        assert table.tickers == ("AAA", "BBB")
-        assert table.dates[0] == "2020-01-01"
-        assert table.prices.shape == (3, 2)
+        assert table.labels == ("AAA", "BBB")
+        assert table.values.shape == (3, 2)
 
     def test_nonpositive_price_names_cell(self, tmp_path):
         path = tmp_path / "p.csv"
@@ -234,8 +224,8 @@ class TestPrices:
             assert str(err.value) == f"{path}: {expected} at row 4 (d2), ticker BBB"
             return
         table = read_price_csv(path)
-        assert table.dates == ("d1", "d2", "d3") and table.tickers == ("AAA", "BBB")
-        assert table.prices.tolist() == [[10.0, 20.0], [11.0, expected], [12.0, 21.0]]
+        assert table.labels == ("AAA", "BBB")
+        assert table.values.tolist() == [[10.0, 20.0], [11.0, expected], [12.0, 21.0]]
 
     def test_prices_parse_like_data_cells(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -246,23 +236,8 @@ class TestPrices:
         prices.write_text("date,A,B,C,D,E,F\n" + "".join(
             f"d{i}," + ",".join(row) + "\n" for i, row in enumerate(cells)))
         data.write_text("A,B,C,D,E,F\n" + "".join(",".join(row) + "\n" for row in cells))
-        got, want = read_price_csv(prices).prices, read_data_csv(data).values
+        got, want = read_price_csv(prices).values, read_data_csv(data).values
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-    def test_sectors_carried(self, tmp_path):
-        spath = tmp_path / "s.csv"
-        spath.write_text("ticker,sector\nAAA,Tech\nBBB,Energy\n")
-        sectors = read_sector_csv(spath)
-        path = tmp_path / "p.csv"
-        path.write_text("date,AAA,BBB\n2020-01-01,10,20\n2020-01-02,11,19\n2020-01-03,12,21\n")
-        table = read_price_csv(path, sectors=sectors)
-        assert table.sectors == ("Tech", "Energy")
-
-    def test_sector_error_names_file_line_after_blank_line(self, tmp_path):
-        spath = tmp_path / "s.csv"
-        spath.write_text("ticker,sector\nAAA,Tech\n\nBBB\n")
-        with pytest.raises(InvalidInputError, match="row 4 needs ticker and sector"):
-            read_sector_csv(spath)
 
     @pytest.mark.parametrize("rows", [1, 2])
     def test_fewer_than_two_returns_located(self, tmp_path, rows):
@@ -272,14 +247,6 @@ class TestPrices:
             read_price_csv(path)
         assert str(err.value) == (
             f"{path}: need a header and at least 3 price rows (2 returns), got {rows}")
-        with pytest.raises(InvalidInputError, match="need at least 3 dates to form 2 returns"):
-            price_table([[10.0], [11.0]])
-
-    def test_missing_sector_rejected(self, tmp_path):
-        path = tmp_path / "p.csv"
-        path.write_text("date,AAA,BBB\n2020-01-01,10,20\n2020-01-02,11,19\n2020-01-03,12,21\n")
-        with pytest.raises(InvalidInputError, match="BBB"):
-            read_price_csv(path, sectors={"AAA": "Tech"})
 
 
 class TestStandardize:
@@ -296,7 +263,6 @@ HEADERS = {
     read_data_csv: b"x,y",
     read_matrix_csv: b"1,2",
     read_price_csv: b"date,AAA",
-    read_sector_csv: b"ticker,sector",
     read_edges_tsv: b"j\tj'\tvalue",
     read_partition_tsv: b"node\tcomponent",
 }
@@ -329,10 +295,6 @@ WRITTEN = [
      b"a,b\n0.10000000000000001,-0\n3,1e-300\n"),
     (write_matrix_csv, ([[0.1, -0.0], [3, 2.5]],),
      b"0.10000000000000001,-0\n3,2.5\n"),
-    (write_sector_tsv, (PriceTable(dates=("d1", "d2", "d3"), tickers=("AAA", "BBB"),
-                                   prices=[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]],
-                                   sectors=("tech", "energy")),),
-     b"ticker\tsector\nAAA\ttech\nBBB\tenergy\n"),
     (write_edges_tsv, (EdgeSet(3, [(1, 2), (0, 2)]),
                        np.array([[0, 0, 0.1], [0, 0, -0.0], [0, 0, 0]])),
      b"j\tj'\tvalue\n1\t3\t0.10000000000000001\n2\t3\t-0\n"),
@@ -347,6 +309,24 @@ WRITTEN = [
                                    per_replicate_tpr=(), per_replicate_fpr=()),),
      b"gamma,mean_fpr,mean_tpr\n0,1,1\n0.10000000000000001,-0,0.5\n"),
 ]
+
+
+def _defined(module, prefix):
+    """The functions ``module`` defines whose names start with ``prefix``."""
+    return {fn for name, fn in vars(module).items()
+            if name.startswith(prefix) and getattr(fn, "__module__", None) == module.__name__}
+
+
+def test_reader_and_writer_tables_are_complete():
+    """HEADERS and WRITTEN list exactly the public table readers and writers
+    of ``io`` and ``screening`` and the CSV writers of ``evalbench``, so an
+    added or deleted reader or writer cannot leave them stale. The row
+    reader and row writer that they are all built on are not tables."""
+    readers = _defined(tauscreen.io, "read_") | _defined(screening, "read_")
+    writers = (_defined(tauscreen.io, "write_") | _defined(screening, "write_")
+               | {fn for fn in _defined(evalbench, "write_") if fn.__name__.endswith("_csv")})
+    assert set(HEADERS) == readers - {tauscreen.io.read_rows}
+    assert {writer for writer, _, _ in WRITTEN} == writers - {write_rows}
 
 
 @pytest.mark.parametrize("writer,args,expected", WRITTEN,
