@@ -32,7 +32,6 @@ from .rankcorr import (
     jackknife_matrix,
     jackknife_variance,
     kendall_matrix,
-    kendall_tau_fast,
     kendall_tau_naive,
     pearson_matrix,
     sine_transform,

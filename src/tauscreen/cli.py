@@ -304,7 +304,11 @@ def screen(**params):
 def ingest_prices_cmd(**params):
     """Turn a price table into a standardized log-return data CSV."""
     _check_paths([("--prices", params["prices_path"])], [("--out", params["out"])])
-    returns = ingest_prices(read_price_csv(params["prices_path"]))
+    prices = read_price_csv(params["prices_path"])
+    try:
+        returns = ingest_prices(prices)
+    except TauscreenError as exc:
+        raise InvalidInputError(f"{params['prices_path']}: {exc}") from None
     write_data_csv(params["out"], returns)
     _echo_json({"rows": returns.n, "tickers": returns.p})
 

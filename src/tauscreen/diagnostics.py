@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .linalg import eig_extremes
-from .rankcorr import jackknife_variance, kendall_tau_fast
+from .rankcorr import jackknife_matrix
 from .simgen import GroundTruth, RngStream
 
 # Default cutoff under which the finite-n surrogate for the vanishing
@@ -228,7 +228,10 @@ def normality_check(n: int, rho: float, replicates: int, rng: RngStream) -> tupl
     """Mean and sample variance of sqrt(n) (tau_hat - tau) / omega_hat across
     seeded bivariate-Gaussian replicates with latent correlation ``rho``.
 
-    The reference tau is the exact arcsine relation tau = (2/pi) asin(rho).
+    tau_hat and omega_hat^2 of a replicate come from one
+    :func:`rankcorr.jackknife_matrix` pass on its n x 2 sample, the statistic
+    the fpr threshold rule uses. The reference tau is the exact arcsine
+    relation tau = (2/pi) asin(rho).
     """
     if n < 10:
         raise InvalidInputError("need n >= 10")
@@ -243,7 +246,7 @@ def normality_check(n: int, rho: float, replicates: int, rng: RngStream) -> tupl
         z = rng.standard_normal((n, 2))
         x = z[:, 0]
         y = rho * z[:, 0] + mix * z[:, 1]
-        tau_hat = kendall_tau_fast(x, y)
-        omega2 = jackknife_variance(np.column_stack([x, y]), 0, 1)
+        tau, jack = jackknife_matrix(np.column_stack([x, y]))
+        tau_hat, omega2 = float(tau.entries[0, 1]), float(jack.entries[0, 1])
         stats[r] = math.sqrt(n) * (tau_hat - tau_true) / math.sqrt(omega2)
     return float(np.mean(stats)), float(np.var(stats, ddof=1))

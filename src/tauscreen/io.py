@@ -136,9 +136,10 @@ def read_data_csv(path) -> DataMatrix:
 
 def write_data_csv(path, data: DataMatrix) -> None:
     """Write an observation matrix, its labels (if any) as the header. A
-    first label that reads as a number is refused before the file opens:
-    the reader would take the header for an observation."""
-    if data.labels and _is_number(data.labels[0]):
+    first label that reads as a number, once the reader has dropped a
+    leading byte-order mark, is refused before the file opens: the reader
+    would take the header for an observation."""
+    if data.labels and _is_number(data.labels[0].removeprefix("\ufeff")):
         raise InvalidInputError(
             f"{path}: first label {data.labels[0]!r} reads as a number, "
             "so the header would read back as an observation")
@@ -158,7 +159,8 @@ def write_matrix_csv(path, matrix) -> None:
 def read_price_csv(path) -> DataMatrix:
     """Read a price table: a date column, then one column per ticker. The
     prices come back labelled by ticker; an error names the row by its line
-    in the file and its date."""
+    in the file and its date. A price must be finite and > 0, and so must its
+    ratio to the price in the row before, whose log is the return."""
     rows = read_rows(path)
     header_line, header = next(rows)
     header = [cell.strip() for cell in header]
@@ -180,6 +182,15 @@ def read_price_csv(path) -> DataMatrix:
                     else "missing or bad price")
             raise InvalidInputError(
                 f"{path}: {what} at row {line_no} ({row[0].strip()}), ticker {tickers[j]}")
+        if prices:
+            with np.errstate(over="ignore", under="ignore"):
+                ratio = values / prices[-1]
+            bad = np.flatnonzero(~(ratio > 0) | np.isinf(ratio))
+            if bad.size:
+                j = bad[0]
+                raise InvalidInputError(
+                    f"{path}: price ratio {float(values[j])}/{float(prices[-1][j])} "
+                    f"out of range at row {line_no} ({row[0].strip()}), ticker {tickers[j]}")
         prices.append(values)
     if len(prices) < 3:
         raise InvalidInputError(

@@ -149,72 +149,6 @@ def kendall_tau_naive(x, y) -> float:
     return total / (n * (n - 1))
 
 
-def _count_tied_pairs(sorted_vals: np.ndarray) -> int:
-    """Number of unordered tied pairs in an already-sorted 1-D array."""
-    if sorted_vals.size < 2:
-        return 0
-    change = np.flatnonzero(sorted_vals[1:] != sorted_vals[:-1])
-    starts = np.concatenate(([0], change + 1))
-    ends = np.concatenate((change + 1, [sorted_vals.size]))
-    runs = ends - starts
-    return int(np.sum(runs * (runs - 1)) // 2)
-
-
-def _inversions(ranks: np.ndarray) -> int:
-    """Strict inversions (i < j with ranks[i] > ranks[j]) via a Fenwick tree."""
-    size = int(ranks.max()) + 2 if ranks.size else 1
-    tree = [0] * size
-    inv = 0
-    seen = 0
-    for r in ranks:
-        # count previously inserted values <= r
-        i = int(r) + 1
-        le = 0
-        while i > 0:
-            le += tree[i - 1]
-            i -= i & (-i)
-        inv += seen - le
-        # insert r
-        i = int(r) + 1
-        while i <= size - 1:
-            tree[i - 1] += 1
-            i += i & (-i)
-        seen += 1
-    return inv
-
-
-def kendall_tau_fast(x, y) -> float:
-    """Kendall's tau in O(n log n) by sorting and inversion counting.
-
-    Agrees with :func:`kendall_tau_naive` exactly: both reduce to the same
-    integer numerator over the fixed denominator n(n-1)/2.
-    """
-    xv, yv = _check_pair(x, y)
-    n = xv.size
-    order = np.lexsort((yv, xv))
-    xs = xv[order]
-    ys = yv[order]
-
-    n0 = n * (n - 1) // 2
-    ties_x = _count_tied_pairs(xs)
-    ties_y = _count_tied_pairs(np.sort(yv))
-    # joint ties: runs of identical (x, y); ys is sorted within each x-run
-    pair_change = np.flatnonzero((xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1]))
-    starts = np.concatenate(([0], pair_change + 1))
-    ends = np.concatenate((pair_change + 1, [n]))
-    runs = ends - starts
-    ties_xy = int(np.sum(runs * (runs - 1)) // 2)
-
-    # Discordant pairs are exactly the strict inversions of y in x-order:
-    # within x-ties y is ascending (lexsort), so those pairs never count.
-    uniq = np.unique(ys)
-    ranks = np.searchsorted(uniq, ys)
-    discordant = _inversions(ranks)
-
-    numerator = n0 - ties_x - ties_y + ties_xy - 2 * discordant
-    return (2 * numerator) / (n * (n - 1))
-
-
 # Cells of data ranked per block by _dense_ranks: the block's copy, sort
 # indices and sorted copy then take 0.5 MB each, whatever the shape of the
 # data (one unblocked sort raised a 1257 x 200 screen's peak RSS by 5 MB).

@@ -31,7 +31,7 @@ from tauscreen.rankcorr import (
     CorrMatrix,
     jackknife_matrix,
     kendall_matrix,
-    kendall_tau_fast,
+    kendall_tau_naive,
     sine_transform,
 )
 from tauscreen.screening import (
@@ -175,7 +175,7 @@ class TestScreen:
         assert "components" in summary
 
 
-    @pytest.mark.parametrize("reference_tau", ["kendall_matrix", "kendall_tau_fast"])
+    @pytest.mark.parametrize("reference_tau", ["kendall_matrix", "kendall_tau_naive"])
     def test_fpr_one_sign_pass_matches_two_pass_reference(self, runner, tmp_path,
                                                           sign_passes, reference_tau):
         sim_dir = tmp_path / "sim"
@@ -193,8 +193,8 @@ class TestScreen:
 
         # reference: separate tau and jackknife passes. reference_tau picks
         # how the reference's tau is computed: by kendall_matrix's own sign
-        # pass, or pair by pair with the independent merge count of
-        # kendall_tau_fast.
+        # pass, or pair by pair with the quadratic reference
+        # kendall_tau_naive.
         data = read_data_csv(data_path)
         if reference_tau == "kendall_matrix":
             tau = kendall_matrix(data)
@@ -202,8 +202,8 @@ class TestScreen:
             tau = np.eye(data.p)
             for j in range(data.p):
                 for k in range(j + 1, data.p):
-                    tau[j, k] = tau[k, j] = kendall_tau_fast(data.values[:, j],
-                                                             data.values[:, k])
+                    tau[j, k] = tau[k, j] = kendall_tau_naive(data.values[:, j],
+                                                              data.values[:, k])
             tau = CorrMatrix(tau, "kendall-raw")
         corr = sine_transform(tau)
         _, jack = jackknife_matrix(data)
@@ -293,11 +293,34 @@ class TestIngestPrices:
         assert np.max(np.abs(returns.values.std(axis=0, ddof=1) - 1.0)) <= 1e-12
 
     def test_constant_prices_fail(self, runner, tmp_path):
+        # a constant column and a constant-growth column both leave constant
+        # log returns; the reader cannot see that, so the command names the file
         prices = tmp_path / "p.csv"
-        prices.write_text("date,AAA\n2020-01-01,5\n2020-01-02,5\n2020-01-03,5\n")
+        for column in (["5", "5", "5"], ["1", "2", "4", "8"]):
+            prices.write_text("date,AAA,BBB\n" + "".join(
+                f"d{i},{price},{10 + i * i}\n" for i, price in enumerate(column)))
+            result = runner.invoke(main, ["ingest-prices", "--prices", str(prices),
+                                          "--out", str(tmp_path / "r.csv")])
+            assert result.exit_code == 1
+            assert result.stderr == (f"error: {prices}: column 'AAA' has zero variance "
+                                     "after log returns\n")
+            assert list(tmp_path.iterdir()) == [prices]
+
+    # the ratio of two finite prices can overflow to inf or underflow to 0,
+    # and its log would not be a finite return
+    @pytest.mark.parametrize("first,second", [("1e-308", "1e308"), ("1e308", "1e-308")],
+                             ids=["overflow", "underflow"])
+    def test_out_of_range_price_ratio_fails_naming_the_cell(self, runner, tmp_path,
+                                                            first, second):
+        prices = tmp_path / "p.csv"
+        prices.write_text(f"date,AAA,BBB\nd1,10,20\nd2,11,{first}\nd3,12,{second}\nd4,13,1\n")
         result = runner.invoke(main, ["ingest-prices", "--prices", str(prices),
                                       "--out", str(tmp_path / "r.csv")])
         assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == (f"error: {prices}: price ratio {float(second)}/{float(first)} "
+                                 "out of range at row 4 (d3), ticker BBB\n")
+        assert list(tmp_path.iterdir()) == [prices]
 
     def test_ticker_holding_the_output_delimiter_fails_before_writing(self, runner, tmp_path):
         # a tab-delimited table may name a ticker "BRK,B"; written into the
@@ -334,12 +357,15 @@ class TestIngestPrices:
                                  "(2 returns), got 2\n")
         assert list(tmp_path.iterdir()) == [prices]
 
-    @pytest.mark.parametrize("ticker", ["7203", "INF", "1_0"])
+    # "\ufeff7203": the returns CSV would start with a byte-order mark, which
+    # the reader drops before it looks at the first cell
+    @pytest.mark.parametrize("ticker", ["7203", "INF", "1_0", "\ufeff7203"])
     def test_numeric_first_ticker_fails_before_writing(self, runner, tmp_path, ticker):
         # the data CSV reader takes a first line whose first cell is a number
         # for an observation, so the header would read back as a row
         prices = tmp_path / "p.csv"
-        prices.write_text(f"date,{ticker},BBB\nd1,10,20\nd2,11,19\nd3,12,22\n")
+        prices.write_text(f"date,{ticker},BBB\nd1,10,20\nd2,11,19\nd3,12,22\n",
+                          encoding="utf-8")
         out = tmp_path / "r.csv"
         result = runner.invoke(main, ["ingest-prices", "--prices", str(prices), "--out", str(out)])
         assert result.exit_code == 1
