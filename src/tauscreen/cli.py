@@ -39,7 +39,7 @@ from .evalbench import (
     auc,
     experiment_rows,
     roc_sweep,
-    run_experiment,
+    run_experiments,
     screen_data,
     write_experiment_csv,
     write_json_report,
@@ -376,17 +376,13 @@ def bench(**params):
     with _usage_errors():  # every cell is checked before any replicate runs
         specs = [ExperimentSpec(sim=sim, threshold=t, estimator=params["estimator"],
                                 replicates=params["replicates"]) for t in thresholds]
-    threads = _resolve_threads(params["threads"])
-    rows, table = [], []
-    for spec in specs:
-        result = run_experiment(spec, threads=threads)
-        rows.extend(experiment_rows(result))
-        table.append(result.aggregate())
+    results = run_experiments(specs, threads=_resolve_threads(params["threads"]))
+    rows = [row for result in results for row in experiment_rows(result)]
     write_experiment_csv(params["out_csv"], rows)
-    doc = {"mode": "table", "sim": sim.to_json_dict(),
-           "estimator": params["estimator"], "table": table}
+    doc = {"mode": "table", "sim": sim.to_json_dict(), "estimator": params["estimator"],
+           "table": [result.aggregate() for result in results]}
     write_json_report(params["out_json"], doc)
-    _echo_json({"rows": len(rows), "cells": len(table)})
+    _echo_json({"rows": len(rows), "cells": len(results)})
 
 
 def _read_symmetric(path) -> np.ndarray:

@@ -8,6 +8,9 @@ deterministic ground truths. Replicates run independently and are aggregated
 in replicate order, so results do not depend on scheduling. Table-mode
 replicates always run in a pool of ``threads`` workers, 1 included; the ROC
 sweep runs its replicates on the calling thread.
+
+A threshold list (:func:`run_experiments`) and an ROC sweep score each replicate
+with :func:`_score_cells`: one draw and one sign pass serve the whole list or grid.
 """
 
 from __future__ import annotations
@@ -204,41 +207,70 @@ def _replicate(sim: SimConfig, score, r: int):
         raise TauscreenError(f"replicate {r} failed: {exc}") from exc
 
 
-def _table_replicate(spec: ExperimentSpec, gt, data) -> tuple[ConfusionMetrics, float | None]:
-    """A replicate's metrics and, in fpr mode, its budget f: the spec's f, or
-    q times this replicate's true non-edge count."""
-    tspec, f = spec.threshold, None
-    if tspec.mode == "fpr":
-        f = tspec.f if tspec.f is not None else tspec.q * gt.nonedge_count()
-        tspec = ThresholdSpec.fpr(f=f)
-    _, est = screen_data(data, spec.estimator, tspec)
-    return confusion(est, gt.edges), f
+def _score_cells(estimator: str, thresholds: tuple, gt, data) -> list[tuple]:
+    """Each threshold's metrics on one replicate and, in fpr mode, its budget
+    f (the spec's f, or q times this replicate's true non-edge count), from
+    one sign pass: the jackknife's if any cell is fpr. A cell keeps the pairs
+    with |corr| > cutoff, as :func:`screen_edges` does: an fpr cell compares
+    with its :func:`threshold_matrix`, and all scalar cutoffs are counted by
+    one sort and search of each strength vector."""
+    fpr = any(t.mode == "fpr" for t in thresholds)
+    tau, jack = jackknife_matrix(data) if fpr else (None, None)
+    corr = estimator_matrix(data, estimator, tau=tau)
+    upper, truth = np.triu_indices(data.p, 1), tuple(gt.edges.edges.T)
+    strength, true_strength = np.abs(corr.entries[upper]), np.abs(corr.entries[truth])
+    total, edges = strength.size, true_strength.size
+    scalar = [t.gamma if t.mode == "fixed" else t.rate_gamma(data.n)
+              for t in thresholds if t.mode != "fpr"]
+    # side="right" counts the pairs with |corr| <= gamma, so what remains
+    # is the strict |corr| > gamma rule of screen_edges, ties included
+    kept = iter((total - np.searchsorted(np.sort(strength), scalar, side="right")).tolist())
+    hits = iter((edges - np.searchsorted(np.sort(true_strength), scalar, side="right")).tolist())
+    cells = []
+    for t in thresholds:
+        f = None
+        if t.mode == "fpr":
+            f = t.f if t.f is not None else t.q * gt.nonedge_count()
+            cut = threshold_matrix(ThresholdSpec.fpr(f=f), data.n, data.p, jack=jack)
+            k = int(np.count_nonzero(strength > cut[upper]))
+            tp = int(np.count_nonzero(true_strength > cut[truth]))
+        else:
+            k, tp = next(kept), next(hits)
+        cells.append((ConfusionMetrics.from_counts(tp, k - tp, total - edges - k + tp,
+                                                   edges - tp), f))
+    return cells
+
+
+def run_experiments(specs, threads: int = 1) -> list[ExperimentResult]:
+    """A list of specs that differ only in their threshold, run as one: a
+    pool of ``threads`` workers draws each replicate once, and its one sign
+    pass serves every spec. One result per spec, in spec order. A failing
+    replicate ends the run: the pool cancels the replicates still queued."""
+    if threads < 1:
+        raise InvalidInputError(f"threads must be >= 1, got {threads}")
+    shared = {(spec.sim, spec.estimator, spec.replicates) for spec in specs}
+    if len(shared) != 1:
+        raise InvalidInputError("need experiments that share sim, estimator and replicates")
+    (sim, estimator, replicates), = shared
+    score = partial(_score_cells, estimator, tuple(spec.threshold for spec in specs))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        rows = list(pool.map(partial(_replicate, sim, score), range(replicates)))
+    return [ExperimentResult(spec, metrics, f_values if spec.threshold.mode == "fpr" else None)
+            for spec, (metrics, f_values) in zip(specs, (zip(*cells) for cells in zip(*rows)))]
 
 
 def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
-    """Run all replicates in a pool of ``threads`` workers and collect their
-    metrics in replicate order. A failing replicate ends the run: the pool
-    cancels the replicates still queued."""
-    if threads < 1:
-        raise InvalidInputError(f"threads must be >= 1, got {threads}")
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        replicate = partial(_replicate, spec.sim, partial(_table_replicate, spec))
-        rows = list(pool.map(replicate, range(spec.replicates)))
-    f_values = tuple(f for _, f in rows) if spec.threshold.mode == "fpr" else None
-    return ExperimentResult(spec=spec, per_replicate=tuple(m for m, _ in rows),
-                            f_per_replicate=f_values)
+    """The one-spec :func:`run_experiments`."""
+    return run_experiments([spec], threads=threads)[0]
 
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Mean ROC curve over a fixed ascending threshold grid, plus the
-    per-replicate curves it was averaged from."""
+    """Mean ROC curve over a fixed ascending threshold grid."""
 
     grid: tuple[float, ...]
     mean_tpr: tuple[float, ...]
     mean_fpr: tuple[float, ...]
-    per_replicate_tpr: tuple[tuple[float, ...], ...]
-    per_replicate_fpr: tuple[tuple[float, ...], ...]
 
 
 def default_grid() -> tuple[float, ...]:
@@ -246,34 +278,9 @@ def default_grid() -> tuple[float, ...]:
     return tuple(np.linspace(0.0, 1.0, 50).tolist())
 
 
-def _sweep_replicate(estimator: str, grid: tuple[float, ...], gt, data):
-    """A replicate's (TPR, FPR) points at every grid value."""
-    corr = estimator_matrix(data, estimator)
-    strength = np.abs(corr.entries[np.triu_indices(data.p, 1)])
-    true_strength = np.abs(corr.entries[gt.edges.edges[:, 0], gt.edges.edges[:, 1]])
-    total, edges = strength.size, true_strength.size
-    # side="right" counts the pairs with |corr| <= gamma, so what remains
-    # is the strict |corr| > gamma rule of screen_edges, ties included
-    points = np.asarray(grid, dtype=np.float64)
-    kept = total - np.searchsorted(np.sort(strength), points, side="right")
-    hits = edges - np.searchsorted(np.sort(true_strength), points, side="right")
-    tprs, fprs = [], []
-    for k, tp in zip(kept.tolist(), hits.tolist()):
-        fp = k - tp
-        m = ConfusionMetrics.from_counts(tp, fp, total - edges - fp, edges - tp)
-        tprs.append(1.0 - m.fnr)
-        fprs.append(m.fpr)
-    return tuple(tprs), tuple(fprs)
-
-
 def roc_sweep(sim: SimConfig, estimator: str, replicates: int, grid=None) -> SweepResult:
-    """ROC points at every grid value (:func:`default_grid` if None) from one sort per replicate.
-
-    Each replicate sorts the upper-triangle |corr| of its correlation matrix
-    once, and separately the strengths of its true edges; the kept and
-    true-positive counts at every grid value gamma are then binary searches
-    for the pairs with |corr| > gamma, the same strict rule as
-    :func:`screen_edges`.
+    """ROC points at every grid value (:func:`default_grid` if None), each
+    scored as a fixed-threshold cell of :func:`_score_cells`.
 
     The replicates run one after another on the calling thread. A sweep
     replicate is many small NumPy calls with the GIL taken between them, so
@@ -292,17 +299,14 @@ def roc_sweep(sim: SimConfig, estimator: str, replicates: int, grid=None) -> Swe
         raise InvalidInputError("grid values must be finite")
     if any(g < 0 for g in grid) or list(grid) != sorted(grid):
         raise InvalidInputError("grid values must be >= 0 and ascending")
-    score = partial(_sweep_replicate, estimator, grid)
-    rows = [_replicate(sim, score, r) for r in range(replicates)]
-    tpr = np.array([row[0] for row in rows])
-    fpr = np.array([row[1] for row in rows])
-    return SweepResult(
-        grid=grid,
-        mean_tpr=tuple(np.mean(tpr, axis=0).tolist()),
-        mean_fpr=tuple(np.mean(fpr, axis=0).tolist()),
-        per_replicate_tpr=tuple(tuple(row) for row in tpr.tolist()),
-        per_replicate_fpr=tuple(tuple(row) for row in fpr.tolist()),
-    )
+    score = partial(_score_cells, estimator, tuple(ThresholdSpec.fixed(g) for g in grid))
+    tpr, fpr = [], []
+    for r in range(replicates):  # each replicate's rates, not its metrics, outlive it
+        cells = _replicate(sim, score, r)
+        tpr.append([1.0 - m.fnr for m, _ in cells])
+        fpr.append([m.fpr for m, _ in cells])
+    return SweepResult(grid=grid, mean_tpr=tuple(np.mean(tpr, axis=0).tolist()),
+                       mean_fpr=tuple(np.mean(fpr, axis=0).tolist()))
 
 
 def auc(sweep: SweepResult) -> float:

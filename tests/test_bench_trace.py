@@ -38,7 +38,8 @@ def load_tracer():
       "rankcorr.sine_transform"}),
     (["bench", "--scenario", "B", "--n", "20", "--p", "10", "--replicates", "2",
       "--gamma", "0.3", "--threads", "1", "--out-csv", "{out}.csv", "--out-json", "{out}.json"],
-     {"evalbench.screen_data", "evalbench.confusion"}),
+     {"evalbench.run_experiments", "simgen.generate_ground_truth", "simgen.sample",
+      "evalbench.estimator_matrix", "rankcorr.kendall_matrix", "rankcorr.sine_transform"}),
 ], ids=["screen-fpr", "bench-sweep", "bench-table"])
 def test_op_leaves_layer_spans(tmp_path, args, spans):
     runner = CliRunner()

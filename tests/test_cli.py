@@ -439,6 +439,40 @@ class TestBench:
         write_experiment_csv(tmp_path / "in_process.csv", rows)
         assert (tmp_path / "in_process.csv").read_bytes() == out_csv.read_bytes()
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("flag,values,kernel", [
+        ("--q", ["0.05", "0.1", "0.3"], "jackknife_matrix"),
+        ("--gamma", ["0.3", "0.5"], "kendall_matrix"),
+    ], ids=["q", "gamma"])
+    def test_list_cells_equal_single_value_runs(self, runner, tmp_path, monkeypatch,
+                                                flag, values, kernel, threads):
+        calls = []
+        for name in ("jackknife_matrix", "kendall_matrix"):
+            def counted(*args, _fn=getattr(evalbench, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(evalbench, name, counted)
+        base = ["bench", "--scenario", "A", "--n", "30", "--p", "20", "--replicates", "3",
+                "--seed", "11", "--threads", threads]
+
+        def run(value, name):
+            csv, js = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+            result = invoke(runner, base + [flag, value, "--out-csv", str(csv),
+                                            "--out-json", str(js)])
+            assert result.exit_code == 0, result.output
+            return csv.read_text().splitlines(), json.loads(js.read_text())
+
+        lines, doc = run(",".join(values), "list")
+        # the whole list: one draw and one sign pass per replicate
+        assert calls == [kernel] * 3
+        singles = [run(value, f"single{i}") for i, value in enumerate(values)]
+        assert lines[0] == singles[0][0][0]
+        assert lines[1:] == [line for single, _ in singles for line in single[1:]]
+        assert doc["table"] == [cell for _, single in singles for cell in single["table"]]
+        assert {k: v for k, v in doc.items() if k != "table"} == {
+            k: v for k, v in singles[0][1].items() if k != "table"}
+
     def test_sweep_mode(self, runner, tmp_path):
         result = invoke(runner, ["bench", "--mode", "sweep", "--scenario", "C", "--n", "40",
                                  "--p", "10", "--replicates", "2", "--seed", "3",
@@ -470,13 +504,13 @@ class TestBench:
         from tauscreen import evalbench
 
         idents = []
-        sweep_replicate = evalbench._sweep_replicate
+        score_cells = evalbench._score_cells
 
         def recording(*args):
             idents.append(threading.get_ident())
-            return sweep_replicate(*args)
+            return score_cells(*args)
 
-        monkeypatch.setattr(evalbench, "_sweep_replicate", recording)
+        monkeypatch.setattr(evalbench, "_score_cells", recording)
         result = invoke(runner, ["bench", "--mode", "sweep", "--scenario", "A", "--n", "30",
                                  "--p", "20", "--replicates", "4", "--seed", "8",
                                  "--grid", "0,1,5", "--threads", "4",

@@ -17,6 +17,7 @@ from tauscreen import (
     gen_precision_B,
     gen_precision_D,
     hoeffding_bound,
+    jackknife_matrix,
     neighborhood_size_bound,
     normality_check,
 )
@@ -171,6 +172,22 @@ class TestNormalityCheck:
         a = normality_check(50, 0.3, 100, RngStream(42))
         b = normality_check(50, 0.3, 100, RngStream(42))
         assert a == b
+
+    @pytest.mark.parametrize("replicates", [100, 130])
+    def test_blocks_equal_one_call_per_replicate(self, replicates):
+        # the per-replicate loop the 25-replicate blocks replaced: same
+        # draws in the same order, one n x 2 jackknife call each
+        n, rho, rng = 40, 0.4, RngStream(8)
+        tau_true = (2.0 / math.pi) * math.asin(rho)
+        stats = []
+        for _ in range(replicates):
+            z = rng.standard_normal((n, 2))
+            pair = np.column_stack([z[:, 0], rho * z[:, 0] + math.sqrt(1 - rho * rho) * z[:, 1]])
+            tau, jack = jackknife_matrix(pair)
+            stats.append(math.sqrt(n) * (float(tau.entries[0, 1]) - tau_true)
+                         / math.sqrt(float(jack.entries[0, 1])))
+        expect = (float(np.mean(stats)), float(np.var(stats, ddof=1)))
+        assert normality_check(n, rho, replicates, RngStream(8)) == expect
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(InvalidInputError):

@@ -1,6 +1,7 @@
 """Tests for confusion metrics, experiment runs, and ROC sweeps."""
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tauscreen import (
+    DataMatrix,
     EdgeSet,
     InvalidInputError,
     ExperimentSpec,
@@ -317,7 +319,7 @@ class TestRocSweep:
         for row in (sweep.mean_tpr, sweep.mean_fpr):
             diffs = np.diff(row)
             assert np.all(diffs <= 1e-15)
-        for rep_t, rep_f in zip(sweep.per_replicate_tpr, sweep.per_replicate_fpr):
+        for rep_t, rep_f in zip(*replicate_sweeps(sim, "kendall", 3, sweep.grid)):
             assert np.all(np.diff(rep_t) <= 1e-15)
             assert np.all(np.diff(rep_f) <= 1e-15)
 
@@ -340,12 +342,17 @@ class TestRocSweep:
         assert grid[0] == 0.0 and grid[-1] == 1.0
 
 
-def replicate_draw(sim, estimator, r):
-    """Replicate r's truth and correlation estimate, drawn from
-    ``RngStream(sim.seed ^ r)`` in the order the sweep draws them."""
+def replicate_data(sim, r):
+    """Replicate r's truth and data, drawn from ``RngStream(sim.seed ^ r)``
+    in the order both bench modes draw them."""
     rng = RngStream(sim.seed ^ r)
     gt = generate_ground_truth(sim, rng)
-    data = sample(gt, sim, rng)
+    return gt, sample(gt, sim, rng)
+
+
+def replicate_draw(sim, estimator, r):
+    """Replicate r's truth and correlation estimate."""
+    gt, data = replicate_data(sim, r)
     return gt, estimator_matrix(data, estimator)
 
 
@@ -363,6 +370,25 @@ def reference_sweep(sim, estimator, replicates, grid):
         tprs.append(tuple(rep_tpr))
         fprs.append(tuple(rep_fpr))
     return tuple(tprs), tuple(fprs)
+
+
+def replicate_sweeps(sim, estimator, replicates, grid):
+    """Per-replicate TPR and FPR tuples of ``roc_sweep``: replicate r of a
+    sweep at seed s is the one replicate of a sweep at seed s ^ r, and the
+    mean of one replicate is its value."""
+    sweeps = [roc_sweep(replace(sim, seed=sim.seed ^ r), estimator, 1, grid=grid)
+              for r in range(replicates)]
+    return tuple(s.mean_tpr for s in sweeps), tuple(s.mean_fpr for s in sweeps)
+
+
+def assert_sweep_matches_reference(sim, estimator, replicates, grid):
+    """Each replicate's rates and the mean rates equal the screen loop's."""
+    sweep = roc_sweep(sim, estimator, replicates=replicates, grid=grid)
+    ref_tpr, ref_fpr = reference_sweep(sim, estimator, replicates, grid)
+    assert replicate_sweeps(sim, estimator, replicates, grid) == (ref_tpr, ref_fpr)
+    assert sweep.mean_tpr == tuple(np.mean(ref_tpr, axis=0).tolist())
+    assert sweep.mean_fpr == tuple(np.mean(ref_fpr, axis=0).tolist())
+    return sweep
 
 
 def tie_grid(sim, estimator, replicates):
@@ -385,51 +411,188 @@ class TestSweepMatchesScreenLoop:
                                               ("C", 15, 12), ("D", 25, 20)])
     def test_tie_at_every_grid_point(self, scenario, n, p, estimator):
         sim = SimConfig(scenario=scenario, n=n, p=p, seed=41)
-        grid = tie_grid(sim, estimator, 2)
-        sweep = roc_sweep(sim, estimator, replicates=2, grid=grid)
-        assert (sweep.per_replicate_tpr, sweep.per_replicate_fpr) == reference_sweep(
-            sim, estimator, 2, grid)
+        assert_sweep_matches_reference(sim, estimator, 2, tie_grid(sim, estimator, 2))
 
     @pytest.mark.parametrize("estimator", ["kendall", "pearson"])
     @pytest.mark.parametrize("scenario,p", [("A", 2), ("B", 10), ("C", 2), ("D", 10)])
     def test_smallest_p(self, scenario, p, estimator):
         sim = SimConfig(scenario=scenario, n=9, p=p, seed=7)
-        grid = tie_grid(sim, estimator, 3)
-        sweep = roc_sweep(sim, estimator, replicates=3, grid=grid)
-        assert (sweep.per_replicate_tpr, sweep.per_replicate_fpr) == reference_sweep(
-            sim, estimator, 3, grid)
+        assert_sweep_matches_reference(sim, estimator, 3, tie_grid(sim, estimator, 3))
 
     @pytest.mark.parametrize("estimator", ["kendall", "pearson"])
     def test_no_true_edges(self, estimator):
         # seed 7 draws no scenario-A edge on 15 pairs in any of the 3 replicates
         sim = SimConfig(scenario="A", n=12, p=6, seed=7)
         assert all(len(replicate_draw(sim, estimator, r)[0].edges) == 0 for r in range(3))
-        grid = tie_grid(sim, estimator, 3)
-        sweep = roc_sweep(sim, estimator, replicates=3, grid=grid)
-        assert (sweep.per_replicate_tpr, sweep.per_replicate_fpr) == reference_sweep(
-            sim, estimator, 3, grid)
+        sweep = assert_sweep_matches_reference(sim, estimator, 3, tie_grid(sim, estimator, 3))
         assert set(sweep.mean_tpr) == {1.0}
 
     def test_makes_no_screen_or_confusion_call(self, screen_calls):
         sim = SimConfig(scenario="C", n=20, p=8, seed=0)
         roc_sweep(sim, "kendall", replicates=2)
+        # table mode scores with the sweep's counts too
+        run_experiment(ExperimentSpec(sim=sim, threshold=ThresholdSpec.fpr(q=0.1),
+                                      replicates=2))
         assert screen_calls == []
-        # the counter sees the table-mode replicate's calls
-        run_experiment(ExperimentSpec(sim=sim, threshold=ThresholdSpec.fixed(0.3),
-                                      replicates=1))
+        # the counter sees the calls that screen_data and a caller make
+        gt, data = replicate_data(sim, 0)
+        evalbench.confusion(screen_data(data, "kendall", ThresholdSpec.fixed(0.3))[1], gt.edges)
         assert screen_calls == ["screen_edges", "confusion"]
+
+
+def reference_cells(estimator, thresholds, gt, data):
+    """Each threshold's (metrics, f) from its own ``threshold_matrix``,
+    ``screen_edges`` and ``confusion`` on the same draw."""
+    fpr = any(t.mode == "fpr" for t in thresholds)
+    tau, jack = jackknife_matrix(data) if fpr else (None, None)
+    corr = estimator_matrix(data, estimator, tau=tau)
+    cells = []
+    for t in thresholds:
+        f = None
+        if t.mode == "fpr":
+            f = t.f if t.f is not None else t.q * gt.nonedge_count()
+            t = ThresholdSpec.fpr(f=f)
+        est = screen_edges(corr, threshold_matrix(t, data.n, data.p, jack=jack))
+        cells.append((confusion(est, gt.edges), f))
+    return cells
+
+
+def observed_strengths(estimator, gt, data):
+    """The upper-triangle |corr| values and the true edges' |corr| values."""
+    corr = estimator_matrix(data, estimator).entries
+    return (np.abs(corr[np.triu_indices(data.p, 1)]),
+            np.abs(corr[tuple(gt.edges.edges.T)]))
+
+
+class TestScoreCells:
+    """The one scorer of both bench modes against the screen-and-confusion
+    reference: every count and rate must be equal."""
+
+    @pytest.mark.parametrize("with_fpr", [True, False], ids=["jackknife-pass", "tau-pass"])
+    @pytest.mark.parametrize("estimator", ["kendall", "pearson"])
+    @pytest.mark.parametrize("scenario,n,p", [("A", 30, 20), ("B", 25, 20),
+                                              ("C", 15, 12), ("D", 25, 20)])
+    def test_matches_screen_and_confusion(self, scenario, n, p, estimator, with_fpr):
+        sim = SimConfig(scenario=scenario, n=n, p=p, seed=23)
+        gt, data = replicate_data(sim, 1)
+        strength, true_strength = observed_strengths(estimator, gt, data)
+        # cutoffs equal to an observed |corr|: kept only above it
+        ties = [float(np.median(strength)), float(strength.max())]
+        if true_strength.size:
+            ties.append(float(true_strength.min()))
+        thresholds = [ThresholdSpec.fixed(g) for g in [0.0, 0.25, *ties, 1.5]]
+        thresholds.insert(2, ThresholdSpec.rate(0.6, 0.25))
+        if with_fpr:
+            thresholds[1:1] = [ThresholdSpec.fpr(q=0.1), ThresholdSpec.fpr(f=4.0)]
+            thresholds.append(ThresholdSpec.fpr(q=0.3))
+        thresholds = tuple(thresholds)
+        cells = evalbench._score_cells(estimator, thresholds, gt, data)
+        assert cells == reference_cells(estimator, thresholds, gt, data)
+        assert all(type(v) is int for m, _ in cells for v in (m.tp, m.fp, m.tn, m.fn))
+        assert len({m.edge_count for m, _ in cells}) > 2
+
+    @pytest.mark.filterwarnings("ignore:degenerate pair")
+    @pytest.mark.parametrize("estimator", ["kendall", "pearson"])
+    def test_three_rows_with_zero_variance_pairs(self, estimator):
+        sim = SimConfig(scenario="B", n=3, p=10, seed=4)
+        gt, data = replicate_data(sim, 0)
+        _, jack = jackknife_matrix(data)
+        assert np.any(jack.entries[np.triu_indices(10, 1)] == 0.0)
+        strength, _ = observed_strengths(estimator, gt, data)
+        thresholds = (ThresholdSpec.fpr(q=0.3), ThresholdSpec.fixed(float(np.median(strength))),
+                      ThresholdSpec.fpr(f=2.0), ThresholdSpec.rate(0.6, 0.25))
+        cells = evalbench._score_cells(estimator, thresholds, gt, data)
+        assert cells == reference_cells(estimator, thresholds, gt, data)
+        assert cells[0][0].edge_count > 0
+
+    @pytest.mark.filterwarnings("ignore:degenerate pair")
+    def test_constant_column_is_not_kept_at_its_zero_cutoff(self):
+        # a constant column has tau 0 and jackknife variance 0 with every
+        # other column, so each of its pairs ties its fpr cutoff 0
+        sim = SimConfig(scenario="C", n=12, p=10, seed=3)
+        gt, data = replicate_data(sim, 0)
+        values = data.values.copy()
+        values[:, 0] = 1.0
+        data = DataMatrix(values)
+        assert (0, 1) in gt.edges.as_set()
+        thresholds = (ThresholdSpec.fpr(q=0.5), ThresholdSpec.fpr(f=30.0), ThresholdSpec.fixed(0.0))
+        cells = evalbench._score_cells("kendall", thresholds, gt, data)
+        assert cells == reference_cells("kendall", thresholds, gt, data)
+
+
+class TestRunExperiments:
+    LISTS = {
+        "fpr": [ThresholdSpec.fpr(q=0.05), ThresholdSpec.fpr(q=0.1), ThresholdSpec.fpr(f=3.0)],
+        "fixed": [ThresholdSpec.fixed(0.3), ThresholdSpec.fixed(0.5)],
+        "mixed": [ThresholdSpec.rate(0.6, 0.25), ThresholdSpec.fpr(q=0.2),
+                  ThresholdSpec.fixed(0.2)],
+    }
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("estimator", ["kendall", "pearson"])
+    @pytest.mark.parametrize("cells", sorted(LISTS))
+    def test_list_equals_single_runs(self, cells, estimator, threads):
+        # scenario A redraws its graph per replicate, so each f differs
+        sim = SimConfig(scenario="A", n=30, p=40, seed=6)
+        specs = [ExperimentSpec(sim=sim, threshold=t, estimator=estimator, replicates=3)
+                 for t in self.LISTS[cells]]
+        results = evalbench.run_experiments(specs, threads=threads)
+        assert [r.spec for r in results] == specs
+        for result, spec in zip(results, specs):
+            single = run_experiment(spec, threads=1)
+            assert result.per_replicate == single.per_replicate
+            assert result.f_per_replicate == single.f_per_replicate
+            assert result.aggregate() == single.aggregate()
+            assert experiment_rows(result) == experiment_rows(single)
+
+    @pytest.mark.parametrize("cells,kernel", [("fpr", "jackknife_matrix"),
+                                              ("fixed", "kendall_matrix"),
+                                              ("mixed", "jackknife_matrix")])
+    def test_one_draw_and_one_sign_pass_per_replicate(self, monkeypatch, sign_passes,
+                                                      cells, kernel):
+        calls = []
+        for name in ("jackknife_matrix", "kendall_matrix", "generate_ground_truth", "sample"):
+            def counted(*args, _fn=getattr(evalbench, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(evalbench, name, counted)
+        sim = SimConfig(scenario="B", n=30, p=20, seed=5)
+        specs = [ExperimentSpec(sim=sim, threshold=t, replicates=4) for t in self.LISTS[cells]]
+        evalbench.run_experiments(specs, threads=1)
+        assert calls == ["generate_ground_truth", "sample", kernel] * 4
+        assert sign_passes == ["_sign_moments"] * 4
+
+    def test_specs_must_share_the_draw(self):
+        sim = SimConfig(scenario="C", n=20, p=5, seed=1)
+        base = ExperimentSpec(sim=sim, threshold=ThresholdSpec.fixed(0.3), replicates=2)
+        for other in (replace(base, sim=replace(sim, seed=2)),
+                      replace(base, estimator="pearson"), replace(base, replicates=3)):
+            with pytest.raises(InvalidInputError, match="share sim, estimator and replicates"):
+                evalbench.run_experiments([base, other])
+        with pytest.raises(InvalidInputError, match="share sim, estimator and replicates"):
+            evalbench.run_experiments([])
+
+    @pytest.mark.parametrize("estimator", ["kendall", "pearson"])
+    def test_sweep_point_is_the_table_row(self, estimator):
+        sim = SimConfig(scenario="A", n=30, p=20, seed=12)
+        gt, data = replicate_data(sim, 0)
+        gamma = float(np.median(observed_strengths(estimator, gt, data)[0]))
+        table = run_experiment(ExperimentSpec(sim=sim, threshold=ThresholdSpec.fixed(gamma),
+                                              estimator=estimator, replicates=3))
+        tprs, fprs = replicate_sweeps(sim, estimator, 3, (0.1, gamma, 0.9))
+        assert [(t[1], f[1]) for t, f in zip(tprs, fprs)] == [
+            (1.0 - m.fnr, m.fpr) for m in table.per_replicate]
 
 
 class TestAuc:
     def test_perfect_step(self):
-        sweep = SweepResult(grid=(0.1, 0.9), mean_tpr=(1.0, 1.0), mean_fpr=(0.0, 0.0),
-                            per_replicate_tpr=((1.0, 1.0),), per_replicate_fpr=((0.0, 0.0),))
+        sweep = SweepResult(grid=(0.1, 0.9), mean_tpr=(1.0, 1.0), mean_fpr=(0.0, 0.0))
         assert auc(sweep) == pytest.approx(1.0)
 
     def test_diagonal(self):
         sweep = SweepResult(grid=(0.2, 0.5, 0.8),
-                            mean_tpr=(0.75, 0.5, 0.25), mean_fpr=(0.75, 0.5, 0.25),
-                            per_replicate_tpr=(), per_replicate_fpr=())
+                            mean_tpr=(0.75, 0.5, 0.25), mean_fpr=(0.75, 0.5, 0.25))
         assert auc(sweep) == pytest.approx(0.5)
 
     def test_hand_polyline(self):
@@ -438,8 +601,7 @@ class TestAuc:
         assert auc_points((0.2, 0.5), (0.6, 0.9)) == pytest.approx(0.76)
 
     def test_needs_two_points(self):
-        sweep = SweepResult(grid=(0.5,), mean_tpr=(0.5,), mean_fpr=(0.5,),
-                            per_replicate_tpr=(), per_replicate_fpr=())
+        sweep = SweepResult(grid=(0.5,), mean_tpr=(0.5,), mean_fpr=(0.5,))
         with pytest.raises(InvalidInputError):
             auc(sweep)
 

@@ -305,8 +305,7 @@ WRITTEN = [
      b"replicate,q_or_gamma,estimator,scenario,tp,fp,tn,fn,fpr,fnr,edge_count,f_used\n"
      b"0,0.10000000000000001,kendall,C,1,0,2,0,0,-0,1,\n"
      b"1,0.25,pearson,B,2,1,0,0,1,0,3,1.5\n"),
-    (write_sweep_csv, (SweepResult(grid=(0.0, 0.1), mean_tpr=(1.0, 0.5), mean_fpr=(1.0, -0.0),
-                                   per_replicate_tpr=(), per_replicate_fpr=()),),
+    (write_sweep_csv, (SweepResult(grid=(0.0, 0.1), mean_tpr=(1.0, 0.5), mean_fpr=(1.0, -0.0)),),
      b"gamma,mean_fpr,mean_tpr\n0,1,1\n0.10000000000000001,-0,0.5\n"),
 ]
 
