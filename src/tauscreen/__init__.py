@@ -77,6 +77,7 @@ from .evalbench import (
     estimator_matrix,
     roc_sweep,
     run_experiment,
+    run_experiments,
 )
 from . import io
 

@@ -187,13 +187,15 @@ def _check_paths(reads, writes) -> None:
 
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
+    tokens = text.split(",")
+    if not text.strip():
+        raise click.UsageError(f"{flag}: empty list")
+    if not all(tok.strip() for tok in tokens):
+        raise click.UsageError(f"{flag}: empty item in {text!r}")
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
+        return [float(tok) for tok in tokens]
     except ValueError as exc:
         raise click.UsageError(f"{flag}: {exc}")
-    if not values:
-        raise click.UsageError(f"{flag}: empty list")
-    return values
 
 
 def _threshold_spec(gamma=None, rate=None, f=None, q=None) -> ThresholdSpec:

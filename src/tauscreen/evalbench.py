@@ -5,12 +5,13 @@ Each replicate r draws its own stream seeded with ``sim.seed XOR r``. For
 scenarios with random graphs (A, B) the ground truth is re-drawn inside every
 replicate, so averages cover both graph and sampling randomness; C and D have
 deterministic ground truths. Replicates run independently and are aggregated
-in replicate order, so results do not depend on scheduling. Table-mode
-replicates always run in a pool of ``threads`` workers, 1 included; the ROC
-sweep runs its replicates on the calling thread.
+in replicate order, so results do not depend on scheduling.
 
-A threshold list (:func:`run_experiments`) and an ROC sweep score each replicate
-with :func:`_score_cells`: one draw and one sign pass serve the whole list or grid.
+One runner, :func:`run_experiments`, loops over the replicates: in a pool of
+``threads`` workers, or on the calling thread if ``threads`` is 1. A threshold
+list and an ROC sweep (its grid as fixed-threshold specs, on one thread) go
+through it, and :func:`_score_cells` scores each replicate from one draw and
+one sign pass.
 """
 
 from __future__ import annotations
@@ -230,6 +231,8 @@ def _score_cells(estimator: str, thresholds: tuple, gt, data) -> list[tuple]:
     for t in thresholds:
         f = None
         if t.mode == "fpr":
+            if t.f is None and gt.nonedge_count() == 0:
+                raise InvalidInputError("the true graph has no non-edges, so q sets no budget")
             f = t.f if t.f is not None else t.q * gt.nonedge_count()
             cut = threshold_matrix(ThresholdSpec.fpr(f=f), data.n, data.p, jack=jack)
             k = int(np.count_nonzero(strength > cut[upper]))
@@ -243,9 +246,10 @@ def _score_cells(estimator: str, thresholds: tuple, gt, data) -> list[tuple]:
 
 def run_experiments(specs, threads: int = 1) -> list[ExperimentResult]:
     """A list of specs that differ only in their threshold, run as one: a
-    pool of ``threads`` workers draws each replicate once, and its one sign
-    pass serves every spec. One result per spec, in spec order. A failing
-    replicate ends the run: the pool cancels the replicates still queued."""
+    pool of ``threads`` workers (the calling thread if ``threads`` is 1)
+    draws each replicate once, and its one sign pass serves every spec. One
+    result per spec, in spec order. A failing replicate ends the run: the
+    pool cancels the replicates still queued."""
     if threads < 1:
         raise InvalidInputError(f"threads must be >= 1, got {threads}")
     shared = {(spec.sim, spec.estimator, spec.replicates) for spec in specs}
@@ -254,7 +258,8 @@ def run_experiments(specs, threads: int = 1) -> list[ExperimentResult]:
     (sim, estimator, replicates), = shared
     score = partial(_score_cells, estimator, tuple(spec.threshold for spec in specs))
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        rows = list(pool.map(partial(_replicate, sim, score), range(replicates)))
+        rows = list((pool.map if threads > 1 else map)(partial(_replicate, sim, score),
+                                                       range(replicates)))
     return [ExperimentResult(spec, metrics, f_values if spec.threshold.mode == "fpr" else None)
             for spec, (metrics, f_values) in zip(specs, (zip(*cells) for cells in zip(*rows)))]
 
@@ -279,34 +284,20 @@ def default_grid() -> tuple[float, ...]:
 
 
 def roc_sweep(sim: SimConfig, estimator: str, replicates: int, grid=None) -> SweepResult:
-    """ROC points at every grid value (:func:`default_grid` if None), each
-    scored as a fixed-threshold cell of :func:`_score_cells`.
-
-    The replicates run one after another on the calling thread. A sweep
-    replicate is many small NumPy calls with the GIL taken between them, so
-    a pool of 2 gained little on an idle 2-vCPU VM and lost to serial when
-    the host was busy: with both vCPUs busy the VM lost about five times as
-    much CPU time to the host, and the op time varied with it.
-    """
-    if estimator not in ESTIMATORS:
-        raise InvalidInputError(f"estimator must be one of {ESTIMATORS}")
-    if replicates < 1:
-        raise InvalidInputError("need at least 1 replicate")
+    """ROC points at every grid value (:func:`default_grid` if None), one
+    fixed-threshold spec each, run by :func:`run_experiments` on the calling
+    thread: a sweep replicate is many small NumPy calls with the GIL taken
+    between them, so a pool gains little on an idle host and loses on a busy one."""
     grid = default_grid() if grid is None else tuple(float(g) for g in grid)
-    if len(grid) < 1:
-        raise InvalidInputError("grid must be non-empty")
-    if not all(np.isfinite(grid)):
-        raise InvalidInputError("grid values must be finite")
-    if any(g < 0 for g in grid) or list(grid) != sorted(grid):
-        raise InvalidInputError("grid values must be >= 0 and ascending")
-    score = partial(_score_cells, estimator, tuple(ThresholdSpec.fixed(g) for g in grid))
-    tpr, fpr = [], []
-    for r in range(replicates):  # each replicate's rates, not its metrics, outlive it
-        cells = _replicate(sim, score, r)
-        tpr.append([1.0 - m.fnr for m, _ in cells])
-        fpr.append([m.fpr for m, _ in cells])
-    return SweepResult(grid=grid, mean_tpr=tuple(np.mean(tpr, axis=0).tolist()),
-                       mean_fpr=tuple(np.mean(fpr, axis=0).tolist()))
+    if not grid or list(grid) != sorted(grid):
+        raise InvalidInputError("grid must be non-empty and ascending")
+    specs = [ExperimentSpec(sim, ThresholdSpec.fixed(g), estimator, replicates) for g in grid]
+    # one row of G cells per replicate: the mean over axis 0 of the (R, G)
+    # rates adds each grid value's rates in replicate order
+    rows = list(zip(*(result.per_replicate for result in run_experiments(specs))))
+    tpr = np.mean([[1.0 - m.fnr for m in row] for row in rows], axis=0)
+    fpr = np.mean([[m.fpr for m in row] for row in rows], axis=0)
+    return SweepResult(grid=grid, mean_tpr=tuple(tpr.tolist()), mean_fpr=tuple(fpr.tolist()))
 
 
 def auc(sweep: SweepResult) -> float:

@@ -75,10 +75,12 @@ class Partition:
     component_id: tuple[int, ...]
 
     def __post_init__(self):
+        if self.p < 1:
+            raise InvalidInputError("node count must be >= 1")
         if len(self.component_id) != self.p:
             raise InvalidInputError("component_id length must equal p")
         labels = tuple(int(c) for c in self.component_id)
-        k = max(labels) if labels else 0
+        k = max(labels)
         if sorted(set(labels)) != list(range(1, k + 1)):
             raise InvalidInputError("component labels must form a contiguous range 1..k")
         object.__setattr__(self, "component_id", labels)
@@ -315,7 +317,9 @@ def read_partition_tsv(path) -> Partition:
         if node < 1:
             raise InvalidInputError(f"{path}: line {lineno}: node {node} must be >= 1")
         labels[node - 1] = label
-    p = max(labels) + 1 if labels else 0
+    if not labels:
+        raise InvalidInputError(f"{path}: no node lines")
+    p = max(labels) + 1
     missing = next((i for i in range(p) if i not in labels), None)
     if missing is not None:
         raise InvalidInputError(f"{path}: no line for node {missing + 1}")

@@ -511,13 +511,16 @@ class TestBench:
             return score_cells(*args)
 
         monkeypatch.setattr(evalbench, "_score_cells", recording)
-        result = invoke(runner, ["bench", "--mode", "sweep", "--scenario", "A", "--n", "30",
-                                 "--p", "20", "--replicates", "4", "--seed", "8",
-                                 "--grid", "0,1,5", "--threads", "4",
-                                 "--out-csv", str(tmp_path / "s.csv"),
-                                 "--out-json", str(tmp_path / "s.json")])
-        assert result.exit_code == 0
-        assert idents == [threading.get_ident()] * 4
+        base = ["bench", "--scenario", "A", "--n", "30", "--p", "20", "--replicates", "4",
+                "--seed", "8", "--out-csv", str(tmp_path / "s.csv"),
+                "--out-json", str(tmp_path / "s.json")]
+        # the sweep whatever --threads says; a table at --threads 1
+        for args in (["--mode", "sweep", "--grid", "0,1,5", "--threads", "4"],
+                     ["--mode", "table", "--gamma", "0.3,0.5", "--threads", "1"]):
+            idents.clear()
+            result = invoke(runner, base + args)
+            assert result.exit_code == 0
+            assert idents == [threading.get_ident()] * 4
 
     @pytest.mark.parametrize("grid,message", [
         ("0,1,-1", "COUNT must be an integer >= 2"),
@@ -528,8 +531,9 @@ class TestBench:
         ("0,inf,3", "MIN and MAX must be finite"),
         ("-0.5,1,3", "need 0 <= MIN <= MAX"),
         ("0.8,0.2,3", "need 0 <= MIN <= MAX"),
+        ("0,,1,5", "--grid: empty item in '0,,1,5'"),
     ], ids=["count-negative", "count-zero", "count-one", "count-fraction", "max-nan", "max-inf",
-            "min-negative", "min-above-max"])
+            "min-negative", "min-above-max", "empty-item"])
     def test_bad_grid_is_usage_error(self, runner, tmp_path, grid, message):
         result = runner.invoke(main, ["bench", "--mode", "sweep", "--scenario", "C",
                                       "--n", "20", "--p", "5", "--replicates", "1",
@@ -571,8 +575,12 @@ class TestBench:
         ("--rate", "nan,0.25", "rate mode needs C1 > 0 and finite"),
         ("--rate", "inf,0.25", "rate mode needs C1 > 0 and finite"),
         ("--rate", "1,nan", "rate mode needs kappa in (0, 1/2)"),
+        ("--q", "0.05,", "--q: empty item in '0.05,'"),
+        ("--gamma", "0.3, ,0.5", "--gamma: empty item in '0.3, ,0.5'"),
+        ("--rate", ",0.5,0.25", "--rate: empty item in ',0.5,0.25'"),
     ], ids=["q-above-one", "q-zero", "gamma-negative", "rate-c1-zero", "rate-kappa-high",
-            "q-nan", "gamma-nan", "gamma-inf", "rate-c1-nan", "rate-c1-inf", "rate-kappa-nan"])
+            "q-nan", "gamma-nan", "gamma-inf", "rate-c1-nan", "rate-c1-inf", "rate-kappa-nan",
+            "q-empty-item", "gamma-empty-item", "rate-empty-item"])
     def test_bad_threshold_is_usage_error(self, runner, tmp_path, flag, value, message):
         result = runner.invoke(main, ["bench", "--mode", "table", "--scenario", "C",
                                       "--n", "20", "--p", "5", "--replicates", "1",
@@ -615,6 +623,18 @@ class TestBench:
                                       "--out-json", str(tmp_path / "t.json")])
         assert result.exit_code == 2
         assert "fpr mode needs n >= 3" in result.output
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("scenario,p", [("D", 10), ("C", 2)])
+    def test_fpr_without_true_non_edges_is_named(self, runner, tmp_path, scenario, p):
+        # a complete true graph: q times zero non-edges is no budget
+        result = runner.invoke(main, ["bench", "--scenario", scenario, "--n", "20",
+                                      "--p", str(p), "--q", "0.1",
+                                      "--out-csv", str(tmp_path / "t.csv"),
+                                      "--out-json", str(tmp_path / "t.json")])
+        assert result.exit_code == 1
+        assert result.output == ("error: replicate 0 failed: the true graph has no "
+                                 "non-edges, so q sets no budget\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_non_integer_config_replicates_is_usage_error(self, runner, tmp_path):
@@ -921,7 +941,8 @@ class TestDiagnose:
         ("--hoeffding-t", "0", "--hoeffding-t: deviations must be finite and > 0"),
         ("--hoeffding-t", "nan", "--hoeffding-t: deviations must be finite and > 0"),
         ("--hoeffding-t", "inf", "--hoeffding-t: deviations must be finite and > 0"),
-    ], ids=["n-fraction", "n-one", "t-zero", "t-nan", "t-inf"])
+        ("--hoeffding-n", "50,,100", "--hoeffding-n: empty item in '50,,100'"),
+    ], ids=["n-fraction", "n-one", "t-zero", "t-nan", "t-inf", "n-empty-item"])
     def test_bad_hoeffding_value_is_usage_error(self, runner, tmp_path, flag, value, message):
         out = tmp_path / "report.json"
         result = runner.invoke(main, ["diagnose", "--scenario", "B", "--p", "30",

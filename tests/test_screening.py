@@ -392,3 +392,11 @@ class TestSerialization:
         path.write_text("node\tcomponent\n0\t1\n1\t1\n")
         with pytest.raises(InvalidInputError, match=r"part\.tsv: line 2: node 0 must be >= 1"):
             read_partition_tsv(path)
+
+    def test_partition_without_nodes_located(self, tmp_path):
+        path = tmp_path / "part.tsv"
+        path.write_text("node\tcomponent\n")
+        with pytest.raises(InvalidInputError, match=r"part\.tsv: no node lines$"):
+            read_partition_tsv(path)
+        with pytest.raises(InvalidInputError, match="node count must be >= 1"):
+            Partition(0, ())
