@@ -40,7 +40,6 @@ from .screening import (
     EdgeSet,
     Partition,
     ThresholdSpec,
-    compare_partitions,
     connected_components,
     screen_edges,
     threshold_matrix,
@@ -68,15 +67,12 @@ from .diagnostics import (
 from .evalbench import (
     ConfusionMetrics,
     ExperimentResult,
-    ExperimentSpec,
     SweepResult,
     auc,
     auc_points,
-    confusion,
     default_grid,
     estimator_matrix,
     roc_sweep,
-    run_experiment,
     run_experiments,
 )
 from . import io

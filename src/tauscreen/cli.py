@@ -35,7 +35,6 @@ from .diagnostics import (check_assumptions, check_constants, check_proposition1
 from .errors import InvalidInputError, TauscreenError
 from .evalbench import (
     ESTIMATORS,
-    ExperimentSpec,
     auc,
     experiment_rows,
     roc_sweep,
@@ -375,10 +374,11 @@ def bench(**params):
     key = chosen[0]  # --q and --gamma take comma lists, --rate one 'C1,KAPPA'
     values = [params["rate"]] if key == "rate" else _parse_float_list(params[key], f"--{key}")
     thresholds = [_threshold_spec(**{key: v}) for v in values]
-    with _usage_errors():  # every cell is checked before any replicate runs
-        specs = [ExperimentSpec(sim=sim, threshold=t, estimator=params["estimator"],
-                                replicates=params["replicates"]) for t in thresholds]
-    results = run_experiments(specs, threads=_resolve_threads(params["threads"]))
+    # a refused argument stops the run before any replicate (exit 2); a failing
+    # replicate raises a plain TauscreenError, which stays a runtime error
+    with _usage_errors():
+        results = run_experiments(sim, params["estimator"], params["replicates"], thresholds,
+                                  threads=_resolve_threads(params["threads"]))
     rows = [row for result in results for row in experiment_rows(result)]
     write_experiment_csv(params["out_csv"], rows)
     doc = {"mode": "table", "sim": sim.to_json_dict(), "estimator": params["estimator"],

@@ -1,5 +1,5 @@
-"""Replicated screening experiments: confusion metrics, FPR-target runs, and
-ROC sweeps over a fixed threshold grid.
+"""Replicated screening experiments: confusion metrics of threshold lists,
+FPR-target runs, and ROC sweeps over a fixed threshold grid.
 
 Each replicate r draws its own stream seeded with ``sim.seed XOR r``. For
 scenarios with random graphs (A, B) the ground truth is re-drawn inside every
@@ -7,11 +7,12 @@ replicate, so averages cover both graph and sampling randomness; C and D have
 deterministic ground truths. Replicates run independently and are aggregated
 in replicate order, so results do not depend on scheduling.
 
-One runner, :func:`run_experiments`, loops over the replicates: in a pool of
-``threads`` workers, or on the calling thread if ``threads`` is 1. A threshold
-list and an ROC sweep (its grid as fixed-threshold specs, on one thread) go
-through it, and :func:`_score_cells` scores each replicate from one draw and
-one sign pass.
+One runner, :func:`run_experiments`, takes a simulation, an estimator, a
+replicate count and a list of thresholds, and loops over the replicates: in a
+pool of ``threads`` workers, or on the calling thread if ``threads`` is 1. A
+``bench`` table and an ROC sweep (its grid as fixed thresholds, on one thread)
+are one call each, and :func:`_score_cells` scores each replicate from one
+draw and one sign pass.
 """
 
 from __future__ import annotations
@@ -60,45 +61,16 @@ class ConfusionMetrics:
                                 edge_count=tp + fp)
 
 
-def confusion(est: EdgeSet, truth: EdgeSet) -> ConfusionMetrics:
-    """Score an estimated edge set against the truth on the same node set."""
-    if est.p != truth.p:
-        raise InvalidInputError(f"node counts differ: {est.p} vs {truth.p}")
-    total = est.p * (est.p - 1) // 2
-    # pair (j, k) as the code j * p + k, unique within each edge set
-    est_codes, truth_codes = (e.edges[:, 0] * e.p + e.edges[:, 1] for e in (est, truth))
-    tp = len(np.intersect1d(est_codes, truth_codes, assume_unique=True))
-    fp = len(est) - tp
-    fn = len(truth) - tp
-    tn = total - tp - fp - fn
-    return ConfusionMetrics.from_counts(tp, fp, tn, fn)
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """One replicated screening experiment."""
-
-    sim: SimConfig
-    threshold: ThresholdSpec
-    estimator: str = "kendall"
-    replicates: int = 50
-
-    def __post_init__(self):
-        if self.estimator not in ESTIMATORS:
-            raise InvalidInputError(f"estimator must be one of {ESTIMATORS}")
-        if self.replicates < 1:
-            raise InvalidInputError("need at least 1 replicate")
-        if self.threshold.mode == "fpr" and self.sim.n < 3:
-            raise InvalidInputError("fpr mode needs n >= 3")
-
-
 @dataclass(frozen=True)
 class ExperimentResult:
-    """Per-replicate metrics of an experiment. In fpr mode ``f_per_replicate``
-    holds each replicate's false-positive budget f (it varies with the
-    replicate's ground truth in scenarios A and B); otherwise it is None."""
+    """Per-replicate metrics of one threshold's experiment. In fpr mode
+    ``f_per_replicate`` holds each replicate's false-positive budget f (it
+    varies with the replicate's ground truth in scenarios A and B); otherwise
+    it is None."""
 
-    spec: ExperimentSpec
+    sim: SimConfig
+    estimator: str
+    threshold: ThresholdSpec
     per_replicate: tuple[ConfusionMetrics, ...]
     f_per_replicate: tuple[float, ...] | None
 
@@ -106,19 +78,18 @@ class ExperimentResult:
     def q_convention(self) -> str | None:
         """How the fpr budget f was set: given directly, or q times each
         replicate's true non-edge count; None outside fpr mode."""
-        threshold = self.spec.threshold
-        if threshold.mode != "fpr":
+        if self.threshold.mode != "fpr":
             return None
-        return "f-direct" if threshold.f is not None else "q-times-true-nonedges"
+        return "f-direct" if self.threshold.f is not None else "q-times-true-nonedges"
 
     @property
     def q_or_gamma(self) -> float:
         """The threshold's value: gamma, the rate cutoff at n, q, or f given directly."""
-        threshold = self.spec.threshold
+        threshold = self.threshold
         if threshold.mode == "fixed":
             return threshold.gamma
         if threshold.mode == "rate":
-            return threshold.rate_gamma(self.spec.sim.n)
+            return threshold.rate_gamma(self.sim.n)
         return threshold.f if threshold.f is not None else threshold.q
 
     @property
@@ -142,12 +113,12 @@ class ExperimentResult:
 
     def aggregate(self) -> dict:
         out = {
-            "scenario": self.spec.sim.scenario,
-            "estimator": self.spec.estimator,
-            "n": self.spec.sim.n,
-            "p": self.spec.sim.p,
-            "replicates": self.spec.replicates,
-            "threshold_mode": self.spec.threshold.mode,
+            "scenario": self.sim.scenario,
+            "estimator": self.estimator,
+            "n": self.sim.n,
+            "p": self.sim.p,
+            "replicates": len(self.per_replicate),
+            "threshold_mode": self.threshold.mode,
             "q_or_gamma": self.q_or_gamma,
             "mean_fpr": self.mean_fpr,
             "mean_fnr": self.mean_fnr,
@@ -157,17 +128,17 @@ class ExperimentResult:
             "mean_tn": float(np.mean([m.tn for m in self.per_replicate])),
             "mean_fn": float(np.mean([m.fn for m in self.per_replicate])),
         }
-        if self.spec.threshold.mode == "fpr":
+        if self.threshold.mode == "fpr":
             out["f_used"] = self.f_used
             out["f_min"] = min(self.f_per_replicate)
             out["f_max"] = max(self.f_per_replicate)
-            out["q"] = self.spec.threshold.q
+            out["q"] = self.threshold.q
             out["q_convention"] = self.q_convention
-        elif self.spec.threshold.mode == "rate":
-            out["c1"] = self.spec.threshold.c1
-            out["kappa"] = self.spec.threshold.kappa
+        elif self.threshold.mode == "rate":
+            out["c1"] = self.threshold.c1
+            out["kappa"] = self.threshold.kappa
         else:
-            out["gamma"] = self.spec.threshold.gamma
+            out["gamma"] = self.threshold.gamma
         return out
 
 
@@ -210,11 +181,11 @@ def _replicate(sim: SimConfig, score, r: int):
 
 def _score_cells(estimator: str, thresholds: tuple, gt, data) -> list[tuple]:
     """Each threshold's metrics on one replicate and, in fpr mode, its budget
-    f (the spec's f, or q times this replicate's true non-edge count), from
-    one sign pass: the jackknife's if any cell is fpr. A cell keeps the pairs
-    with |corr| > cutoff, as :func:`screen_edges` does: an fpr cell compares
-    with its :func:`threshold_matrix`, and all scalar cutoffs are counted by
-    one sort and search of each strength vector."""
+    f (the threshold's f, or q times this replicate's true non-edge count),
+    from one sign pass: the jackknife's if any cell is fpr. A cell keeps the
+    pairs with |corr| > cutoff, as :func:`screen_edges` does: an fpr cell
+    compares with its :func:`threshold_matrix`, and all scalar cutoffs are
+    counted by one sort and search of each strength vector."""
     fpr = any(t.mode == "fpr" for t in thresholds)
     tau, jack = jackknife_matrix(data) if fpr else (None, None)
     corr = estimator_matrix(data, estimator, tau=tau)
@@ -244,29 +215,31 @@ def _score_cells(estimator: str, thresholds: tuple, gt, data) -> list[tuple]:
     return cells
 
 
-def run_experiments(specs, threads: int = 1) -> list[ExperimentResult]:
-    """A list of specs that differ only in their threshold, run as one: a
-    pool of ``threads`` workers (the calling thread if ``threads`` is 1)
-    draws each replicate once, and its one sign pass serves every spec. One
-    result per spec, in spec order. A failing replicate ends the run: the
-    pool cancels the replicates still queued."""
+def run_experiments(sim: SimConfig, estimator: str, replicates: int, thresholds,
+                    threads: int = 1) -> list[ExperimentResult]:
+    """Every threshold's experiment on the same ``replicates`` draws of
+    ``sim``: a pool of ``threads`` workers (the calling thread if ``threads``
+    is 1) draws each replicate once, and its one sign pass serves every
+    threshold. One result per threshold, in list order. The arguments are
+    checked before any replicate is drawn; a failing replicate ends the run,
+    and the pool cancels the replicates still queued."""
+    thresholds = tuple(thresholds)
+    if estimator not in ESTIMATORS:
+        raise InvalidInputError(f"estimator must be one of {ESTIMATORS}")
+    if replicates < 1:
+        raise InvalidInputError("need at least 1 replicate")
+    if not thresholds:
+        raise InvalidInputError("need at least 1 threshold")
+    if sim.n < 3 and any(t.mode == "fpr" for t in thresholds):
+        raise InvalidInputError("fpr mode needs n >= 3")
     if threads < 1:
         raise InvalidInputError(f"threads must be >= 1, got {threads}")
-    shared = {(spec.sim, spec.estimator, spec.replicates) for spec in specs}
-    if len(shared) != 1:
-        raise InvalidInputError("need experiments that share sim, estimator and replicates")
-    (sim, estimator, replicates), = shared
-    score = partial(_score_cells, estimator, tuple(spec.threshold for spec in specs))
+    score = partial(_score_cells, estimator, thresholds)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         rows = list((pool.map if threads > 1 else map)(partial(_replicate, sim, score),
                                                        range(replicates)))
-    return [ExperimentResult(spec, metrics, f_values if spec.threshold.mode == "fpr" else None)
-            for spec, (metrics, f_values) in zip(specs, (zip(*cells) for cells in zip(*rows)))]
-
-
-def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
-    """The one-spec :func:`run_experiments`."""
-    return run_experiments([spec], threads=threads)[0]
+    return [ExperimentResult(sim, estimator, t, metrics, f_values if t.mode == "fpr" else None)
+            for t, (metrics, f_values) in zip(thresholds, (zip(*cells) for cells in zip(*rows)))]
 
 
 @dataclass(frozen=True)
@@ -284,17 +257,17 @@ def default_grid() -> tuple[float, ...]:
 
 
 def roc_sweep(sim: SimConfig, estimator: str, replicates: int, grid=None) -> SweepResult:
-    """ROC points at every grid value (:func:`default_grid` if None), one
-    fixed-threshold spec each, run by :func:`run_experiments` on the calling
+    """ROC points at every grid value (:func:`default_grid` if None), each a
+    fixed threshold of one :func:`run_experiments` call on the calling
     thread: a sweep replicate is many small NumPy calls with the GIL taken
     between them, so a pool gains little on an idle host and loses on a busy one."""
     grid = default_grid() if grid is None else tuple(float(g) for g in grid)
     if not grid or list(grid) != sorted(grid):
         raise InvalidInputError("grid must be non-empty and ascending")
-    specs = [ExperimentSpec(sim, ThresholdSpec.fixed(g), estimator, replicates) for g in grid]
+    results = run_experiments(sim, estimator, replicates, [ThresholdSpec.fixed(g) for g in grid])
     # one row of G cells per replicate: the mean over axis 0 of the (R, G)
     # rates adds each grid value's rates in replicate order
-    rows = list(zip(*(result.per_replicate for result in run_experiments(specs))))
+    rows = list(zip(*(result.per_replicate for result in results)))
     tpr = np.mean([[1.0 - m.fnr for m in row] for row in rows], axis=0)
     fpr = np.mean([[m.fpr for m in row] for row in rows], axis=0)
     return SweepResult(grid=grid, mean_tpr=tuple(tpr.tolist()), mean_fpr=tuple(fpr.tolist()))
@@ -325,9 +298,9 @@ EXPERIMENT_CSV_COLUMNS = ("replicate", "q_or_gamma", "estimator", "scenario",
 def experiment_rows(result: ExperimentResult) -> list[tuple]:
     """One row per replicate; ``f_used`` is that replicate's budget f in fpr
     mode and empty otherwise."""
-    spec, q_or_gamma = result.spec, result.q_or_gamma
+    q_or_gamma = result.q_or_gamma
     f_values = result.f_per_replicate or ("",) * len(result.per_replicate)
-    return [(r, q_or_gamma, spec.estimator, spec.sim.scenario,
+    return [(r, q_or_gamma, result.estimator, result.sim.scenario,
              m.tp, m.fp, m.tn, m.fn, m.fpr, m.fnr, m.edge_count, f)
             for r, (m, f) in enumerate(zip(result.per_replicate, f_values))]
 

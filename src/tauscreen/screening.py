@@ -63,9 +63,6 @@ class EdgeSet:
     def __len__(self) -> int:
         return len(self.edges)
 
-    def as_set(self) -> set[tuple[int, int]]:
-        return set(map(tuple, self.edges.tolist()))
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -234,19 +231,6 @@ def connected_components(e: EdgeSet) -> Partition:
     return Partition(e.p, tuple((labels + 1).tolist()))
 
 
-def compare_partitions(a: Partition, b: Partition) -> bool:
-    """True iff the two partitions induce the same equivalence relation."""
-    if a.p != b.p:
-        raise InvalidInputError(f"partition sizes differ: {a.p} vs {b.p}")
-    remap: dict[int, int] = {}
-    for la, lb in zip(a.component_id, b.component_id):
-        if la not in remap:
-            remap[la] = lb
-        elif remap[la] != lb:
-            return False
-    return len(set(remap.values())) == len(remap)
-
-
 def write_edges_tsv(path, edges: EdgeSet, values: np.ndarray | CorrMatrix) -> None:
     """Write an edge list as TSV with 1-based indices and per-edge values."""
     v = values.entries if isinstance(values, CorrMatrix) else np.asarray(values, dtype=np.float64)
@@ -323,4 +307,7 @@ def read_partition_tsv(path) -> Partition:
     missing = next((i for i in range(p) if i not in labels), None)
     if missing is not None:
         raise InvalidInputError(f"{path}: no line for node {missing + 1}")
-    return Partition(p, tuple(labels[i] for i in range(p)))
+    try:
+        return Partition(p, tuple(labels[i] for i in range(p)))
+    except InvalidInputError as exc:  # a label gap
+        raise InvalidInputError(f"{path}: {exc}") from None

@@ -24,12 +24,10 @@ def sign_passes(monkeypatch):
 
 @pytest.fixture
 def screen_calls(monkeypatch):
-    """One entry per ``screen_edges`` or ``confusion`` call made during the
-    test, by function name, through the names that ``screening`` and
-    ``evalbench`` bind."""
+    """One entry per ``screen_edges`` call made during the test, through the
+    names that ``screening`` and ``evalbench`` bind."""
     calls = []
-    for module, name in ((screening, "screen_edges"), (evalbench, "screen_edges"),
-                         (evalbench, "confusion")):
+    for module, name in ((screening, "screen_edges"), (evalbench, "screen_edges")):
         def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)

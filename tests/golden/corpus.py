@@ -39,7 +39,8 @@ def _sha(data: bytes) -> str:
 
 def environment() -> dict:
     """The numpy version and the BLAS it was built against."""
-    blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
+    config = getattr(np.__config__, "CONFIG", {})  # numpy >= 1.25
+    blas = config.get("Build Dependencies", {}).get("blas", {})
     return {"numpy": np.__version__,
             "blas": f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip()}
 
@@ -84,7 +85,7 @@ def run(tmp) -> list[dict]:
     return entries
 
 
-def main_write() -> None:
+def write_manifest() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         doc = {**environment(), "commands": run(tmp)}
     with open(MANIFEST, "w", encoding="utf-8", newline="\n") as fh:
@@ -93,4 +94,4 @@ def main_write() -> None:
 
 
 if __name__ == "__main__":
-    main_write()
+    write_manifest()

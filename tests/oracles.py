@@ -1,0 +1,38 @@
+"""Reference helpers that only the tests call: an edge set as a Python set,
+set-based confusion counts, and partition equality up to relabelling."""
+
+import numpy as np
+
+from tauscreen import ConfusionMetrics, EdgeSet, InvalidInputError, Partition
+
+
+def as_set(edges: EdgeSet) -> set[tuple[int, int]]:
+    """The edges as a set of (j, k) pairs, j < k."""
+    return set(map(tuple, edges.edges.tolist()))
+
+
+def confusion(est: EdgeSet, truth: EdgeSet) -> ConfusionMetrics:
+    """Score an estimated edge set against the truth on the same node set."""
+    if est.p != truth.p:
+        raise InvalidInputError(f"node counts differ: {est.p} vs {truth.p}")
+    total = est.p * (est.p - 1) // 2
+    # pair (j, k) as the code j * p + k, unique within each edge set
+    est_codes, truth_codes = (e.edges[:, 0] * e.p + e.edges[:, 1] for e in (est, truth))
+    tp = len(np.intersect1d(est_codes, truth_codes, assume_unique=True))
+    fp = len(est) - tp
+    fn = len(truth) - tp
+    tn = total - tp - fp - fn
+    return ConfusionMetrics.from_counts(tp, fp, tn, fn)
+
+
+def compare_partitions(a: Partition, b: Partition) -> bool:
+    """True iff the two partitions induce the same equivalence relation."""
+    if a.p != b.p:
+        raise InvalidInputError(f"partition sizes differ: {a.p} vs {b.p}")
+    remap: dict[int, int] = {}
+    for la, lb in zip(a.component_id, b.component_id):
+        if la not in remap:
+            remap[la] = lb
+        elif remap[la] != lb:
+            return False
+    return len(set(remap.values())) == len(remap)

@@ -14,12 +14,10 @@ import pytest
 from click.testing import CliRunner
 
 from tauscreen import (
-    ExperimentSpec,
     SimConfig,
     ThresholdSpec,
-    confusion,
     generate_ground_truth,
-    run_experiment,
+    run_experiments,
 )
 from tauscreen import cli, evalbench, rankcorr
 from tauscreen.cli import main
@@ -42,6 +40,8 @@ from tauscreen.screening import (
     write_edges_tsv,
     write_partition_tsv,
 )
+
+from oracles import confusion
 
 
 @pytest.fixture
@@ -433,9 +433,9 @@ class TestBench:
         sim = SimConfig(**doc["sim"])
         rows = []
         for cell in doc["table"]:
-            spec = ExperimentSpec(sim=sim, threshold=ThresholdSpec.fpr(q=cell["q"]),
-                                  estimator=doc["estimator"], replicates=cell["replicates"])
-            rows.extend(experiment_rows(run_experiment(spec)))
+            result, = run_experiments(sim, doc["estimator"], cell["replicates"],
+                                      [ThresholdSpec.fpr(q=cell["q"])])
+            rows.extend(experiment_rows(result))
         write_experiment_csv(tmp_path / "in_process.csv", rows)
         assert (tmp_path / "in_process.csv").read_bytes() == out_csv.read_bytes()
 
@@ -1200,7 +1200,7 @@ class TestSignBlocks:
 
 class TestPipelineConsistency:
     def test_cli_pipeline_matches_in_process_experiment(self, runner, tmp_path):
-        """simulate -> screen on files reproduces run_experiment exactly."""
+        """simulate -> screen on files reproduces run_experiments exactly."""
         seed = 31337
         sim = SimConfig(scenario="C", n=60, p=12, seed=seed)
         sim_dir = tmp_path / "sim"
@@ -1213,9 +1213,8 @@ class TestPipelineConsistency:
         truth, _ = read_edges_tsv(sim_dir / "sim_edges.tsv", p=12)
         cli_metrics = confusion(est, truth)
 
-        spec = ExperimentSpec(sim=sim, threshold=ThresholdSpec.rate(0.5, 0.25),
-                              estimator="kendall", replicates=1)
-        in_process = run_experiment(spec).per_replicate[0]
+        result, = run_experiments(sim, "kendall", 1, [ThresholdSpec.rate(0.5, 0.25)])
+        in_process = result.per_replicate[0]
         assert cli_metrics == in_process
 
     def test_cli_pipeline_matches_fpr_mode_with_explicit_budget(self, runner, tmp_path):
@@ -1233,9 +1232,8 @@ class TestPipelineConsistency:
         truth, _ = read_edges_tsv(sim_dir / "sim_edges.tsv", p=20)
         cli_metrics = confusion(est, truth)
 
-        spec = ExperimentSpec(sim=sim, threshold=ThresholdSpec.fpr(q=0.1),
-                              estimator="kendall", replicates=1)
-        in_process = run_experiment(spec).per_replicate[0]
+        result, = run_experiments(sim, "kendall", 1, [ThresholdSpec.fpr(q=0.1)])
+        in_process = result.per_replicate[0]
         assert cli_metrics == in_process
 
 

@@ -12,20 +12,18 @@ from tauscreen import (
     DataMatrix,
     EdgeSet,
     InvalidInputError,
-    ExperimentSpec,
     RngStream,
     SimConfig,
     SweepResult,
     ThresholdSpec,
     auc,
     auc_points,
-    confusion,
     default_grid,
     estimator_matrix,
     generate_ground_truth,
     jackknife_matrix,
     roc_sweep,
-    run_experiment,
+    run_experiments,
     sample,
     screen_edges,
     threshold_matrix,
@@ -39,6 +37,8 @@ from tauscreen.evalbench import (
     write_json_report,
     write_sweep_csv,
 )
+
+from oracles import as_set, confusion
 
 
 class TestConfusion:
@@ -90,9 +90,7 @@ class TestConfusion:
 class TestRunExperiment:
     def test_single_replicate_reduces_to_direct_computation(self):
         sim = SimConfig(scenario="C", n=80, p=10, seed=99)
-        spec = ExperimentSpec(sim=sim, threshold=ThresholdSpec.rate(0.5, 0.25),
-                              estimator="kendall", replicates=1)
-        result = run_experiment(spec)
+        result, = run_experiments(sim, "kendall", 1, [ThresholdSpec.rate(0.5, 0.25)])
         rng = RngStream(99)
         gt = generate_ground_truth(sim, rng)
         data = sample(gt, sim, rng)
@@ -103,35 +101,27 @@ class TestRunExperiment:
 
     def test_deterministic(self):
         sim = SimConfig(scenario="B", n=40, p=20, seed=5)
-        spec = ExperimentSpec(sim=sim, threshold=ThresholdSpec.fpr(q=0.2),
-                              estimator="kendall", replicates=4)
-        a = run_experiment(spec)
-        b = run_experiment(spec)
+        a, = run_experiments(sim, "kendall", 4, [ThresholdSpec.fpr(q=0.2)])
+        b, = run_experiments(sim, "kendall", 4, [ThresholdSpec.fpr(q=0.2)])
         assert a.per_replicate == b.per_replicate
         assert a.f_used == b.f_used
 
     def test_threads_identical(self):
         sim = SimConfig(scenario="A", n=40, p=25, seed=17)
-        spec = ExperimentSpec(sim=sim, threshold=ThresholdSpec.fixed(0.3),
-                              estimator="kendall", replicates=6)
-        a = run_experiment(spec, threads=1)
-        b = run_experiment(spec, threads=4)
+        a, = run_experiments(sim, "kendall", 6, [ThresholdSpec.fixed(0.3)], threads=1)
+        b, = run_experiments(sim, "kendall", 6, [ThresholdSpec.fixed(0.3)], threads=4)
         assert a.per_replicate == b.per_replicate
 
     def test_aggregate_is_plain_mean(self):
         sim = SimConfig(scenario="C", n=30, p=8, seed=3)
-        spec = ExperimentSpec(sim=sim, threshold=ThresholdSpec.fixed(0.2),
-                              estimator="pearson", replicates=5)
-        result = run_experiment(spec)
+        result, = run_experiments(sim, "pearson", 5, [ThresholdSpec.fixed(0.2)])
         assert result.mean_fpr == float(np.mean([m.fpr for m in result.per_replicate]))
         assert result.mean_edge_count == float(
             np.mean([m.edge_count for m in result.per_replicate]))
 
     def test_q_converts_through_true_nonedges(self):
         sim = SimConfig(scenario="D", n=50, p=20, seed=1)
-        spec = ExperimentSpec(sim=sim, threshold=ThresholdSpec.fpr(q=0.1),
-                              estimator="kendall", replicates=1)
-        result = run_experiment(spec)
+        result, = run_experiments(sim, "kendall", 1, [ThresholdSpec.fpr(q=0.1)])
         gt = generate_ground_truth(sim)
         assert result.f_used == pytest.approx(0.1 * gt.nonedge_count())
         assert result.q_convention == "q-times-true-nonedges"
@@ -142,9 +132,7 @@ class TestRunExperiment:
     def test_f_reported_per_replicate(self, tmp_path):
         # scenario A redraws its graph per replicate, so f = q * |non-edges| varies
         sim = SimConfig(scenario="A", n=30, p=100, seed=3)
-        spec = ExperimentSpec(sim=sim, threshold=ThresholdSpec.fpr(q=0.05),
-                              estimator="kendall", replicates=5)
-        result = run_experiment(spec)
+        result, = run_experiments(sim, "kendall", 5, [ThresholdSpec.fpr(q=0.05)])
         expect = [0.05 * generate_ground_truth(sim, RngStream(3 ^ r)).nonedge_count()
                   for r in range(5)]
         assert len(set(expect)) > 1
@@ -159,9 +147,7 @@ class TestRunExperiment:
 
     def test_direct_f_is_every_replicates_budget(self, tmp_path):
         sim = SimConfig(scenario="A", n=30, p=20, seed=3)
-        spec = ExperimentSpec(sim=sim, threshold=ThresholdSpec.fpr(f=2.0),
-                              estimator="kendall", replicates=3)
-        result = run_experiment(spec)
+        result, = run_experiments(sim, "kendall", 3, [ThresholdSpec.fpr(f=2.0)])
         assert result.q_convention == "f-direct"
         assert result.f_per_replicate == (2.0,) * 3
         agg = result.aggregate()
@@ -175,9 +161,7 @@ class TestRunExperiment:
 
     def test_fixed_mode_has_no_budget(self, tmp_path):
         sim = SimConfig(scenario="A", n=30, p=20, seed=3)
-        spec = ExperimentSpec(sim=sim, threshold=ThresholdSpec.fixed(0.3),
-                              estimator="kendall", replicates=3)
-        result = run_experiment(spec)
+        result, = run_experiments(sim, "kendall", 3, [ThresholdSpec.fixed(0.3)])
         assert result.q_convention is None and result.f_per_replicate is None
         assert "f_used" not in result.aggregate()
         path = tmp_path / "rows.csv"
@@ -189,20 +173,17 @@ class TestRunExperiment:
     def test_fpr_q_threads_identical(self):
         # scenario A redraws its graph per replicate, so each f differs
         sim = SimConfig(scenario="A", n=30, p=40, seed=9)
-        spec = ExperimentSpec(sim=sim, threshold=ThresholdSpec.fpr(q=0.05),
-                              estimator="kendall", replicates=5)
-        a = run_experiment(spec, threads=1)
-        b = run_experiment(spec, threads=3)
+        a, = run_experiments(sim, "kendall", 5, [ThresholdSpec.fpr(q=0.05)], threads=1)
+        b, = run_experiments(sim, "kendall", 5, [ThresholdSpec.fpr(q=0.05)], threads=3)
         assert a.per_replicate == b.per_replicate
         assert a.f_per_replicate == b.f_per_replicate
         assert len(set(a.f_per_replicate)) > 1
         assert a.aggregate() == b.aggregate()
 
     def test_zero_threads_is_invalid(self):
-        spec = ExperimentSpec(sim=SimConfig(scenario="C", n=20, p=5),
-                              threshold=ThresholdSpec.fixed(0.3), replicates=2)
         with pytest.raises(InvalidInputError, match="threads must be >= 1, got 0"):
-            run_experiment(spec, threads=0)
+            run_experiments(SimConfig(scenario="C", n=20, p=5), "kendall", 2,
+                            [ThresholdSpec.fixed(0.3)], threads=0)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_failing_replicate_cancels_the_queue(self, monkeypatch, threads):
@@ -217,19 +198,16 @@ class TestRunExperiment:
             return real(sim, rng)
 
         monkeypatch.setattr(evalbench, "generate_ground_truth", first_fails)
-        spec = ExperimentSpec(sim=SimConfig(scenario="C", n=20, p=5),
-                              threshold=ThresholdSpec.fixed(0.3), replicates=40)
         with pytest.raises(TauscreenError, match="^replicate 0 failed: not pd$"):
-            run_experiment(spec, threads=threads)
+            run_experiments(SimConfig(scenario="C", n=20, p=5), "kendall", 40,
+                            [ThresholdSpec.fixed(0.3)], threads=threads)
         # replicate 0 plus at most one replicate per worker started before the cancel
         assert len(drawn) <= threads + 1
 
     @pytest.mark.parametrize("estimator", ["kendall", "pearson"])
     def test_fpr_replicate_makes_one_sign_pass(self, sign_passes, estimator):
         sim = SimConfig(scenario="B", n=40, p=20, seed=5)
-        spec = ExperimentSpec(sim=sim, threshold=ThresholdSpec.fpr(q=0.2),
-                              estimator=estimator, replicates=3)
-        run_experiment(spec, threads=1)
+        run_experiments(sim, estimator, 3, [ThresholdSpec.fpr(q=0.2)], threads=1)
         assert sign_passes == ["_sign_moments"] * 3
 
 
@@ -241,9 +219,7 @@ class TestQOrGamma:
         (ThresholdSpec.fpr(f=4.0), 4.0),
     ], ids=["fixed", "rate", "fpr-q", "fpr-f"])
     def test_column_and_key_are_the_thresholds_value(self, tmp_path, tspec, value):
-        spec = ExperimentSpec(sim=SimConfig(scenario="C", n=30, p=8),
-                              threshold=tspec, replicates=2)
-        result = run_experiment(spec)
+        result, = run_experiments(SimConfig(scenario="C", n=30, p=8), "kendall", 2, [tspec])
         assert result.q_or_gamma == value
         assert result.aggregate()["q_or_gamma"] == value
         path = tmp_path / "rows.csv"
@@ -289,18 +265,35 @@ class TestReplicateErrors:
         sim = SimConfig(scenario="C", n=20, p=5)
         with pytest.raises(expected, match=message) as info:
             if runner == "table":
-                run_experiment(ExperimentSpec(sim=sim, threshold=ThresholdSpec.fixed(0.3),
-                                              replicates=2))
+                run_experiments(sim, "kendall", 2, [ThresholdSpec.fixed(0.3)])
             else:
                 roc_sweep(sim, "kendall", replicates=2)
         assert type(info.value) is expected
         if expected is TauscreenError:
             assert info.value.__cause__ is raised
 
-    def test_fpr_spec_needs_three_rows(self):
-        with pytest.raises(InvalidInputError, match="fpr mode needs n >= 3"):
-            ExperimentSpec(sim=SimConfig(scenario="C", n=2, p=5),
-                           threshold=ThresholdSpec.fpr(q=0.1))
+    @pytest.mark.parametrize("n,estimator,replicates,thresholds,message", [
+        (2, "kendall", 2, [ThresholdSpec.fixed(0.3), ThresholdSpec.fpr(q=0.1)],
+         "fpr mode needs n >= 3"),
+        (20, "spearman", 2, [ThresholdSpec.fixed(0.3)], "estimator must be one of"),
+        (20, "kendall", 0, [ThresholdSpec.fixed(0.3)], "need at least 1 replicate"),
+        (20, "kendall", 2, [], "need at least 1 threshold"),
+    ], ids=["fpr-n2", "unknown-estimator", "zero-replicates", "no-thresholds"])
+    def test_fpr_spec_needs_three_rows(self, monkeypatch, n, estimator, replicates,
+                                       thresholds, message):
+        """Each refusal comes before the first replicate is drawn."""
+        drawn = []
+        real = evalbench.generate_ground_truth
+
+        def counted(sim, rng):
+            drawn.append(rng)
+            return real(sim, rng)
+
+        monkeypatch.setattr(evalbench, "generate_ground_truth", counted)
+        with pytest.raises(InvalidInputError, match=message):
+            run_experiments(SimConfig(scenario="C", n=n, p=5), estimator, replicates,
+                            thresholds)
+        assert drawn == []
 
 
 class TestRocSweep:
@@ -431,13 +424,11 @@ class TestSweepMatchesScreenLoop:
         sim = SimConfig(scenario="C", n=20, p=8, seed=0)
         roc_sweep(sim, "kendall", replicates=2)
         # table mode scores with the sweep's counts too
-        run_experiment(ExperimentSpec(sim=sim, threshold=ThresholdSpec.fpr(q=0.1),
-                                      replicates=2))
+        run_experiments(sim, "kendall", 2, [ThresholdSpec.fpr(q=0.1)])
         assert screen_calls == []
-        # the counter sees the calls that screen_data and a caller make
-        gt, data = replicate_data(sim, 0)
-        evalbench.confusion(screen_data(data, "kendall", ThresholdSpec.fixed(0.3))[1], gt.edges)
-        assert screen_calls == ["screen_edges", "confusion"]
+        # the counter sees the call that screen_data makes
+        screen_data(replicate_data(sim, 0)[1], "kendall", ThresholdSpec.fixed(0.3))
+        assert screen_calls == ["screen_edges"]
 
 
 def reference_cells(estimator, thresholds, gt, data):
@@ -514,7 +505,7 @@ class TestScoreCells:
         values = data.values.copy()
         values[:, 0] = 1.0
         data = DataMatrix(values)
-        assert (0, 1) in gt.edges.as_set()
+        assert (0, 1) in as_set(gt.edges)
         thresholds = (ThresholdSpec.fpr(q=0.5), ThresholdSpec.fpr(f=30.0), ThresholdSpec.fixed(0.0))
         cells = evalbench._score_cells("kendall", thresholds, gt, data)
         assert cells == reference_cells("kendall", thresholds, gt, data)
@@ -534,12 +525,12 @@ class TestRunExperiments:
     def test_list_equals_single_runs(self, cells, estimator, threads):
         # scenario A redraws its graph per replicate, so each f differs
         sim = SimConfig(scenario="A", n=30, p=40, seed=6)
-        specs = [ExperimentSpec(sim=sim, threshold=t, estimator=estimator, replicates=3)
-                 for t in self.LISTS[cells]]
-        results = evalbench.run_experiments(specs, threads=threads)
-        assert [r.spec for r in results] == specs
-        for result, spec in zip(results, specs):
-            single = run_experiment(spec, threads=1)
+        thresholds = self.LISTS[cells]
+        results = run_experiments(sim, estimator, 3, thresholds, threads=threads)
+        assert [(r.sim, r.estimator, r.threshold) for r in results] == [
+            (sim, estimator, t) for t in thresholds]
+        for result, t in zip(results, thresholds):
+            single, = run_experiments(sim, estimator, 3, [t], threads=1)
             assert result.per_replicate == single.per_replicate
             assert result.f_per_replicate == single.f_per_replicate
             assert result.aggregate() == single.aggregate()
@@ -558,28 +549,16 @@ class TestRunExperiments:
 
             monkeypatch.setattr(evalbench, name, counted)
         sim = SimConfig(scenario="B", n=30, p=20, seed=5)
-        specs = [ExperimentSpec(sim=sim, threshold=t, replicates=4) for t in self.LISTS[cells]]
-        evalbench.run_experiments(specs, threads=1)
+        run_experiments(sim, "kendall", 4, self.LISTS[cells], threads=1)
         assert calls == ["generate_ground_truth", "sample", kernel] * 4
         assert sign_passes == ["_sign_moments"] * 4
-
-    def test_specs_must_share_the_draw(self):
-        sim = SimConfig(scenario="C", n=20, p=5, seed=1)
-        base = ExperimentSpec(sim=sim, threshold=ThresholdSpec.fixed(0.3), replicates=2)
-        for other in (replace(base, sim=replace(sim, seed=2)),
-                      replace(base, estimator="pearson"), replace(base, replicates=3)):
-            with pytest.raises(InvalidInputError, match="share sim, estimator and replicates"):
-                evalbench.run_experiments([base, other])
-        with pytest.raises(InvalidInputError, match="share sim, estimator and replicates"):
-            evalbench.run_experiments([])
 
     @pytest.mark.parametrize("estimator", ["kendall", "pearson"])
     def test_sweep_point_is_the_table_row(self, estimator):
         sim = SimConfig(scenario="A", n=30, p=20, seed=12)
         gt, data = replicate_data(sim, 0)
         gamma = float(np.median(observed_strengths(estimator, gt, data)[0]))
-        table = run_experiment(ExperimentSpec(sim=sim, threshold=ThresholdSpec.fixed(gamma),
-                                              estimator=estimator, replicates=3))
+        table, = run_experiments(sim, estimator, 3, [ThresholdSpec.fixed(gamma)])
         tprs, fprs = replicate_sweeps(sim, estimator, 3, (0.1, gamma, 0.9))
         assert [(t[1], f[1]) for t, f in zip(tprs, fprs)] == [
             (1.0 - m.fnr, m.fpr) for m in table.per_replicate]
@@ -609,9 +588,7 @@ class TestAuc:
 class TestWriters:
     def test_experiment_csv(self, tmp_path):
         sim = SimConfig(scenario="C", n=30, p=6, seed=0)
-        spec = ExperimentSpec(sim=sim, threshold=ThresholdSpec.fixed(0.4),
-                              estimator="kendall", replicates=2)
-        result = run_experiment(spec)
+        result, = run_experiments(sim, "kendall", 2, [ThresholdSpec.fixed(0.4)])
         path = tmp_path / "rows.csv"
         write_experiment_csv(path, experiment_rows(result))
         lines = path.read_text().splitlines()

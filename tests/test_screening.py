@@ -16,7 +16,6 @@ from tauscreen import (
     MissingInputError,
     Partition,
     ThresholdSpec,
-    compare_partitions,
     connected_components,
     screen_edges,
     threshold_matrix,
@@ -27,6 +26,8 @@ from tauscreen.screening import (
     write_edges_tsv,
     write_partition_tsv,
 )
+
+from oracles import as_set, compare_partitions
 
 
 def corr_from_offdiag(p, pairs, kind="kendall-sine"):
@@ -159,11 +160,11 @@ class TestScreening:
         e_lo = screen_edges(corr, np.full((p, p), lo))
         e_hi = screen_edges(corr, np.full((p, p), hi))
         # raising thresholds can only drop edges
-        assert e_hi.as_set() <= e_lo.as_set()
+        assert as_set(e_hi) <= as_set(e_lo)
         # screening is sign-blind
         flipped = {jk: -v for jk, v in vals.items()}
         e_flip = screen_edges(corr_from_offdiag(p, flipped), np.full((p, p), lo))
-        assert e_flip.as_set() == e_lo.as_set()
+        assert as_set(e_flip) == as_set(e_lo)
 
 
 class TestComponents:
@@ -302,9 +303,9 @@ class TestEdgeSetType:
         assert source[0, 0] == 3  # the caller's array is not sorted in place
         for empty in ((), [], np.empty((0, 2), dtype=int)):
             e = EdgeSet(3, empty)
-            assert e.edges.shape == (0, 2) and len(e) == 0 and e.as_set() == set()
+            assert e.edges.shape == (0, 2) and len(e) == 0 and as_set(e) == set()
         assert [(j, k) for j, k in unsorted.edges] == [(0, 1), (0, 2), (1, 4), (3, 4)]
-        assert unsorted.as_set() == {(0, 1), (0, 2), (1, 4), (3, 4)}
+        assert as_set(unsorted) == {(0, 1), (0, 2), (1, 4), (3, 4)}
 
     def test_edges_read_only(self):
         e = EdgeSet(4, ((0, 1), (2, 3)))
@@ -320,7 +321,7 @@ class TestSerialization:
         path = tmp_path / "edges.tsv"
         write_edges_tsv(path, edges, corr)
         back, values = read_edges_tsv(path, p=3)
-        assert back.as_set() == edges.as_set()
+        assert as_set(back) == as_set(edges)
         assert values[(0, 1)] == 0.6
         assert values[(1, 2)] == -0.7
         header = path.read_text().splitlines()[0]
@@ -360,6 +361,10 @@ class TestSerialization:
             read_partition_tsv(path)
         path.write_text("node\tcomponent\n1\t1\n\n2\t1\t9\n")
         with pytest.raises(InvalidInputError, match=r"part\.tsv: line 4 has 3 cells"):
+            read_partition_tsv(path)
+        path.write_text("node\tcomponent\n1\t1\n2\t3\n")
+        with pytest.raises(InvalidInputError,
+                           match=r"part\.tsv: component labels must form a contiguous range"):
             read_partition_tsv(path)
 
     @pytest.mark.parametrize("line,p,message", [
