@@ -53,14 +53,9 @@ from .io import (
     write_matrix_csv,
 )
 from .linalg import check_symmetric, eig_extremes, pin_blas_threads
-from .screening import (
-    ThresholdSpec,
-    connected_components,
-    read_edges_tsv,
-    write_edges_tsv,
-    write_partition_tsv,
-)
-from .simgen import SCENARIOS, GroundTruth, RngStream, SimConfig, generate_ground_truth, sample
+from .screening import ThresholdSpec, connected_components, write_edges_tsv, write_partition_tsv
+from .simgen import (SCENARIOS, GroundTruth, RngStream, SimConfig, generate_ground_truth,
+                     precision_support, sample)
 
 _BASE_FLAGS = {"gaussian": "gaussian", "t": "student-t"}
 _TRANSFORM_FLAGS = {"none": "none", "npn": "nonparanormal"}
@@ -399,8 +394,9 @@ def _read_symmetric(path) -> np.ndarray:
 
 @main.command()
 @click.option("--sigma", "sigma_path", type=click.Path(), default=None)
-@click.option("--precision", "precision_path", type=click.Path(), default=None)
-@click.option("--edges", "edges_path", type=click.Path(), default=None)
+@click.option("--precision", "precision_path", type=click.Path(), default=None,
+              help="Inverse of --sigma; the true edges are its off-diagonal "
+                   "entries with |value| > 1e-12.")
 @click.option("--scenario", type=click.Choice(SCENARIOS), default=None)
 @click.option("--p", type=int, default=None)
 @click.option("--seed", type=int, default=None, help="Scenario mode only (default 0).")
@@ -421,17 +417,17 @@ def diagnose(**params):
     with _usage_errors():
         check_constants(params["n"], params["c1"], params["kappa"], params["xi"],
                         params["c2"], params["alpha"])
-    files = [params[k] is not None for k in ("sigma_path", "precision_path", "edges_path")]
+    files = [params[k] is not None for k in ("sigma_path", "precision_path")]
     from_files = all(files)
     if any(files) and not from_files:
-        raise click.UsageError("--sigma, --precision and --edges go together")
+        raise click.UsageError("--sigma and --precision go together")
     scenario_flags = [f"--{k}" for k in ("scenario", "p", "seed") if params[k] is not None]
     if from_files and scenario_flags:
         raise click.UsageError(
-            f"--sigma/--precision/--edges do not take {', '.join(scenario_flags)}")
+            f"--sigma/--precision do not take {', '.join(scenario_flags)}")
     if not from_files:
         if params["scenario"] is None or params["p"] is None:
-            raise click.UsageError("supply --sigma/--precision/--edges or --scenario/--p")
+            raise click.UsageError("supply --sigma/--precision or --scenario/--p")
         seed = params["seed"] or 0
         with _usage_errors():
             cfg = SimConfig(scenario=params["scenario"], n=params["n"], p=params["p"], seed=seed)
@@ -445,21 +441,21 @@ def diagnose(**params):
         ts = _parse_float_list(params["hoeffding_t"], "--hoeffding-t")
         if not all(math.isfinite(v) and v > 0 for v in ts):
             raise click.UsageError("--hoeffding-t: deviations must be finite and > 0")
-    _check_paths([("--sigma", params["sigma_path"]), ("--precision", params["precision_path"]),
-                  ("--edges", params["edges_path"])], [("--out", params["out"])])
+    _check_paths([("--sigma", params["sigma_path"]), ("--precision", params["precision_path"])],
+                 [("--out", params["out"])])
     if from_files:
         sigma, omega = (_read_symmetric(params[k]) for k in ("sigma_path", "precision_path"))
         if omega.shape != sigma.shape:
             raise InvalidInputError(
                 f"{params['precision_path']}: matrix is {len(omega)}x{len(omega)}, "
                 f"but {params['sigma_path']} is {len(sigma)}x{len(sigma)}")
-        edges, _ = read_edges_tsv(params["edges_path"], p=sigma.shape[0])
-        gt = GroundTruth(sigma=sigma, omega=omega, edges=edges, scenario="file")
+        gt = GroundTruth(sigma=sigma, omega=omega, edges=precision_support(omega),
+                         scenario="file")
         try:  # each file passed its own checks; now they must agree
             gt.validate()
         except TauscreenError as exc:
-            paths = ", ".join(params[k] for k in ("sigma_path", "precision_path", "edges_path"))
-            raise InvalidInputError(f"{paths}: not one ground truth: {exc}") from None
+            raise InvalidInputError(f"{params['sigma_path']}, {params['precision_path']}: "
+                                    f"not one ground truth: {exc}") from None
     else:  # a scenario's ground truth is valid by construction
         gt = generate_ground_truth(cfg, RngStream(seed))
     report = check_assumptions(gt, params["n"], params["c1"], params["kappa"],

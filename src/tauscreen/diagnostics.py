@@ -173,12 +173,14 @@ def check_proposition1(gt: GroundTruth, n: int, c1: float, kappa: float, xi: flo
     harmonically-scaled precision entries imply the edge-strength floor, once
     the sample size clears ``(2/C1)^(1/(1-xi-kappa))``.
     """
+    if n < 2:
+        raise InvalidInputError("need n >= 2")
     if not 0 < kappa < 0.5:
         raise InvalidInputError("kappa must lie in (0, 1/2)")
-    if xi <= 0 or 1.0 - xi - kappa <= 0:
+    if not (xi > 0 and 1.0 - xi - kappa > 0):  # false for a nan xi
         raise InvalidInputError("need xi > 0 and xi + kappa < 1")
-    if c1 <= 0:
-        raise InvalidInputError("C1 must be positive")
+    if not 0 < c1 < math.inf:
+        raise InvalidInputError("C1 must be positive and finite")
 
     _, lam_max, beta, nu = _spread(gt)
     root = float(n) ** ((1.0 - xi) / 2.0)
@@ -206,10 +208,12 @@ def check_proposition1(gt: GroundTruth, n: int, c1: float, kappa: float, xi: flo
 def neighborhood_size_bound(gt: GroundTruth, n: int, c1: float, kappa: float) -> float:
     """Explicit cap on the size of any screened neighborhood at the rate
     threshold: 9 * C1^-2 * n^(2 kappa) * lambda_max(sigma)."""
-    if c1 <= 0:
-        raise InvalidInputError("C1 must be positive")
-    if kappa < 0:
-        raise InvalidInputError("kappa must be nonnegative")
+    if n < 2:
+        raise InvalidInputError("need n >= 2")
+    if not 0 < c1 < math.inf:
+        raise InvalidInputError("C1 must be positive and finite")
+    if not 0 <= kappa < math.inf:
+        raise InvalidInputError("kappa must be nonnegative and finite")
     _, lam_max = eig_extremes(gt.sigma)
     return 9.0 * _power(c1, -2.0) * float(n) ** (2.0 * kappa) * lam_max
 
@@ -219,8 +223,8 @@ def hoeffding_bound(n: int, t: float) -> float:
     statistic (a bounded pairwise average), clipped at 1."""
     if n < 2:
         raise InvalidInputError("need n >= 2")
-    if t <= 0:
-        raise InvalidInputError("need t > 0")
+    if not 0 < t < math.inf:
+        raise InvalidInputError("need t > 0 and finite")
     return min(1.0, 2.0 * math.exp(-(n // 2) * t * t / 2.0))
 
 

@@ -1,14 +1,15 @@
 """File formats: numeric data CSV, dense matrix CSV, and price-CSV ingestion.
 
-Every table the package reads, the edge and partition TSVs included, goes
-through one streaming row reader, :func:`read_rows`: it numbers the lines,
-refuses a line that is not UTF-8 with an error naming the path and the line,
-skips blank lines and splits each line into cells. Every table the package
-writes goes out through one streaming row writer, :func:`write_rows`: UTF-8
-text with ``\n`` line ends, cells joined by one delimiter, and floats at 17
-significant digits so doubles round-trip exactly; a cell that holds the
-delimiter is refused. Data, matrix and price tables share one row parse,
-:func:`_parse_row`: float64 cells, nan where ``float()`` refuses a cell.
+Every table the package reads (a data, matrix or price CSV) goes through one
+streaming row reader, :func:`read_rows`: it numbers the lines, refuses a line
+that is not UTF-8 with an error naming the path and the line, skips blank
+lines and splits each line into cells. Every table the package writes, the
+edge and partition TSVs included, goes out through one streaming row writer,
+:func:`write_rows`: UTF-8 text with ``\n`` line ends, cells joined by one
+delimiter, and floats at 17 significant digits so doubles round-trip exactly;
+a cell that holds the delimiter is refused. Data, matrix and price tables
+share one row parse, :func:`_parse_row`: float64 cells, nan where ``float()``
+refuses a cell.
 
 Data CSVs hold one observation per row. The delimiter (comma or tab) is
 auto-detected from the first non-blank line, and an optional single header
@@ -44,13 +45,13 @@ def _is_number(token: str) -> bool:
         return False
 
 
-def read_rows(path, delimiter: str | None = None):
+def read_rows(path):
     """Yield the 1-based line number and the cells of each non-blank line of
-    ``path``, read one line at a time. Cells are split on ``delimiter`` or,
-    when it is None, on a tab if the first non-blank line holds one and on a
-    comma otherwise. A line that is not UTF-8, or a file with no non-blank
-    line, raises an error naming the path (and the line)."""
-    empty = True
+    ``path``, read one line at a time. Cells are split on a tab if the first
+    non-blank line holds one and on a comma otherwise. A line that is not
+    UTF-8, or a file with no non-blank line, raises an error naming the path
+    (and the line)."""
+    delimiter = None
     # utf-8-sig drops the byte-order mark that Excel writes before a "CSV UTF-8"
     with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for i, line in enumerate(fh, 1):
@@ -59,11 +60,10 @@ def read_rows(path, delimiter: str | None = None):
             line = line.rstrip("\n").rstrip("\r")
             if not line.strip():
                 continue
-            if empty:
-                empty = False
-                delimiter = delimiter or ("\t" if "\t" in line else ",")
+            if delimiter is None:
+                delimiter = "\t" if "\t" in line else ","
             yield i, line.split(delimiter)
-    if empty:
+    if delimiter is None:
         raise InvalidInputError(f"{path}: empty file")
 
 

@@ -14,7 +14,7 @@ Three threshold rules are supported:
   of a zero-variance pair.
 
 Edges are kept on strict inequality |corr| > gamma. Node indices are 0-based
-in memory and 1-based in the TSV interchange format.
+in memory and 1-based in the edge and partition TSVs the package writes.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import InvalidInputError, MissingInputError
-from .io import read_rows, write_rows
+from .io import write_rows
 from .rankcorr import CorrMatrix, JackknifeVarMatrix
 
 
@@ -173,20 +173,20 @@ def threshold_matrix(spec: ThresholdSpec, n: int, p: int, jack: JackknifeVarMatr
             raise InvalidInputError(f"variance matrix is {jack.dim}x{jack.dim}, expected p={p}")
         if n < 3:
             raise InvalidInputError("fpr mode needs n >= 3")
+        if p < 2:
+            raise InvalidInputError(f"fpr mode needs p >= 2 columns, got p={p}")
         f = spec.resolve_f(p)
         if not f < p * (p - 1) / 2.0:
             raise InvalidInputError(f"need f < p(p-1)/2, got f={f} with p={p}")
         level = 1.0 - f / (p * (p - 1))
         z = math.inf if level == 1.0 else NormalDist().inv_cdf(level)
         omega = np.sqrt(jack.entries)
-        if p > 1:
-            off = omega[~np.eye(p, dtype=bool)]
-            if np.any(off == 0.0):
-                warnings.warn(
-                    "degenerate pair(s) with zero jackknife variance: "
-                    "their threshold is 0 and they are kept whenever |corr| > 0",
-                    stacklevel=2,
-                )
+        if np.any(omega[~np.eye(p, dtype=bool)] == 0.0):
+            warnings.warn(
+                "degenerate pair(s) with zero jackknife variance: "
+                "their threshold is 0 and they are kept whenever |corr| > 0",
+                stacklevel=2,
+            )
         with np.errstate(invalid="ignore"):  # 0 * inf when z is inf
             out = (np.pi / 2.0) * omega * z / np.sqrt(n)
         out[omega == 0.0] = 0.0
@@ -241,73 +241,7 @@ def write_edges_tsv(path, edges: EdgeSet, values: np.ndarray | CorrMatrix) -> No
                delimiter="\t", header=("j", "j'", "value"))
 
 
-def _read_tsv_rows(path, header: str, what: str, noun: str, kinds: tuple):
-    """Yield the 1-based line number and the cells parsed by ``kinds`` of each
-    non-blank line after the header, whose first cell must be ``header``. A
-    malformed line, or one whose cells before the last repeat an earlier
-    line's (a duplicate ``noun``), raises an error naming its line number."""
-    rows = read_rows(path, delimiter="\t")
-    cells = next(rows)[1]
-    if len(cells) < 2 or cells[0] != header:
-        raise InvalidInputError(f"{path}: missing {what} TSV header")
-    first_line = {}
-    for lineno, cells in rows:
-        if len(cells) != len(kinds):
-            raise InvalidInputError(
-                f"{path}: line {lineno} has {len(cells)} cells, expected {len(kinds)}")
-        try:
-            parsed = [kind(cell) for kind, cell in zip(kinds, cells)]
-        except ValueError as exc:
-            raise InvalidInputError(f"{path}: line {lineno}: {exc}") from None
-        *ids, _ = parsed
-        key = ids[0] if len(ids) == 1 else tuple(ids)
-        if key in first_line:
-            raise InvalidInputError(
-                f"{path}: line {lineno}: duplicate {noun} {key}, first on line {first_line[key]}")
-        first_line[key] = lineno
-        yield lineno, parsed
-
-
-def read_edges_tsv(path, p: int | None = None) -> tuple[EdgeSet, dict[tuple[int, int], float]]:
-    """Read an edge-list TSV; returns the edge set and the per-edge values.
-
-    Each line must hold 1 <= j < j' (and j' <= p when ``p`` is given) and
-    name a pair no earlier line named. When ``p`` is omitted the node count is
-    inferred as the largest index present (isolated trailing nodes cannot be
-    recovered from the file).
-    """
-    values = {}
-    for lineno, (a, b, val) in _read_tsv_rows(path, "j", "edge", "edge", (int, int, float)):
-        if not 1 <= a < b or (p is not None and b > p):
-            bound = "" if p is None else f" <= p={p}"
-            raise InvalidInputError(
-                f"{path}: line {lineno}: edge ({a}, {b}) needs 1 <= j < j'{bound}")
-        values[(a - 1, b - 1)] = val
-    if p is None:
-        p = max((k for _, k in values), default=0) + 1
-    return EdgeSet(p, tuple(values)), values
-
-
 def write_partition_tsv(path, part: Partition) -> None:
     """Write a node-to-component table as TSV with 1-based node indices."""
     write_rows(path, enumerate(part.component_id, 1), delimiter="\t",
                header=("node", "component"))
-
-
-def read_partition_tsv(path) -> Partition:
-    """Read a node-to-component TSV: one line per node 1..p, in any order."""
-    labels = {}
-    for lineno, (node, label) in _read_tsv_rows(path, "node", "partition", "node", (int, int)):
-        if node < 1:
-            raise InvalidInputError(f"{path}: line {lineno}: node {node} must be >= 1")
-        labels[node - 1] = label
-    if not labels:
-        raise InvalidInputError(f"{path}: no node lines")
-    p = max(labels) + 1
-    missing = next((i for i in range(p) if i not in labels), None)
-    if missing is not None:
-        raise InvalidInputError(f"{path}: no line for node {missing + 1}")
-    try:
-        return Partition(p, tuple(labels[i] for i in range(p)))
-    except InvalidInputError as exc:  # a label gap
-        raise InvalidInputError(f"{path}: {exc}") from None

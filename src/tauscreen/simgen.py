@@ -15,7 +15,8 @@ D   Block-diagonal precision with p/10 blocks of size 10 and entries
 
 In every scenario the covariance is rescaled to unit diagonal and the stored
 precision is its exact algebraic inverse (the rescaling is applied to both
-factors analytically, not by a second numerical inversion).
+factors analytically, not by a second numerical inversion). The true edges
+are the precision's support, as :func:`precision_support` reads it.
 
 Sampling draws latent rows L z (z standard normal), optionally scales them to
 a multivariate t with the requested degrees of freedom and unit-diagonal
@@ -193,9 +194,14 @@ class GroundTruth:
         resid = np.max(np.abs(self.sigma @ self.omega - np.eye(p)))
         if resid > 1e-6:
             raise InvalidInputError(f"sigma * omega deviates from identity by {resid:.3g}")
-        support = np.argwhere(np.triu(np.abs(self.omega) > 1e-12, 1))
-        if not np.array_equal(support, self.edges.edges):
+        if not np.array_equal(precision_support(self.omega).edges, self.edges.edges):
             raise InvalidInputError("edge set does not match the precision support")
+
+
+def precision_support(omega: np.ndarray) -> EdgeSet:
+    """The true graph of a precision matrix: the pairs (j, k), j < k, with
+    |omega[j, k]| > 1e-12, the partial correlations that are not zero."""
+    return EdgeSet(len(omega), np.argwhere(np.triu(np.abs(omega) > 1e-12, 1)))
 
 
 def _finish_from_precision(precision: np.ndarray, edges: EdgeSet, scenario: str,

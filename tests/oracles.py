@@ -1,5 +1,8 @@
 """Reference helpers that only the tests call: an edge set as a Python set,
-set-based confusion counts, and partition equality up to relabelling."""
+the edges of a written edge TSV, set-based confusion counts, and partition
+equality up to relabelling."""
+
+from pathlib import Path
 
 import numpy as np
 
@@ -9,6 +12,15 @@ from tauscreen import ConfusionMetrics, EdgeSet, InvalidInputError, Partition
 def as_set(edges: EdgeSet) -> set[tuple[int, int]]:
     """The edges as a set of (j, k) pairs, j < k."""
     return set(map(tuple, edges.edges.tolist()))
+
+
+def read_edge_pairs(path, p: int) -> tuple[EdgeSet, dict[tuple[int, int], float]]:
+    """The edges and per-edge values of an edge TSV that ``screen`` or
+    ``simulate`` wrote: a header line, then ``j<TAB>j'<TAB>value`` per edge
+    with 1-based j < j'."""
+    _, *lines = Path(path).read_text(encoding="utf-8").splitlines()
+    values = {(int(j) - 1, int(k) - 1): float(v) for j, k, v in map(str.split, lines)}
+    return EdgeSet(p, tuple(values)), values
 
 
 def confusion(est: EdgeSet, truth: EdgeSet) -> ConfusionMetrics:

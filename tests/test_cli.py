@@ -34,14 +34,14 @@ from tauscreen.rankcorr import (
 )
 from tauscreen.screening import (
     connected_components,
-    read_edges_tsv,
     screen_edges,
     threshold_matrix,
     write_edges_tsv,
     write_partition_tsv,
 )
+from tauscreen.simgen import precision_support
 
-from oracles import confusion
+from oracles import as_set, confusion, read_edge_pairs
 
 
 @pytest.fixture
@@ -84,6 +84,15 @@ class TestSimulate:
         summary = json.loads(result.output)
         assert summary["edge_count"] == 2
         assert set(summary) == {"edge_count", "lambda_min", "lambda_max"}
+
+    @pytest.mark.parametrize("scenario,p", [("A", 40), ("B", 20), ("C", 6), ("D", 20)])
+    def test_edges_file_is_the_precision_support(self, runner, tmp_path, scenario, p):
+        invoke(runner, ["simulate", "--scenario", scenario, "--n", "10", "--p", str(p),
+                        "--seed", "2", "--out-dir", str(tmp_path)])
+        support = precision_support(read_matrix_csv(tmp_path / "sim_precision.csv"))
+        edges, _ = read_edge_pairs(tmp_path / "sim_edges.tsv", p=p)
+        assert len(edges) > 0
+        assert as_set(support) == as_set(edges)
 
     def test_byte_identical_reruns(self, runner, tmp_path):
         args = ["simulate", "--scenario", "B", "--n", "30", "--p", "20", "--base", "t",
@@ -130,7 +139,7 @@ class TestScreen:
         result = invoke(runner, ["screen", "--data", str(sim_dir / "sim_data.csv"),
                                  "--gamma", "1.1", "--out", str(out)])
         assert result.exit_code == 0
-        edges, _ = read_edges_tsv(out, p=5)
+        edges, _ = read_edge_pairs(out, p=5)
         assert len(edges) == 0
 
     @pytest.mark.parametrize("flag,value,message", [
@@ -159,6 +168,17 @@ class TestScreen:
         result = runner.invoke(main, ["screen", "--data", str(data), "--fpr-q", "0.1",
                                       "--out", str(tmp_path / "e.tsv")])
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("flag,value", [("--fpr-q", "0.1"), ("--fpr-f", "2")],
+                             ids=["q", "f"])
+    def test_fpr_needs_two_columns(self, runner, tmp_path, flag, value):
+        data = tmp_path / "d.csv"
+        data.write_text("1\n2\n3\n4\n")
+        result = runner.invoke(main, ["screen", "--data", str(data), flag, value,
+                                      "--out", str(tmp_path / "e.tsv")])
+        assert result.exit_code == 1
+        assert result.stderr == "error: fpr mode needs p >= 2 columns, got p=1\n"
+        assert list(tmp_path.iterdir()) == [data]
 
     def test_components_output(self, runner, tmp_path):
         sim_dir = tmp_path / "sim"
@@ -707,8 +727,7 @@ class TestDistinctOutputs:
          "--config and --out name the same file sub/../c.json"),
         ("ingest-prices", ["--prices", "p.csv", "--out", "p.csv"],
          "--prices and --out name the same file p.csv"),
-        ("diagnose", ["--sigma", "s.csv", "--precision", "w.csv", "--edges", "g.tsv",
-                      "--n", "30", "--out", "s.csv"],
+        ("diagnose", ["--sigma", "s.csv", "--precision", "w.csv", "--n", "30", "--out", "s.csv"],
          "--sigma and --out name the same file s.csv"),
         ("bench", ["--config", "c.json", "--scenario", "C", "--n", "20", "--p", "5",
                    "--gamma", "0.3", "--out-csv", "o.csv", "--out-json", "c.json"],
@@ -847,7 +866,6 @@ class TestDiagnose:
         by_files, by_scenario = tmp_path / "files.json", tmp_path / "scenario.json"
         result = invoke(runner, ["diagnose", "--sigma", str(sim_dir / "sim_sigma.csv"),
                                  "--precision", str(sim_dir / "sim_precision.csv"),
-                                 "--edges", str(sim_dir / "sim_edges.tsv"),
                                  "--n", "60", "--out", str(by_files)])
         assert result.exit_code == 0, result.output
         invoke(runner, ["diagnose", "--scenario", scenario, "--p", str(p), "--seed", "5",
@@ -856,13 +874,11 @@ class TestDiagnose:
 
     def test_edgeless_graph_report_is_valid_json(self, runner, tmp_path):
         # independent variables: identity sigma and precision, no edges
-        identity, edges = tmp_path / "identity.csv", tmp_path / "edges.tsv"
+        identity = tmp_path / "identity.csv"
         write_matrix_csv(identity, np.eye(10))
-        edges.write_text("j\tj'\tvalue\n")
         out = tmp_path / "report.json"
         result = invoke(runner, ["diagnose", "--sigma", str(identity),
-                                 "--precision", str(identity),
-                                 "--edges", str(edges), "--n", "100", "--out", str(out)])
+                                 "--precision", str(identity), "--n", "100", "--out", str(out)])
         assert result.exit_code == 0
 
         def refuse(token):
@@ -891,8 +907,7 @@ class TestDiagnose:
         result = CliRunner().invoke(main, ["diagnose", "--n", "50", "--out", "r.json"])
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("given", [("--edges",), ("--sigma", "--precision"),
-                                       ("--precision",)])
+    @pytest.mark.parametrize("given", [("--sigma",), ("--precision",)])
     def test_partial_files_are_usage_error(self, runner, tmp_path, given):
         # the files do not exist: the flags are checked before any read
         files = [arg for flag in given for arg in (flag, str(tmp_path / "in.csv"))]
@@ -900,7 +915,7 @@ class TestDiagnose:
         result = runner.invoke(main, ["diagnose", "--scenario", "C", "--p", "5", "--n", "100",
                                       *files, "--out", str(out)])
         assert result.exit_code == 2
-        assert "--sigma, --precision and --edges go together" in result.output
+        assert "--sigma and --precision go together" in result.output
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("extra,config,named", [
@@ -915,8 +930,7 @@ class TestDiagnose:
         invoke(runner, ["simulate", "--scenario", "C", "--n", "50", "--p", "12",
                         "--out-dir", str(sim_dir)])
         args = ["diagnose", "--sigma", str(sim_dir / "sim_sigma.csv"),
-                "--precision", str(sim_dir / "sim_precision.csv"),
-                "--edges", str(sim_dir / "sim_edges.tsv"), "--n", "80", *extra,
+                "--precision", str(sim_dir / "sim_precision.csv"), "--n", "80", *extra,
                 "--out", str(tmp_path / "r.json")]
         if config is not None:
             cfg = sim_dir / "cfg.json"
@@ -924,7 +938,7 @@ class TestDiagnose:
             args += ["--config", str(cfg)]
         result = runner.invoke(main, args)
         assert result.exit_code == 2
-        assert f"--sigma/--precision/--edges do not take {named}" in result.output
+        assert f"--sigma/--precision do not take {named}" in result.output
         assert not (tmp_path / "r.json").exists()
 
     def test_bad_scenario_shape_is_usage_error(self, runner, tmp_path):
@@ -967,8 +981,7 @@ class TestDiagnose:
                                                 source):
         # the files do not exist: the constants are checked before any read
         inputs = (["--scenario", "B", "--p", "30"] if source == "scenario" else
-                  ["--sigma", str(tmp_path / "s.csv"), "--precision", str(tmp_path / "o.csv"),
-                   "--edges", str(tmp_path / "e.tsv")])
+                  ["--sigma", str(tmp_path / "s.csv"), "--precision", str(tmp_path / "o.csv")])
         args = ["diagnose", *inputs, "--n", "100", flag, value,
                 "--out", str(tmp_path / "report.json")]
         result = runner.invoke(main, args)
@@ -979,46 +992,24 @@ class TestDiagnose:
     @pytest.mark.parametrize("which,edit,message", [
         ("sigma", lambda m: 2.0 * m, "sigma diagonal is not 1"),
         ("precision", lambda m: np.eye(len(m)), "sigma * omega deviates from identity by 0.3"),
-        ("edges", lambda text: text + "1\t3\t0.5\n",
-         "edge set does not match the precision support"),
-    ], ids=["twice-sigma", "identity-precision", "extra-edge"])
+    ], ids=["twice-sigma", "identity-precision"])
     def test_files_that_disagree_are_refused(self, runner, tmp_path, which, edit, message):
         sim_dir = tmp_path / "sim"
         invoke(runner, ["simulate", "--scenario", "C", "--n", "50", "--p", "4",
                         "--out-dir", str(sim_dir)])
-        files = {"sigma": sim_dir / "sim_sigma.csv", "precision": sim_dir / "sim_precision.csv",
-                 "edges": sim_dir / "sim_edges.tsv"}
+        files = {"sigma": sim_dir / "sim_sigma.csv", "precision": sim_dir / "sim_precision.csv"}
         bad = tmp_path / f"bad_{which}"
-        if which == "edges":
-            bad.write_text(edit(files[which].read_text()))
-        else:
-            write_matrix_csv(bad, edit(read_matrix_csv(files[which])))
+        write_matrix_csv(bad, edit(read_matrix_csv(files[which])))
         files[which] = bad
         out = tmp_path / "report.json"
         result = runner.invoke(main, [
             "diagnose", "--sigma", str(files["sigma"]), "--precision", str(files["precision"]),
-            "--edges", str(files["edges"]), "--n", "50", "--out", str(out)])
+            "--n", "50", "--out", str(out)])
         assert result.exit_code == 1
         assert result.stdout == ""
-        named = ", ".join(str(files[k]) for k in ("sigma", "precision", "edges"))
+        named = f"{files['sigma']}, {files['precision']}"
         assert result.stderr == f"error: {named}: not one ground truth: {message}\n"
         assert not out.exists()
-
-    def test_malformed_edges_file_is_located_error(self, runner, tmp_path):
-        sim_dir = tmp_path / "sim"
-        invoke(runner, ["simulate", "--scenario", "D", "--n", "50", "--p", "20",
-                        "--seed", "0", "--out-dir", str(sim_dir)])
-        edges = sim_dir / "sim_edges.tsv"
-        edges.write_text(edges.read_text() + "3\t4\n")
-        line = len(edges.read_text().splitlines())
-        result = CliRunner().invoke(main, [
-            "diagnose", "--sigma", str(sim_dir / "sim_sigma.csv"),
-            "--precision", str(sim_dir / "sim_precision.csv"), "--edges", str(edges),
-            "--n", "50", "--out", str(tmp_path / "report.json")])
-        assert result.exit_code == 1
-        assert isinstance(result.exception, SystemExit)  # not a raw traceback
-        assert f"error: {edges}: line {line} has 2 cells, expected 3" in result.output
-
 
     @pytest.mark.parametrize("which,edit,message", [
         ("sigma", lambda m: m[:, :3], "matrix must be square, got shape (4, 3)"),
@@ -1041,7 +1032,7 @@ class TestDiagnose:
         out = tmp_path / "report.json"
         result = runner.invoke(main, [
             "diagnose", "--sigma", str(files["sigma"]), "--precision", str(files["precision"]),
-            "--edges", str(sim_dir / "sim_edges.tsv"), "--n", "200", "--out", str(out)])
+            "--n", "200", "--out", str(out)])
         assert result.exit_code == 1
         assert result.stderr == f"error: {bad}: {message.format(sigma=files['sigma'])}\n"
         assert not out.exists()
@@ -1066,8 +1057,7 @@ class TestErrorBoundary:
                                "--out", str(tmp_path / "r.csv")],
                               f"{not_utf8}: line 2 is not UTF-8"),
             "diagnose-sigma": (["diagnose", "--sigma", str(not_utf8), "--precision",
-                                str(not_utf8), "--edges", str(not_utf8), "--n", "50",
-                                "--out", str(tmp_path / "r.json")],
+                                str(not_utf8), "--n", "50", "--out", str(tmp_path / "r.json")],
                                f"{not_utf8}: line 2 is not UTF-8"),
             "simulate-out-dir": (["simulate", "--scenario", "C", "--n", "10", "--p", "3",
                                   "--out-dir", str(regular / "sub")], "Not a directory"),
@@ -1107,32 +1097,21 @@ class TestErrorBoundary:
         assert result.stderr == line
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("command", ["screen", "ingest-prices", "diagnose-sigma",
-                                         "diagnose-edges"])
-    @pytest.mark.parametrize("csv,tsv,line", [
-        (b"\xff\xfea,b\n1,2\n3,4\n", b"\xff\xfej\tj'\tvalue\n1\t2\t0.5\n", 1),
-        (b"1,2\n3,4\n\n5,\xe9\n", b"j\tj'\tvalue\n1\t2\t0.5\n\n2\t\xe9\t0.5\n", 4),
+    @pytest.mark.parametrize("command", ["screen", "ingest-prices", "diagnose-sigma"])
+    @pytest.mark.parametrize("csv,line", [
+        (b"\xff\xfea,b\n1,2\n3,4\n", 1),
+        (b"1,2\n3,4\n\n5,\xe9\n", 4),
     ], ids=["bom-header", "after-blank-line"])
-    def test_non_utf8_input_names_file_and_line(self, runner, tmp_path, tmp_path_factory,
-                                                command, csv, tsv, line):
+    def test_non_utf8_input_names_file_and_line(self, runner, tmp_path, command, csv, line):
         bad = tmp_path / "bad.csv"
-        sim = tmp_path_factory.mktemp("sim")
-        if command == "diagnose-edges":
-            invoke(runner, ["simulate", "--scenario", "C", "--n", "10", "--p", "3",
-                            "--out-dir", str(sim)])
-        bad.write_bytes(tsv if command == "diagnose-edges" else csv)
+        bad.write_bytes(csv)
         args = {
             "screen": ["screen", "--data", str(bad), "--gamma", "0.3",
                        "--out", str(tmp_path / "e.tsv")],
             "ingest-prices": ["ingest-prices", "--prices", str(bad),
                               "--out", str(tmp_path / "r.csv")],
             "diagnose-sigma": ["diagnose", "--sigma", str(bad), "--precision", str(bad),
-                               "--edges", str(bad), "--n", "50",
-                               "--out", str(tmp_path / "r.json")],
-            "diagnose-edges": ["diagnose", "--sigma", str(sim / "sim_sigma.csv"),
-                               "--precision", str(sim / "sim_precision.csv"),
-                               "--edges", str(bad), "--n", "50",
-                               "--out", str(tmp_path / "r.json")],
+                               "--n", "50", "--out", str(tmp_path / "r.json")],
         }[command]
         result = runner.invoke(main, args, catch_exceptions=False)
         assert result.exit_code == 1
@@ -1209,8 +1188,8 @@ class TestPipelineConsistency:
         edges_out = tmp_path / "est.tsv"
         invoke(runner, ["screen", "--data", str(sim_dir / "sim_data.csv"),
                         "--rate", "0.5,0.25", "--out", str(edges_out)])
-        est, _ = read_edges_tsv(edges_out, p=12)
-        truth, _ = read_edges_tsv(sim_dir / "sim_edges.tsv", p=12)
+        est, _ = read_edge_pairs(edges_out, p=12)
+        truth, _ = read_edge_pairs(sim_dir / "sim_edges.tsv", p=12)
         cli_metrics = confusion(est, truth)
 
         result, = run_experiments(sim, "kendall", 1, [ThresholdSpec.rate(0.5, 0.25)])
@@ -1228,8 +1207,8 @@ class TestPipelineConsistency:
         edges_out = tmp_path / "est.tsv"
         invoke(runner, ["screen", "--data", str(sim_dir / "sim_data.csv"),
                         "--fpr-f", f"{f:.17g}", "--out", str(edges_out)])
-        est, _ = read_edges_tsv(edges_out, p=20)
-        truth, _ = read_edges_tsv(sim_dir / "sim_edges.tsv", p=20)
+        est, _ = read_edge_pairs(edges_out, p=20)
+        truth, _ = read_edge_pairs(sim_dir / "sim_edges.tsv", p=20)
         cli_metrics = confusion(est, truth)
 
         result, = run_experiments(sim, "kendall", 1, [ThresholdSpec.fpr(q=0.1)])
@@ -1357,8 +1336,7 @@ class TestScipyImports:
                               "--out", str(tmp_path / "r.csv")],
             "diagnose from files": ["diagnose", "--sigma", str(sim / "sim_sigma.csv"),
                                     "--precision", str(sim / "sim_precision.csv"),
-                                    "--edges", str(sim / "sim_edges.tsv"), "--n", "50",
-                                    "--out", str(tmp_path / "g.json")],
+                                    "--n", "50", "--out", str(tmp_path / "g.json")],
             "--help": ["--help"],
         }[command]
         loaded = self._run(args)

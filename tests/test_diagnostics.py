@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -160,6 +161,26 @@ class TestHoeffdingBound:
             hoeffding_bound(1, 0.1)
         with pytest.raises(InvalidInputError):
             hoeffding_bound(10, 0.0)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda gt: neighborhood_size_bound(gt, 100, math.nan, 0.25), "C1"),
+    (lambda gt: neighborhood_size_bound(gt, 100, math.inf, 0.25), "C1"),
+    (lambda gt: neighborhood_size_bound(gt, 100, 0.5, math.nan), "kappa"),
+    (lambda gt: neighborhood_size_bound(gt, 100, 0.5, math.inf), "kappa"),
+    (lambda gt: neighborhood_size_bound(gt, 1, 0.5, 0.25), "n >= 2"),
+    (lambda gt: check_proposition1(gt, 100, math.nan, 0.25, 0.3), "C1"),
+    (lambda gt: check_proposition1(gt, 100, math.inf, 0.25, 0.3), "C1"),
+    (lambda gt: check_proposition1(gt, 100, 0.5, 0.25, math.nan), "xi"),
+    (lambda gt: check_proposition1(gt, 1, 0.5, 0.25, 0.3), "n >= 2"),
+    (lambda gt: hoeffding_bound(100, math.nan), "t > 0 and finite"),
+    (lambda gt: hoeffding_bound(100, math.inf), "t > 0 and finite"),
+], ids=["bound-c1-nan", "bound-c1-inf", "bound-kappa-nan", "bound-kappa-inf", "bound-n-one",
+        "prop1-c1-nan", "prop1-c1-inf", "prop1-xi-nan", "prop1-n-one",
+        "hoeffding-t-nan", "hoeffding-t-inf"])
+def test_library_refuses_constant_out_of_domain(call, message):
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        call(gen_correlation_C(10))
 
 
 class TestNormalityCheck:

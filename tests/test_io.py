@@ -22,14 +22,7 @@ from tauscreen.io import (
 from tauscreen.evalbench import SweepResult, write_experiment_csv, write_sweep_csv
 from tauscreen.io import write_rows
 from tauscreen.rankcorr import DataMatrix
-from tauscreen.screening import (
-    EdgeSet,
-    Partition,
-    read_edges_tsv,
-    read_partition_tsv,
-    write_edges_tsv,
-    write_partition_tsv,
-)
+from tauscreen.screening import EdgeSet, Partition, write_edges_tsv, write_partition_tsv
 
 
 class TestDataCsv:
@@ -263,8 +256,6 @@ HEADERS = {
     read_data_csv: b"x,y",
     read_matrix_csv: b"1,2",
     read_price_csv: b"date,AAA",
-    read_edges_tsv: b"j\tj'\tvalue",
-    read_partition_tsv: b"node\tcomponent",
 }
 READERS = pytest.mark.parametrize("reader", HEADERS, ids=lambda reader: reader.__name__)
 

@@ -20,14 +20,9 @@ from tauscreen import (
     screen_edges,
     threshold_matrix,
 )
-from tauscreen.screening import (
-    read_edges_tsv,
-    read_partition_tsv,
-    write_edges_tsv,
-    write_partition_tsv,
-)
+from tauscreen.screening import write_edges_tsv
 
-from oracles import as_set, compare_partitions
+from oracles import as_set, compare_partitions, read_edge_pairs
 
 
 def corr_from_offdiag(p, pairs, kind="kendall-sine"):
@@ -314,94 +309,25 @@ class TestEdgeSetType:
         assert np.array_equal(e.edges, [[0, 1], [2, 3]])
 
 
+class TestPartitionType:
+    @pytest.mark.parametrize("p,labels,message", [
+        (0, (), "node count must be >= 1"),
+        (3, (1, 2), "component_id length must equal p"),
+        (2, (1, 3), "component labels must form a contiguous range 1..k"),
+    ], ids=["no-nodes", "short", "label-gap"])
+    def test_validation(self, p, labels, message):
+        with pytest.raises(InvalidInputError, match=message):
+            Partition(p, labels)
+
+
 class TestSerialization:
     def test_edges_roundtrip(self, tmp_path):
         corr = corr_from_offdiag(3, {(0, 1): 0.6, (1, 2): -0.7})
         edges = screen_edges(corr, np.full((3, 3), 0.5))
         path = tmp_path / "edges.tsv"
         write_edges_tsv(path, edges, corr)
-        back, values = read_edges_tsv(path, p=3)
+        back, values = read_edge_pairs(path, p=3)
         assert as_set(back) == as_set(edges)
-        assert values[(0, 1)] == 0.6
-        assert values[(1, 2)] == -0.7
+        assert values == {(0, 1): 0.6, (1, 2): -0.7}
         header = path.read_text().splitlines()[0]
         assert header == "j\tj'\tvalue"
-
-    def test_partition_roundtrip(self, tmp_path):
-        part = connected_components(EdgeSet(4, ((0, 1), (1, 2))))
-        path = tmp_path / "part.tsv"
-        write_partition_tsv(path, part)
-        assert read_partition_tsv(path).component_id == part.component_id
-        assert path.read_text().splitlines()[0] == "node\tcomponent"
-
-    def test_malformed_edge_line_located(self, tmp_path):
-        path = tmp_path / "edges.tsv"
-        path.write_text("j\tj'\tvalue\n1\t2\t0.5\n2\t3\n")
-        with pytest.raises(InvalidInputError, match=r"edges\.tsv: line 3 has 2 cells"):
-            read_edges_tsv(path)
-        path.write_text("j\tj'\tvalue\n1\tx\t0.5\n")
-        with pytest.raises(InvalidInputError, match=r"edges\.tsv: line 2: .*'x'"):
-            read_edges_tsv(path)
-        path.write_text("j\tj'\tvalue\n1\t2\t0.5\t\n")
-        with pytest.raises(InvalidInputError, match=r"edges\.tsv: line 2 has 4 cells"):
-            read_edges_tsv(path)
-
-    def test_header_is_first_non_blank_line(self, tmp_path):
-        path = tmp_path / "edges.tsv"
-        path.write_text("\n\nj\tj'\tvalue\n1\t2\t0.5\n")
-        assert read_edges_tsv(path)[1] == {(0, 1): 0.5}
-        path.write_text("\n1\t2\t0.5\n")
-        with pytest.raises(InvalidInputError, match=r"edges\.tsv: missing edge TSV header"):
-            read_edges_tsv(path)
-
-    def test_malformed_partition_located(self, tmp_path):
-        path = tmp_path / "part.tsv"
-        path.write_text("node\tcomponent\n1\t1\n3\t1\n")
-        with pytest.raises(InvalidInputError, match=r"part\.tsv: no line for node 2"):
-            read_partition_tsv(path)
-        path.write_text("node\tcomponent\n1\t1\n\n2\t1\t9\n")
-        with pytest.raises(InvalidInputError, match=r"part\.tsv: line 4 has 3 cells"):
-            read_partition_tsv(path)
-        path.write_text("node\tcomponent\n1\t1\n2\t3\n")
-        with pytest.raises(InvalidInputError,
-                           match=r"part\.tsv: component labels must form a contiguous range"):
-            read_partition_tsv(path)
-
-    @pytest.mark.parametrize("line,p,message", [
-        ("0\t2\t0.5", None, r"line 3: edge \(0, 2\) needs 1 <= j < j'$"),
-        ("2\t1\t0.5", None, r"line 3: edge \(2, 1\) needs 1 <= j < j'$"),
-        ("1\t4\t0.5", 3, r"line 3: edge \(1, 4\) needs 1 <= j < j' <= p=3"),
-    ], ids=["j-zero", "j-above-jprime", "jprime-above-p"])
-    def test_edge_out_of_range_located(self, tmp_path, line, p, message):
-        path = tmp_path / "edges.tsv"
-        path.write_text(f"j\tj'\tvalue\n1\t2\t0.5\n{line}\n")
-        with pytest.raises(InvalidInputError, match=r"edges\.tsv: " + message):
-            read_edges_tsv(path, p=p)
-
-    def test_duplicate_edge_located(self, tmp_path):
-        path = tmp_path / "edges.tsv"
-        path.write_text("j\tj'\tvalue\n1\t2\t0.5\n2\t3\t0.1\n1\t2\t0.7\n")
-        with pytest.raises(InvalidInputError,
-                           match=r"edges\.tsv: line 4: duplicate edge \(1, 2\), first on line 2"):
-            read_edges_tsv(path)
-
-    def test_duplicate_partition_node_located(self, tmp_path):
-        path = tmp_path / "part.tsv"
-        path.write_text("node\tcomponent\n1\t1\n1\t2\n2\t1\n")
-        with pytest.raises(InvalidInputError,
-                           match=r"part\.tsv: line 3: duplicate node 1, first on line 2"):
-            read_partition_tsv(path)
-
-    def test_partition_node_zero_located(self, tmp_path):
-        path = tmp_path / "part.tsv"
-        path.write_text("node\tcomponent\n0\t1\n1\t1\n")
-        with pytest.raises(InvalidInputError, match=r"part\.tsv: line 2: node 0 must be >= 1"):
-            read_partition_tsv(path)
-
-    def test_partition_without_nodes_located(self, tmp_path):
-        path = tmp_path / "part.tsv"
-        path.write_text("node\tcomponent\n")
-        with pytest.raises(InvalidInputError, match=r"part\.tsv: no node lines$"):
-            read_partition_tsv(path)
-        with pytest.raises(InvalidInputError, match="node count must be >= 1"):
-            Partition(0, ())
