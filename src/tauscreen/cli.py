@@ -54,8 +54,8 @@ from .io import (
 )
 from .linalg import check_symmetric, eig_extremes, pin_blas_threads
 from .screening import ThresholdSpec, connected_components, write_edges_tsv, write_partition_tsv
-from .simgen import (SCENARIOS, GroundTruth, RngStream, SimConfig, generate_ground_truth,
-                     precision_support, sample)
+from .simgen import (MAX_ARRAY_ENTRIES, SCENARIOS, GroundTruth, RngStream, SimConfig,
+                     generate_ground_truth, sample)
 
 _BASE_FLAGS = {"gaussian": "gaussian", "t": "student-t"}
 _TRANSFORM_FLAGS = {"none": "none", "npn": "nonparanormal"}
@@ -351,8 +351,8 @@ def bench(**params):
                 raise click.UsageError("--grid: MIN and MAX must be finite")
             if not 0 <= lo <= hi:
                 raise click.UsageError("--grid: need 0 <= MIN <= MAX")
-            if not (count.is_integer() and count >= 2):  # auc needs two points
-                raise click.UsageError("--grid: COUNT must be an integer >= 2")
+            if not (count.is_integer() and 2 <= count <= MAX_ARRAY_ENTRIES):  # auc needs two points
+                raise click.UsageError(f"--grid: COUNT must be an integer >= 2 and <= {MAX_ARRAY_ENTRIES}")
             grid = tuple(np.linspace(lo, hi, int(count)).tolist())
         sweep = roc_sweep(sim, params["estimator"], params["replicates"], grid=grid)
         write_sweep_csv(params["out_csv"], sweep)
@@ -429,8 +429,8 @@ def diagnose(**params):
         if params["scenario"] is None or params["p"] is None:
             raise click.UsageError("supply --sigma/--precision or --scenario/--p")
         seed = params["seed"] or 0
-        with _usage_errors():
-            cfg = SimConfig(scenario=params["scenario"], n=params["n"], p=params["p"], seed=seed)
+        with _usage_errors():  # no sample is drawn, so --n does not size an array here
+            cfg = SimConfig(scenario=params["scenario"], n=2, p=params["p"], seed=seed)
     ns, ts = [params["n"]], [0.1, 0.2]
     if params["hoeffding_n"]:
         ns = _parse_float_list(params["hoeffding_n"], "--hoeffding-n")
@@ -449,8 +449,7 @@ def diagnose(**params):
             raise InvalidInputError(
                 f"{params['precision_path']}: matrix is {len(omega)}x{len(omega)}, "
                 f"but {params['sigma_path']} is {len(sigma)}x{len(sigma)}")
-        gt = GroundTruth(sigma=sigma, omega=omega, edges=precision_support(omega),
-                         scenario="file")
+        gt = GroundTruth(sigma=sigma, omega=omega)
         try:  # each file passed its own checks; now they must agree
             gt.validate()
         except TauscreenError as exc:

@@ -118,9 +118,13 @@ def check_constants(n: int, c1: float, kappa: float, xi: float, c2: float,
                     alpha: float) -> None:
     """Refuse constants outside the ranges :func:`check_assumptions` is
     defined on: n >= 2, kappa in (0, 1/2), xi in (0, 1 - 2 kappa), C1 > 0,
-    C2 > 0 and alpha >= 0, each finite."""
+    C2 > 0 and alpha >= 0, each finite (n as a float too)."""
     if n < 2:
         raise InvalidInputError("need n >= 2")
+    try:
+        float(n)
+    except OverflowError:
+        raise InvalidInputError("n is too large to convert to a float") from None
     if not 0 < kappa < 0.5:
         raise InvalidInputError("kappa must lie in (0, 1/2)")
     if not 0 < xi < 1 - 2 * kappa:

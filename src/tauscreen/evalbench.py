@@ -86,10 +86,8 @@ class ExperimentResult:
     def q_or_gamma(self) -> float:
         """The threshold's value: gamma, the rate cutoff at n, q, or f given directly."""
         threshold = self.threshold
-        if threshold.mode == "fixed":
-            return threshold.gamma
-        if threshold.mode == "rate":
-            return threshold.rate_gamma(self.sim.n)
+        if threshold.mode != "fpr":
+            return threshold.cutoff(self.sim.n)
         return threshold.f if threshold.f is not None else threshold.q
 
     @property
@@ -192,8 +190,7 @@ def _score_cells(estimator: str, thresholds: tuple, gt, data) -> list[tuple]:
     upper, truth = np.triu_indices(data.p, 1), tuple(gt.edges.edges.T)
     strength, true_strength = np.abs(corr.entries[upper]), np.abs(corr.entries[truth])
     total, edges = strength.size, true_strength.size
-    scalar = [t.gamma if t.mode == "fixed" else t.rate_gamma(data.n)
-              for t in thresholds if t.mode != "fpr"]
+    scalar = [t.cutoff(data.n) for t in thresholds if t.mode != "fpr"]
     # side="right" counts the pairs with |corr| <= gamma, so what remains
     # is the strict |corr| > gamma rule of screen_edges, ties included
     kept = iter((total - np.searchsorted(np.sort(strength), scalar, side="right")).tolist())

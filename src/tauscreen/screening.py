@@ -148,10 +148,13 @@ class ThresholdSpec:
             return self.f
         return self.q * p * (p - 1) / 2.0
 
-    def rate_gamma(self, n: int) -> float:
-        """The rate rule's cutoff (2/3) * C1 * n^(-kappa) at sample size n."""
-        if self.mode != "rate":
-            raise InvalidInputError("rate_gamma is only meaningful in rate mode")
+    def cutoff(self, n: int) -> float:
+        """The one cutoff of every pair at sample size n: gamma, or the rate
+        rule's (2/3) * C1 * n^(-kappa). An fpr rule's cutoffs are per pair."""
+        if self.mode == "fpr":
+            raise InvalidInputError("an fpr threshold has no single cutoff")
+        if self.mode == "fixed":
+            return self.gamma
         return (2.0 / 3.0) * self.c1 * float(n) ** (-self.kappa)
 
 
@@ -162,10 +165,8 @@ def threshold_matrix(spec: ThresholdSpec, n: int, p: int, jack: JackknifeVarMatr
     """
     if p < 1 or n < 2:
         raise InvalidInputError("need p >= 1 and n >= 2")
-    if spec.mode == "fixed":
-        out = np.full((p, p), spec.gamma, dtype=np.float64)
-    elif spec.mode == "rate":
-        out = np.full((p, p), spec.rate_gamma(n), dtype=np.float64)
+    if spec.mode != "fpr":
+        out = np.full((p, p), spec.cutoff(n), dtype=np.float64)
     else:
         if jack is None:
             raise MissingInputError("fpr mode requires a jackknife variance matrix")

@@ -15,8 +15,9 @@ D   Block-diagonal precision with p/10 blocks of size 10 and entries
 
 In every scenario the covariance is rescaled to unit diagonal and the stored
 precision is its exact algebraic inverse (the rescaling is applied to both
-factors analytically, not by a second numerical inversion). The true edges
-are the precision's support, as :func:`precision_support` reads it.
+factors analytically, not by a second numerical inversion). A ground truth
+stores only the two matrices: its true edges are the precision's support, as
+:func:`precision_support` reads it, derived where they are needed.
 
 Sampling draws latent rows L z (z standard normal), optionally scales them to
 a multivariate t with the requested degrees of freedom and unit-diagonal
@@ -34,7 +35,8 @@ sampling otherwise). Replicate r of an experiment uses seed ``sim.seed XOR r``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +60,8 @@ _MASK64 = (1 << 64) - 1
 # Above this integer df, chi_square draws through the gamma path: the sum of
 # squares asks for size x df normals, gigabytes or an error for a huge theta.
 _SUM_OF_SQUARES_MAX_DF = 100
+# The most float64 or int64 entries one numpy array can hold (its bytes count as an intp)
+MAX_ARRAY_ENTRIES = np.iinfo(np.intp).max // 8
 
 
 class RngStream:
@@ -94,7 +98,7 @@ class RngStream:
         ``_SUM_OF_SQUARES_MAX_DF``, twice a Gamma(df/2) deviate otherwise."""
         if not 0 < df < math.inf:
             raise InvalidInputError("degrees of freedom must be positive and finite")
-        if float(df).is_integer() and df <= _SUM_OF_SQUARES_MAX_DF:
+        if _sums_squares(df):
             z = self.standard_normal((size, int(df)))
             return np.sum(z * z, axis=-1)
         return 2.0 * self._gamma(df / 2.0, size)
@@ -117,6 +121,11 @@ class RngStream:
             out[filled : filled + accepted.size] = accepted
             filled += accepted.size
         return out
+
+
+def _sums_squares(df: float) -> bool:
+    """Whether chi_square draws df normals per deviate (not the gamma path)."""
+    return float(df).is_integer() and df <= _SUM_OF_SQUARES_MAX_DF
 
 
 @dataclass(frozen=True)
@@ -146,6 +155,14 @@ class SimConfig:
             raise InvalidInputError(f"scenario {self.scenario} requires p divisible by 10, got {self.p}")
         if self.base == "student-t" and not 2 < self.theta < math.inf:
             raise InvalidInputError("student-t base requires a finite theta > 2 (finite variance)")
+        # refused before any draw: a p x p matrix, an n x p sample, or the
+        # n x theta chi-square normals of an integer theta numpy cannot index
+        if self.p * self.p > MAX_ARRAY_ENTRIES:
+            raise InvalidInputError(f"p={self.p} is too large: numpy cannot index a p x p matrix")
+        chi_square_normals = self.base == "student-t" and _sums_squares(self.theta)
+        width = max(self.p, int(self.theta) if chi_square_normals else 0)
+        if self.n * width > MAX_ARRAY_ENTRIES:
+            raise InvalidInputError(f"n={self.n} is too large: numpy cannot index an n x {width} array")
 
     def to_json_dict(self) -> dict:
         out = {
@@ -163,22 +180,20 @@ class SimConfig:
 
 @dataclass(frozen=True, eq=False)
 class GroundTruth:
-    """A solved scenario: covariance, its inverse, and the true edge set.
-
-    ``raw_precision`` keeps the precision matrix before the covariance is
-    rescaled to unit diagonal (scenarios A/B/D), which is where the
-    smallest-eigenvalue floor of 0.1 is enforced.
-    """
+    """A solved scenario: a unit-diagonal covariance and its inverse. The
+    true edges are not stored; :attr:`edges` reads them off the precision."""
 
     sigma: np.ndarray
     omega: np.ndarray
-    edges: EdgeSet
-    scenario: str
-    raw_precision: np.ndarray | None = field(default=None, compare=False)
 
     @property
     def p(self) -> int:
         return self.sigma.shape[0]
+
+    @cached_property
+    def edges(self) -> EdgeSet:
+        """The true graph, :func:`precision_support` of omega (computed once)."""
+        return precision_support(self.omega)
 
     def nonedge_count(self) -> int:
         return self.p * (self.p - 1) // 2 - len(self.edges)
@@ -194,8 +209,6 @@ class GroundTruth:
         resid = np.max(np.abs(self.sigma @ self.omega - np.eye(p)))
         if resid > 1e-6:
             raise InvalidInputError(f"sigma * omega deviates from identity by {resid:.3g}")
-        if not np.array_equal(precision_support(self.omega).edges, self.edges.edges):
-            raise InvalidInputError("edge set does not match the precision support")
 
 
 def precision_support(omega: np.ndarray) -> EdgeSet:
@@ -204,8 +217,7 @@ def precision_support(omega: np.ndarray) -> EdgeSet:
     return EdgeSet(len(omega), np.argwhere(np.triu(np.abs(omega) > 1e-12, 1)))
 
 
-def _finish_from_precision(precision: np.ndarray, edges: EdgeSet, scenario: str,
-                           block_slices: list[slice]) -> GroundTruth:
+def _finish_from_precision(precision: np.ndarray, block_slices: list[slice]) -> GroundTruth:
     """Invert, rescale to unit diagonal, and rescale the precision to match.
 
     The inversion runs per diagonal block of ``block_slices`` (one block of
@@ -218,13 +230,10 @@ def _finish_from_precision(precision: np.ndarray, edges: EdgeSet, scenario: str,
     d = np.diag(cov).copy()
     sigma = rescale_to_unit_diagonal(cov)
     # (D^-1/2 cov D^-1/2)^-1 = D^1/2 precision D^1/2, applied analytically
-    scale = np.sqrt(np.outer(d, d))
-    omega = precision * scale
-    return GroundTruth(sigma=sigma, omega=omega, edges=edges, scenario=scenario,
-                       raw_precision=precision)
+    return GroundTruth(sigma=sigma, omega=precision * np.sqrt(np.outer(d, d)))
 
 
-def _random_weighted_precision(p: int, pair_mask: np.ndarray, rng: RngStream):
+def _random_weighted_precision(p: int, pair_mask: np.ndarray, rng: RngStream) -> np.ndarray:
     """Unit-diagonal symmetric matrix with Unif weights on masked pairs, then
     the diagonal shift that pins the smallest eigenvalue at the 0.1 floor."""
     iu = np.triu_indices(p, 1)
@@ -234,8 +243,7 @@ def _random_weighted_precision(p: int, pair_mask: np.ndarray, rng: RngStream):
     a[iu] = vals
     a.T[iu] = vals
     lam_min, _ = eig_extremes(a)
-    precision = a + (_EIG_FLOOR - lam_min) * np.eye(p)
-    return precision, np.transpose(iu)[vals != 0.0]
+    return a + (_EIG_FLOOR - lam_min) * np.eye(p)
 
 
 def gen_precision_A(p: int, rng: RngStream) -> GroundTruth:
@@ -244,8 +252,7 @@ def gen_precision_A(p: int, rng: RngStream) -> GroundTruth:
         raise InvalidInputError("need p >= 2")
     m = p * (p - 1) // 2
     mask = rng.uniform01(m) < _EDGE_PROBABILITY
-    precision, pairs = _random_weighted_precision(p, mask, rng)
-    return _finish_from_precision(precision, EdgeSet(p, pairs), "A", [slice(0, p)])
+    return _finish_from_precision(_random_weighted_precision(p, mask, rng), [slice(0, p)])
 
 
 def _contiguous_blocks(p: int, n_blocks: int) -> list[slice]:
@@ -253,23 +260,13 @@ def _contiguous_blocks(p: int, n_blocks: int) -> list[slice]:
     return [slice(l * size, (l + 1) * size) for l in range(n_blocks)]
 
 
-def _within_block_mask(p: int, blocks: list[slice]) -> np.ndarray:
-    iu = np.triu_indices(p, 1)
-    block_of = np.empty(p, dtype=int)
-    for b, sl in enumerate(blocks):
-        block_of[sl] = b
-    return block_of[iu[0]] == block_of[iu[1]]
-
-
 def gen_precision_B(p: int, rng: RngStream) -> GroundTruth:
     """Scenario B: ten contiguous blocks, fully connected inside each block."""
     if p % 10 != 0:
         raise InvalidInputError(f"scenario B requires p divisible by 10, got {p}")
-    blocks = _contiguous_blocks(p, 10)
-    mask = _within_block_mask(p, blocks)
-    precision, _ = _random_weighted_precision(p, mask, rng)
-    pairs = np.transpose(np.triu_indices(p, 1))[mask]
-    return _finish_from_precision(precision, EdgeSet(p, pairs), "B", blocks)
+    j, k = np.triu_indices(p, 1)
+    within = j // (p // 10) == k // (p // 10)
+    return _finish_from_precision(_random_weighted_precision(p, within, rng), _contiguous_blocks(p, 10))
 
 
 def gen_correlation_C(p: int) -> GroundTruth:
@@ -287,9 +284,7 @@ def gen_correlation_C(p: int) -> GroundTruth:
     off = -r / denom
     for j in range(p - 1):
         omega[j, j + 1] = omega[j + 1, j] = off
-    edges = EdgeSet(p, np.column_stack((idx[:-1], idx[1:])))
-    return GroundTruth(sigma=sigma, omega=omega, edges=edges, scenario="C",
-                       raw_precision=omega)
+    return GroundTruth(sigma=sigma, omega=omega)
 
 
 def gen_precision_D(p: int) -> GroundTruth:
@@ -302,8 +297,7 @@ def gen_precision_D(p: int) -> GroundTruth:
     precision = np.zeros((p, p))
     for sl in blocks:
         precision[sl, sl] = block
-    pairs = np.transpose(np.triu_indices(p, 1))[_within_block_mask(p, blocks)]
-    return _finish_from_precision(precision, EdgeSet(p, pairs), "D", blocks)
+    return _finish_from_precision(precision, blocks)
 
 
 def generate_ground_truth(cfg: SimConfig, rng: RngStream | None = None) -> GroundTruth:

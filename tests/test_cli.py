@@ -44,6 +44,10 @@ from tauscreen.simgen import precision_support
 from oracles import as_set, confusion, read_edge_pairs
 
 
+# past any size numpy can index (and past int64)
+BIG = str(10**20)
+
+
 @pytest.fixture
 def runner():
     return CliRunner()
@@ -1096,6 +1100,48 @@ class TestErrorBoundary:
         assert result.stdout == ""
         assert result.stderr == line
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args,message", [
+        (["simulate", "--scenario", "C", "--n", BIG, "--p", "10"],
+         f"n={BIG} is too large: numpy cannot index an n x 10 array"),
+        (["simulate", "--scenario", "C", "--n", "10", "--p", BIG],
+         f"p={BIG} is too large: numpy cannot index a p x p matrix"),
+        (["simulate", "--scenario", "C", "--n", str(2 * 10**16), "--p", "10", "--base", "t",
+          "--theta", "100"], "numpy cannot index an n x 100 array"),
+        (["bench", "--scenario", "C", "--n", BIG, "--p", "10", "--q", "0.1"],
+         "numpy cannot index an n x 10 array"),
+        (["bench", "--mode", "sweep", "--scenario", "C", "--n", "20", "--p", "10",
+          "--grid", "0,1,1e20"], "--grid: COUNT must be an integer >= 2 and <= "),
+        (["diagnose", "--scenario", "C", "--p", BIG, "--n", "10"],
+         "numpy cannot index a p x p matrix"),
+        (["diagnose", "--scenario", "C", "--p", "10", "--n", "1" + "0" * 400],
+         "n is too large to convert to a float"),
+    ], ids=["simulate-n", "simulate-p", "simulate-theta", "bench-n", "bench-grid-count",
+            "diagnose-p", "diagnose-n-float"])
+    def test_size_numpy_cannot_hold_is_usage_error(self, runner, tmp_path, monkeypatch,
+                                                   args, message):
+        # refused before any draw: a ground truth or a grid is never built
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a refused size reached a draw")
+
+        for name in ("generate_ground_truth", "run_experiments", "roc_sweep"):
+            monkeypatch.setattr(cli, name, no_draw)
+        monkeypatch.setattr(cli.np, "linspace", no_draw)
+        outputs = {"simulate": ["--out-dir", str(tmp_path / "sim")],
+                   "bench": ["--out-csv", str(tmp_path / "b.csv"),
+                             "--out-json", str(tmp_path / "b.json")],
+                   "diagnose": ["--out", str(tmp_path / "r.json")]}[args[0]]
+        result = runner.invoke(main, args + outputs, catch_exceptions=False)
+        assert result.exit_code == 2
+        assert message in result.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_diagnose_judges_a_huge_n(self, runner, tmp_path):
+        # diagnose draws no sample, so an n past any array size is still judged
+        result = runner.invoke(main, ["diagnose", "--scenario", "C", "--p", "10", "--n", BIG,
+                                      "--out", str(tmp_path / "r.json")], catch_exceptions=False)
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.stdout)["assumptions"]["n"] == int(BIG)
 
     @pytest.mark.parametrize("command", ["screen", "ingest-prices", "diagnose-sigma"])
     @pytest.mark.parametrize("csv,line", [

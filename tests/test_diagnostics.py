@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from tauscreen import (
-    EdgeSet,
     GroundTruth,
     InvalidInputError,
     RngStream,
@@ -25,8 +24,7 @@ from tauscreen import (
 
 
 def identity_truth(p=4):
-    return GroundTruth(sigma=np.eye(p), omega=np.eye(p), edges=EdgeSet(p, ()),
-                       scenario="C")
+    return GroundTruth(sigma=np.eye(p), omega=np.eye(p))
 
 
 class TestCheckAssumptions:
@@ -114,8 +112,7 @@ class TestProposition1:
     def test_json_has_no_nan_or_infinity(self):
         # no edges leave min_scaled_precision nan; lambda_max = 0.25 puts
         # 1/sqrt(lambda_max) = 2 above n^((1-xi)/2) = 1.04, so beta_bound is inf
-        gt = GroundTruth(sigma=0.25 * np.eye(4), omega=4.0 * np.eye(4),
-                         edges=EdgeSet(4, ()), scenario="C")
+        gt = GroundTruth(sigma=0.25 * np.eye(4), omega=4.0 * np.eye(4))
         rep = check_proposition1(gt, n=2, c1=0.5, kappa=0.01, xi=0.9)
         assert math.isnan(rep.min_scaled_precision) and math.isinf(rep.beta_bound)
         doc = rep.to_json_dict()
@@ -175,9 +172,11 @@ class TestHoeffdingBound:
     (lambda gt: check_proposition1(gt, 1, 0.5, 0.25, 0.3), "n >= 2"),
     (lambda gt: hoeffding_bound(100, math.nan), "t > 0 and finite"),
     (lambda gt: hoeffding_bound(100, math.inf), "t > 0 and finite"),
+    (lambda gt: check_assumptions(gt, 10**400, 0.6, 0.25, 0.3, 1.0, 0.5),
+     "n is too large to convert to a float"),
 ], ids=["bound-c1-nan", "bound-c1-inf", "bound-kappa-nan", "bound-kappa-inf", "bound-n-one",
         "prop1-c1-nan", "prop1-c1-inf", "prop1-xi-nan", "prop1-n-one",
-        "hoeffding-t-nan", "hoeffding-t-inf"])
+        "hoeffding-t-nan", "hoeffding-t-inf", "assumptions-n-past-float"])
 def test_library_refuses_constant_out_of_domain(call, message):
     with pytest.raises(InvalidInputError, match=re.escape(message)):
         call(gen_correlation_C(10))

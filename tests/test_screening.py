@@ -51,6 +51,11 @@ class TestThresholdSpec:
         spec = ThresholdSpec.fpr(q=0.2)
         assert spec.resolve_f(5) == pytest.approx(0.2 * 10)
 
+    def test_cutoff_is_scalar_rules_only(self):
+        assert ThresholdSpec.fixed(0.25).cutoff(10) == 0.25
+        with pytest.raises(InvalidInputError, match="no single cutoff"):
+            ThresholdSpec.fpr(q=0.1).cutoff(10)
+
 
 class TestThresholdMatrix:
     def test_rate_hand_value(self):
@@ -58,7 +63,7 @@ class TestThresholdMatrix:
         t = threshold_matrix(ThresholdSpec.rate(0.6, 0.25), n=16, p=3)
         off = t[~np.eye(3, dtype=bool)]
         assert np.allclose(off, 0.2, atol=1e-15)
-        assert np.all(off == ThresholdSpec.rate(0.6, 0.25).rate_gamma(16))
+        assert np.all(off == ThresholdSpec.rate(0.6, 0.25).cutoff(16))
 
     def test_fixed(self):
         t = threshold_matrix(ThresholdSpec.fixed(0.5), n=10, p=4)

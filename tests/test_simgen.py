@@ -17,7 +17,8 @@ from tauscreen import (
     kendall_matrix,
     sample,
 )
-from tauscreen.simgen import _SUM_OF_SQUARES_MAX_DF
+from tauscreen.simgen import (_EDGE_PROBABILITY, _SUM_OF_SQUARES_MAX_DF,
+                              _random_weighted_precision, precision_support)
 
 from oracles import as_set
 
@@ -77,8 +78,9 @@ class TestRngStream:
 class TestScenarioA:
     def test_min_eigenvalue_pinned_before_rescale(self):
         for seed in (0, 1, 2):
-            gt = gen_precision_A(60, RngStream(seed))
-            lam_min, _ = eig_extremes(gt.raw_precision)
+            rng = RngStream(seed)  # scenario A's draws: the edge mask, then the weights
+            mask = rng.uniform01(60 * 59 // 2) < _EDGE_PROBABILITY
+            lam_min, _ = eig_extremes(_random_weighted_precision(60, mask, rng))
             assert lam_min == pytest.approx(0.1, abs=1e-9)
 
     def test_invariants(self):
@@ -121,16 +123,37 @@ class TestScenarioB:
         assert part.component_id == tuple(np.repeat(np.arange(1, 11), 5).tolist())
 
     def test_min_eigenvalue_pinned(self):
-        gt = gen_precision_B(40, RngStream(3))
-        lam_min, _ = eig_extremes(gt.raw_precision)
+        j, k = np.triu_indices(40, 1)
+        within = j // 4 == k // 4  # scenario B's ten blocks of 4
+        lam_min, _ = eig_extremes(_random_weighted_precision(40, within, RngStream(3)))
         assert lam_min == pytest.approx(0.1, abs=1e-9)
+
+    def test_zero_weight_is_no_edge(self, monkeypatch):
+        # a within-block weight of exactly 0.0 leaves omega[0, 1] = 0: the pair
+        # is not a true edge, and the ground truth stays one consistent object
+        uniform = RngStream.uniform
+
+        def first_weight_zero(self, a, b, size=None):
+            out = uniform(self, a, b, size)
+            out[0] = 0.0  # pair (0, 1), inside the first block
+            return out
+
+        monkeypatch.setattr(RngStream, "uniform", first_weight_zero)
+        gt = gen_precision_B(20, RngStream(5))
+        assert gt.omega[0, 1] == 0.0
+        assert (0, 1) not in as_set(gt.edges)
+        assert len(gt.edges) == 9  # ten within-block pairs, one of weight 0
+        gt.validate()
+        assert np.array_equal(gt.edges.edges, precision_support(gt.omega).edges)
 
     def test_divisibility_enforced(self):
         with pytest.raises(InvalidInputError):
             gen_precision_B(55, RngStream(0))
 
     def test_invariants(self):
-        gen_precision_B(30, RngStream(4)).validate()
+        gt = gen_precision_B(30, RngStream(4))
+        gt.validate()
+        assert gt.edges is gt.edges  # derived once per object, not on every read
 
 
 class TestScenarioC:
@@ -248,6 +271,23 @@ class TestSimConfig:
             with pytest.raises(InvalidInputError):
                 SimConfig(scenario="A", n=10, p=10, base="student-t", theta=theta)
 
+    @pytest.mark.parametrize("n,p,theta,message", [
+        (10, 2**30, 5.5, "p=1073741824 is too large: numpy cannot index a p x p matrix"),
+        (2**59, 2, 5.5, "numpy cannot index an n x 2 array"),
+        (2**54, 63, 100.0, "numpy cannot index an n x 100 array"),
+    ], ids=["p-by-p", "n-by-p", "n-by-theta"])
+    def test_size_numpy_cannot_index_is_refused(self, n, p, theta, message):
+        with pytest.raises(InvalidInputError, match=message):
+            SimConfig(scenario="C", n=n, p=p, base="student-t", theta=theta)
+
+    @pytest.mark.parametrize("n,p,theta", [
+        (10, 2**30 - 1, 5.5), (2**59 - 1, 2, 5.5), (2**54, 63, 100.5), (2**54, 63, 101.0),
+    ], ids=["p-by-p", "n-by-p", "fractional-theta", "gamma-path-theta"])
+    def test_largest_indexable_size_is_accepted(self, n, p, theta):
+        # only the config is built: the largest sizes are refused by the
+        # allocation itself (a MemoryError), not by the config
+        SimConfig(scenario="C", n=n, p=p, base="student-t", theta=theta)
+
     def test_json_roundtrip(self, tmp_path):
         cfg = SimConfig(scenario="D", n=100, p=20, base="student-t", theta=5.0,
                         transform="nonparanormal", seed=9)
@@ -259,7 +299,7 @@ class TestSimConfig:
     def test_generate_dispatch(self):
         cfg = SimConfig(scenario="C", n=10, p=6, seed=0)
         gt = generate_ground_truth(cfg)
-        assert gt.scenario == "C"
+        assert np.array_equal(gt.omega, gen_correlation_C(6).omega)
         cfg_a = SimConfig(scenario="A", n=10, p=6, seed=0)
         with pytest.raises(InvalidInputError):
             generate_ground_truth(cfg_a)  # random scenarios need a stream
