@@ -114,17 +114,22 @@ def _min_scaled_precision(gt: GroundTruth, nu: float) -> float:
     return nu * nu * np.abs(gt.omega[gt.edges.edges[:, 0], gt.edges.edges[:, 1]]).min()
 
 
-def check_constants(n: int, c1: float, kappa: float, xi: float, c2: float,
-                    alpha: float) -> None:
-    """Refuse constants outside the ranges :func:`check_assumptions` is
-    defined on: n >= 2, kappa in (0, 1/2), xi in (0, 1 - 2 kappa), C1 > 0,
-    C2 > 0 and alpha >= 0, each finite (n as a float too)."""
+def _check_n(n: int) -> None:
+    """Refuse an n below 2 or past the float range."""
     if n < 2:
         raise InvalidInputError("need n >= 2")
     try:
         float(n)
     except OverflowError:
         raise InvalidInputError("n is too large to convert to a float") from None
+
+
+def check_constants(n: int, c1: float, kappa: float, xi: float, c2: float,
+                    alpha: float) -> None:
+    """Refuse constants outside the ranges :func:`check_assumptions` is
+    defined on: n >= 2, kappa in (0, 1/2), xi in (0, 1 - 2 kappa), C1 > 0,
+    C2 > 0 and alpha >= 0, each finite (n as a float too)."""
+    _check_n(n)
     if not 0 < kappa < 0.5:
         raise InvalidInputError("kappa must lie in (0, 1/2)")
     if not 0 < xi < 1 - 2 * kappa:
@@ -177,8 +182,7 @@ def check_proposition1(gt: GroundTruth, n: int, c1: float, kappa: float, xi: flo
     harmonically-scaled precision entries imply the edge-strength floor, once
     the sample size clears ``(2/C1)^(1/(1-xi-kappa))``.
     """
-    if n < 2:
-        raise InvalidInputError("need n >= 2")
+    _check_n(n)
     if not 0 < kappa < 0.5:
         raise InvalidInputError("kappa must lie in (0, 1/2)")
     if not (xi > 0 and 1.0 - xi - kappa > 0):  # false for a nan xi
@@ -212,8 +216,7 @@ def check_proposition1(gt: GroundTruth, n: int, c1: float, kappa: float, xi: flo
 def neighborhood_size_bound(gt: GroundTruth, n: int, c1: float, kappa: float) -> float:
     """Explicit cap on the size of any screened neighborhood at the rate
     threshold: 9 * C1^-2 * n^(2 kappa) * lambda_max(sigma)."""
-    if n < 2:
-        raise InvalidInputError("need n >= 2")
+    _check_n(n)
     if not 0 < c1 < math.inf:
         raise InvalidInputError("C1 must be positive and finite")
     if not 0 <= kappa < math.inf:
@@ -225,8 +228,7 @@ def neighborhood_size_bound(gt: GroundTruth, n: int, c1: float, kappa: float) ->
 def hoeffding_bound(n: int, t: float) -> float:
     """Two-sided large-deviation bound 2 exp(-floor(n/2) t^2 / 2) for the tau
     statistic (a bounded pairwise average), clipped at 1."""
-    if n < 2:
-        raise InvalidInputError("need n >= 2")
+    _check_n(n)
     if not 0 < t < math.inf:
         raise InvalidInputError("need t > 0 and finite")
     return min(1.0, 2.0 * math.exp(-(n // 2) * t * t / 2.0))

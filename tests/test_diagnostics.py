@@ -182,6 +182,17 @@ def test_library_refuses_constant_out_of_domain(call, message):
         call(gen_correlation_C(10))
 
 
+@pytest.mark.parametrize("call", [
+    lambda gt: check_proposition1(gt, 10**400, 0.6, 0.25, 0.3),
+    lambda gt: neighborhood_size_bound(gt, 10**400, 0.6, 0.25),
+    lambda gt: hoeffding_bound(10**400, 0.1),
+], ids=["proposition1", "neighborhood-bound", "hoeffding"])
+def test_n_past_the_float_range_is_refused(call):
+    # as check_constants refuses it, not as a raw OverflowError
+    with pytest.raises(InvalidInputError, match="^n is too large to convert to a float$"):
+        call(gen_correlation_C(10))
+
+
 class TestNormalityCheck:
     def test_independent_pair(self):
         mean, var = normality_check(200, 0.0, 300, RngStream(41))
