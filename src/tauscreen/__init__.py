@@ -65,11 +65,9 @@ from .diagnostics import (
     normality_check,
 )
 from .evalbench import (
-    ConfusionMetrics,
     ExperimentResult,
     SweepResult,
     auc,
-    auc_points,
     default_grid,
     estimator_matrix,
     roc_sweep,

@@ -1,4 +1,4 @@
-"""Replicated screening experiments: confusion metrics of threshold lists,
+"""Replicated screening experiments: confusion counts of threshold lists,
 FPR-target runs, and ROC sweeps over a fixed threshold grid.
 
 Each replicate r draws its own stream seeded with ``sim.seed XOR r``. For
@@ -12,7 +12,9 @@ replicate count and a list of thresholds, and loops over the replicates: in a
 pool of ``threads`` workers, or on the calling thread if ``threads`` is 1. A
 ``bench`` table and an ROC sweep (its grid as fixed thresholds, on one thread)
 are one call each, and :func:`_score_cells` scores each replicate from one
-draw and one sign pass.
+draw and one sign pass. A result holds its counts as one (R, 4) array of tp,
+fp, tn and fn per replicate; FPR and FNR are derived from it only by
+:meth:`ExperimentResult.rates`.
 """
 
 from __future__ import annotations
@@ -41,46 +43,26 @@ from .simgen import RngStream, SimConfig, generate_ground_truth, sample
 ESTIMATORS = ("kendall", "pearson")
 
 
-@dataclass(frozen=True)
-class ConfusionMetrics:
-    """Counts and rates over all unordered node pairs."""
-
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-    fpr: float
-    fnr: float
-    edge_count: int
-
-    @staticmethod
-    def from_counts(tp: int, fp: int, tn: int, fn: int) -> "ConfusionMetrics":
-        fpr = fp / (fp + tn) if (fp + tn) > 0 else 0.0
-        fnr = fn / (tp + fn) if (tp + fn) > 0 else 0.0
-        return ConfusionMetrics(tp=tp, fp=fp, tn=tn, fn=fn, fpr=fpr, fnr=fnr,
-                                edge_count=tp + fp)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentResult:
-    """Per-replicate metrics of one threshold's experiment. In fpr mode
-    ``f_per_replicate`` holds each replicate's false-positive budget f (it
-    varies with the replicate's ground truth in scenarios A and B); otherwise
-    it is None."""
+    """One threshold's experiment: ``counts`` is a read-only (R, 4) int array
+    of each replicate's tp, fp, tn and fn over all unordered node pairs. In
+    fpr mode ``f_per_replicate`` holds each replicate's false-positive budget
+    f (it varies with the replicate's ground truth in scenarios A and B);
+    otherwise it is None."""
 
     sim: SimConfig
     estimator: str
     threshold: ThresholdSpec
-    per_replicate: tuple[ConfusionMetrics, ...]
+    counts: np.ndarray
     f_per_replicate: tuple[float, ...] | None
 
-    @property
-    def q_convention(self) -> str | None:
-        """How the fpr budget f was set: given directly, or q times each
-        replicate's true non-edge count; None outside fpr mode."""
-        if self.threshold.mode != "fpr":
-            return None
-        return "f-direct" if self.threshold.f is not None else "q-times-true-nonedges"
+    def rates(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each replicate's FPR fp/(fp+tn) and FNR fn/(tp+fn), 0.0 where the
+        denominator is 0 (no true non-edges, or no true edges)."""
+        tp, fp, tn, fn = self.counts.T
+        return tuple(np.divide(num, den, out=np.zeros(len(den)), where=den > 0)
+                     for num, den in ((fp, fp + tn), (fn, tp + fn)))
 
     @property
     def q_or_gamma(self) -> float:
@@ -90,48 +72,35 @@ class ExperimentResult:
             return threshold.cutoff(self.sim.n)
         return threshold.f if threshold.f is not None else threshold.q
 
-    @property
-    def f_used(self) -> float | None:
-        """Mean false-positive budget over the replicates (fpr mode)."""
-        if self.f_per_replicate is None:
-            return None
-        return float(np.mean(self.f_per_replicate))
-
-    @property
-    def mean_fpr(self) -> float:
-        return float(np.mean([m.fpr for m in self.per_replicate]))
-
-    @property
-    def mean_fnr(self) -> float:
-        return float(np.mean([m.fnr for m in self.per_replicate]))
-
-    @property
-    def mean_edge_count(self) -> float:
-        return float(np.mean([m.edge_count for m in self.per_replicate]))
-
     def aggregate(self) -> dict:
+        fpr, fnr = self.rates()
+        tp, fp, _, _ = self.counts.T
+        # integer sums are exact in float64, so the order of the adds is moot
+        mean_tp, mean_fp, mean_tn, mean_fn = self.counts.mean(axis=0).tolist()
         out = {
             "scenario": self.sim.scenario,
             "estimator": self.estimator,
             "n": self.sim.n,
             "p": self.sim.p,
-            "replicates": len(self.per_replicate),
+            "replicates": len(self.counts),
             "threshold_mode": self.threshold.mode,
             "q_or_gamma": self.q_or_gamma,
-            "mean_fpr": self.mean_fpr,
-            "mean_fnr": self.mean_fnr,
-            "mean_edge_count": self.mean_edge_count,
-            "mean_tp": float(np.mean([m.tp for m in self.per_replicate])),
-            "mean_fp": float(np.mean([m.fp for m in self.per_replicate])),
-            "mean_tn": float(np.mean([m.tn for m in self.per_replicate])),
-            "mean_fn": float(np.mean([m.fn for m in self.per_replicate])),
+            "mean_fpr": float(np.mean(fpr)),
+            "mean_fnr": float(np.mean(fnr)),
+            "mean_edge_count": float(np.mean(tp + fp)),
+            "mean_tp": mean_tp,
+            "mean_fp": mean_fp,
+            "mean_tn": mean_tn,
+            "mean_fn": mean_fn,
         }
         if self.threshold.mode == "fpr":
-            out["f_used"] = self.f_used
+            out["f_used"] = float(np.mean(self.f_per_replicate))
             out["f_min"] = min(self.f_per_replicate)
             out["f_max"] = max(self.f_per_replicate)
             out["q"] = self.threshold.q
-            out["q_convention"] = self.q_convention
+            # how f was set: given directly, or q times each replicate's true non-edges
+            out["q_convention"] = ("f-direct" if self.threshold.f is not None
+                                   else "q-times-true-nonedges")
         elif self.threshold.mode == "rate":
             out["c1"] = self.threshold.c1
             out["kappa"] = self.threshold.kappa
@@ -177,39 +146,37 @@ def _replicate(sim: SimConfig, score, r: int):
         raise TauscreenError(f"replicate {r} failed: {exc}") from exc
 
 
-def _score_cells(estimator: str, thresholds: tuple, gt, data) -> list[tuple]:
-    """Each threshold's metrics on one replicate and, in fpr mode, its budget
-    f (the threshold's f, or q times this replicate's true non-edge count),
-    from one sign pass: the jackknife's if any cell is fpr. A cell keeps the
-    pairs with |corr| > cutoff, as :func:`screen_edges` does: an fpr cell
-    compares with its :func:`threshold_matrix`, and all scalar cutoffs are
-    counted by one sort and search of each strength vector."""
-    fpr = any(t.mode == "fpr" for t in thresholds)
-    tau, jack = jackknife_matrix(data) if fpr else (None, None)
+def _score_cells(estimator: str, thresholds: tuple, gt, data) -> tuple[np.ndarray, tuple]:
+    """Each threshold's tp, fp, tn and fn on one replicate, as one row of a
+    (T, 4) int array, and each cell's budget f: in fpr mode the threshold's
+    f, or q times this replicate's true non-edge count; None for a scalar
+    cell. One sign pass serves every cell: the jackknife's if any cell is
+    fpr. A cell keeps the pairs with |corr| > cutoff, as :func:`screen_edges`
+    does: an fpr cell compares with its :func:`threshold_matrix`, and all
+    scalar cutoffs are counted by one search of each sorted strength vector."""
+    is_fpr = np.array([t.mode == "fpr" for t in thresholds])
+    tau, jack = jackknife_matrix(data) if is_fpr.any() else (None, None)
     corr = estimator_matrix(data, estimator, tau=tau)
     upper, truth = np.triu_indices(data.p, 1), tuple(gt.edges.edges.T)
     strength, true_strength = np.abs(corr.entries[upper]), np.abs(corr.entries[truth])
     total, edges = strength.size, true_strength.size
+    kept, hits = np.empty(len(thresholds), np.int64), np.empty(len(thresholds), np.int64)
     scalar = [t.cutoff(data.n) for t in thresholds if t.mode != "fpr"]
     # side="right" counts the pairs with |corr| <= gamma, so what remains
     # is the strict |corr| > gamma rule of screen_edges, ties included
-    kept = iter((total - np.searchsorted(np.sort(strength), scalar, side="right")).tolist())
-    hits = iter((edges - np.searchsorted(np.sort(true_strength), scalar, side="right")).tolist())
-    cells = []
-    for t in thresholds:
-        f = None
-        if t.mode == "fpr":
-            if t.f is None and gt.nonedge_count() == 0:
-                raise InvalidInputError("the true graph has no non-edges, so q sets no budget")
-            f = t.f if t.f is not None else t.q * gt.nonedge_count()
-            cut = threshold_matrix(ThresholdSpec.fpr(f=f), data.n, data.p, jack=jack)
-            k = int(np.count_nonzero(strength > cut[upper]))
-            tp = int(np.count_nonzero(true_strength > cut[truth]))
-        else:
-            k, tp = next(kept), next(hits)
-        cells.append((ConfusionMetrics.from_counts(tp, k - tp, total - edges - k + tp,
-                                                   edges - tp), f))
-    return cells
+    kept[~is_fpr] = total - np.searchsorted(np.sort(strength), scalar, side="right")
+    hits[~is_fpr] = edges - np.searchsorted(np.sort(true_strength), scalar, side="right")
+    budgets = [None] * len(thresholds)
+    for i in np.flatnonzero(is_fpr):
+        t = thresholds[i]
+        if t.f is None and gt.nonedge_count() == 0:
+            raise InvalidInputError("the true graph has no non-edges, so q sets no budget")
+        budgets[i] = t.f if t.f is not None else t.q * gt.nonedge_count()
+        cut = threshold_matrix(ThresholdSpec.fpr(f=budgets[i]), data.n, data.p, jack=jack)
+        kept[i] = np.count_nonzero(strength > cut[upper])
+        hits[i] = np.count_nonzero(true_strength > cut[truth])
+    counts = np.stack([hits, kept - hits, total - edges - kept + hits, edges - hits], axis=1)
+    return counts, tuple(budgets)
 
 
 def run_experiments(sim: SimConfig, estimator: str, replicates: int, thresholds,
@@ -233,10 +200,13 @@ def run_experiments(sim: SimConfig, estimator: str, replicates: int, thresholds,
         raise InvalidInputError(f"threads must be >= 1, got {threads}")
     score = partial(_score_cells, estimator, thresholds)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        rows = list((pool.map if threads > 1 else map)(partial(_replicate, sim, score),
-                                                       range(replicates)))
-    return [ExperimentResult(sim, estimator, t, metrics, f_values if t.mode == "fpr" else None)
-            for t, (metrics, f_values) in zip(thresholds, (zip(*cells) for cells in zip(*rows)))]
+        counts, budgets = zip(*(pool.map if threads > 1 else map)(
+            partial(_replicate, sim, score), range(replicates)))
+    counts = np.stack(counts, axis=1)  # (T, R, 4): result i takes counts[i]
+    counts.flags.writeable = False
+    budgets = list(zip(*budgets))
+    return [ExperimentResult(sim, estimator, t, counts[i], budgets[i] if t.mode == "fpr" else None)
+            for i, t in enumerate(thresholds)]
 
 
 @dataclass(frozen=True)
@@ -262,28 +232,20 @@ def roc_sweep(sim: SimConfig, estimator: str, replicates: int, grid=None) -> Swe
     if not grid or list(grid) != sorted(grid):
         raise InvalidInputError("grid must be non-empty and ascending")
     results = run_experiments(sim, estimator, replicates, [ThresholdSpec.fixed(g) for g in grid])
-    # one row of G cells per replicate: the mean over axis 0 of the (R, G)
-    # rates adds each grid value's rates in replicate order
-    rows = list(zip(*(result.per_replicate for result in results)))
-    tpr = np.mean([[1.0 - m.fnr for m in row] for row in rows], axis=0)
-    fpr = np.mean([[m.fpr for m in row] for row in rows], axis=0)
-    return SweepResult(grid=grid, mean_tpr=tuple(tpr.tolist()), mean_fpr=tuple(fpr.tolist()))
+    # the (R, G) rates: the mean over axis 0 adds each grid value's rates in replicate order
+    fpr, fnr = np.stack([result.rates() for result in results], axis=2)
+    return SweepResult(grid=grid, mean_tpr=tuple(np.mean(1.0 - fnr, axis=0).tolist()),
+                       mean_fpr=tuple(np.mean(fpr, axis=0).tolist()))
 
 
 def auc(sweep: SweepResult) -> float:
-    """Trapezoidal area under the mean (FPR, TPR) polyline, anchored at
-    (0, 0) and (1, 1)."""
+    """Trapezoidal area under the mean (FPR, TPR) points sorted by FPR,
+    anchored at (0, 0) and (1, 1)."""
     if len(sweep.grid) < 2:
         raise InvalidInputError("need at least 2 grid points")
-    return auc_points(sweep.mean_fpr, sweep.mean_tpr)
-
-
-def auc_points(fpr, tpr) -> float:
-    """Trapezoid rule over arbitrary ROC points (sorted by FPR, anchored)."""
-    pts = sorted(zip([float(v) for v in fpr], [float(v) for v in tpr]))
-    pts = [(0.0, 0.0)] + pts + [(1.0, 1.0)]
+    pts = sorted(zip(map(float, sweep.mean_fpr), map(float, sweep.mean_tpr)))
     area = 0.0
-    for (x0, y0), (x1, y1) in zip(pts[:-1], pts[1:]):
+    for (x0, y0), (x1, y1) in zip([(0.0, 0.0)] + pts, pts + [(1.0, 1.0)]):
         area += (x1 - x0) * (y0 + y1) / 2.0
     return area
 
@@ -296,10 +258,11 @@ def experiment_rows(result: ExperimentResult) -> list[tuple]:
     """One row per replicate; ``f_used`` is that replicate's budget f in fpr
     mode and empty otherwise."""
     q_or_gamma = result.q_or_gamma
-    f_values = result.f_per_replicate or ("",) * len(result.per_replicate)
+    fpr, fnr = (rate.tolist() for rate in result.rates())
+    f_values = result.f_per_replicate or ("",) * len(fpr)
     return [(r, q_or_gamma, result.estimator, result.sim.scenario,
-             m.tp, m.fp, m.tn, m.fn, m.fpr, m.fnr, m.edge_count, f)
-            for r, (m, f) in enumerate(zip(result.per_replicate, f_values))]
+             tp, fp, tn, fn, fpr[r], fnr[r], tp + fp, f_values[r])
+            for r, (tp, fp, tn, fn) in enumerate(result.counts.tolist())]
 
 
 def write_experiment_csv(path, rows) -> None:

@@ -1,12 +1,12 @@
 """Reference helpers that only the tests call: an edge set as a Python set,
-the edges of a written edge TSV, set-based confusion counts, and partition
-equality up to relabelling."""
+the edges of a written edge TSV, set-based confusion counts (tp, fp, tn, fn),
+and partition equality up to relabelling."""
 
 from pathlib import Path
 
 import numpy as np
 
-from tauscreen import ConfusionMetrics, EdgeSet, InvalidInputError, Partition
+from tauscreen import EdgeSet, InvalidInputError, Partition
 
 
 def as_set(edges: EdgeSet) -> set[tuple[int, int]]:
@@ -23,8 +23,9 @@ def read_edge_pairs(path, p: int) -> tuple[EdgeSet, dict[tuple[int, int], float]
     return EdgeSet(p, tuple(values)), values
 
 
-def confusion(est: EdgeSet, truth: EdgeSet) -> ConfusionMetrics:
-    """Score an estimated edge set against the truth on the same node set."""
+def confusion(est: EdgeSet, truth: EdgeSet) -> tuple[int, int, int, int]:
+    """The (tp, fp, tn, fn) counts of an estimated edge set against the truth
+    on the same node set, over all unordered node pairs."""
     if est.p != truth.p:
         raise InvalidInputError(f"node counts differ: {est.p} vs {truth.p}")
     total = est.p * (est.p - 1) // 2
@@ -34,7 +35,7 @@ def confusion(est: EdgeSet, truth: EdgeSet) -> ConfusionMetrics:
     fp = len(est) - tp
     fn = len(truth) - tp
     tn = total - tp - fp - fn
-    return ConfusionMetrics.from_counts(tp, fp, tn, fn)
+    return tp, fp, tn, fn
 
 
 def compare_partitions(a: Partition, b: Partition) -> bool:

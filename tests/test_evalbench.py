@@ -1,4 +1,4 @@
-"""Tests for confusion metrics, experiment runs, and ROC sweeps."""
+"""Tests for confusion counts, experiment runs, and ROC sweeps."""
 
 import time
 from dataclasses import replace
@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 from tauscreen import (
     DataMatrix,
     EdgeSet,
+    ExperimentResult,
     InvalidInputError,
     RngStream,
     SimConfig,
     SweepResult,
     ThresholdSpec,
     auc,
-    auc_points,
     default_grid,
     estimator_matrix,
     generate_ground_truth,
@@ -41,34 +41,31 @@ from tauscreen.evalbench import (
 from oracles import as_set, confusion
 
 
+def reference_rates(tp, fp, tn, fn):
+    """(FPR, FNR) of one replicate's counts by Python division, 0.0 where
+    the denominator is 0."""
+    return fp / (fp + tn) if fp + tn else 0.0, fn / (tp + fn) if tp + fn else 0.0
+
+
 class TestConfusion:
     def test_perfect(self):
         t = EdgeSet(4, ((0, 1), (2, 3)))
-        m = confusion(t, t)
-        assert (m.fpr, m.fnr) == (0.0, 0.0)
-        assert m.edge_count == 2
+        assert confusion(t, t) == (2, 0, 4, 0)
 
     def test_empty_estimate(self):
         t = EdgeSet(4, ((0, 1),))
-        m = confusion(EdgeSet(4, ()), t)
-        assert m.fnr == 1.0 and m.fpr == 0.0
+        assert confusion(EdgeSet(4, ()), t) == (0, 0, 5, 1)
 
     def test_hand_counts(self):
         truth = EdgeSet(4, ((0, 1), (2, 3)))
         est = EdgeSet(4, ((0, 1), (0, 2)))
-        m = confusion(est, truth)
-        assert (m.tp, m.fp, m.fn, m.tn) == (1, 1, 1, 3)
-        assert m.fpr == pytest.approx(0.25)
-        assert m.fnr == pytest.approx(0.5)
-        assert m.tp + m.fp + m.tn + m.fn == 6
+        assert confusion(est, truth) == (1, 1, 3, 1)
 
     def test_degenerate_denominators(self):
         empty_truth = EdgeSet(3, ())
-        m = confusion(EdgeSet(3, ()), empty_truth)
-        assert m.fnr == 0.0
+        assert confusion(EdgeSet(3, ()), empty_truth) == (0, 0, 3, 0)
         complete = EdgeSet(3, ((0, 1), (0, 2), (1, 2)))
-        m2 = confusion(complete, complete)
-        assert m2.fpr == 0.0
+        assert confusion(complete, complete) == (3, 0, 0, 0)
 
     def test_size_mismatch(self):
         with pytest.raises(InvalidInputError):
@@ -83,8 +80,32 @@ class TestConfusion:
         m = confusion(EdgeSet(p, est_pairs), EdgeSet(p, truth_pairs))
         e, t = set(est_pairs), set(truth_pairs)
         tp, fp, fn = len(e & t), len(e - t), len(t - e)
-        assert (m.tp, m.fp, m.fn, m.tn) == (tp, fp, fn, len(pairs) - tp - fp - fn)
-        assert all(type(v) is int for v in (m.tp, m.fp, m.fn, m.tn))
+        assert m == (tp, fp, len(pairs) - tp - fp - fn, fn)
+        assert all(type(v) is int for v in m)
+
+
+class TestRates:
+    def test_zero_denominator_is_zero(self):
+        # rows: no true edges, no true non-edges, no pairs at all, and a hand case
+        counts = np.array([[0, 2, 1, 0], [2, 0, 0, 1], [0, 0, 0, 0], [1, 1, 3, 1]])
+        result = ExperimentResult(SimConfig(scenario="C", n=20, p=4), "kendall",
+                                  ThresholdSpec.fixed(0.3), counts, None)
+        fpr, fnr = result.rates()
+        assert fpr.tolist() == [2 / 3, 0.0, 0.0, 0.25]
+        assert fnr.tolist() == [0.0, 1 / 3, 0.0, 0.5]
+        assert fpr.dtype == fnr.dtype == np.float64
+
+    def test_counts_cover_every_pair_and_are_read_only(self):
+        sim = SimConfig(scenario="B", n=30, p=20, seed=8)
+        thresholds = [ThresholdSpec.fixed(0.3), ThresholdSpec.fpr(q=0.1),
+                      ThresholdSpec.rate(0.6, 0.25)]
+        for result in run_experiments(sim, "kendall", 3, thresholds, threads=2):
+            assert result.counts.shape == (3, 4)
+            assert np.issubdtype(result.counts.dtype, np.integer)
+            assert result.counts.sum(axis=1).tolist() == [20 * 19 // 2] * 3
+            assert not result.counts.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                result.counts[0, 0] = 0
 
 
 class TestRunExperiment:
@@ -97,35 +118,38 @@ class TestRunExperiment:
         corr = estimator_matrix(data, "kendall")
         gammas = threshold_matrix(ThresholdSpec.rate(0.5, 0.25), 80, 10)
         expect = confusion(screen_edges(corr, gammas), gt.edges)
-        assert result.per_replicate[0] == expect
+        assert result.counts.tolist() == [list(expect)]
 
     def test_deterministic(self):
         sim = SimConfig(scenario="B", n=40, p=20, seed=5)
         a, = run_experiments(sim, "kendall", 4, [ThresholdSpec.fpr(q=0.2)])
         b, = run_experiments(sim, "kendall", 4, [ThresholdSpec.fpr(q=0.2)])
-        assert a.per_replicate == b.per_replicate
-        assert a.f_used == b.f_used
+        assert np.array_equal(a.counts, b.counts)
+        assert a.aggregate() == b.aggregate()
 
     def test_threads_identical(self):
         sim = SimConfig(scenario="A", n=40, p=25, seed=17)
         a, = run_experiments(sim, "kendall", 6, [ThresholdSpec.fixed(0.3)], threads=1)
         b, = run_experiments(sim, "kendall", 6, [ThresholdSpec.fixed(0.3)], threads=4)
-        assert a.per_replicate == b.per_replicate
+        assert np.array_equal(a.counts, b.counts)
 
     def test_aggregate_is_plain_mean(self):
         sim = SimConfig(scenario="C", n=30, p=8, seed=3)
         result, = run_experiments(sim, "pearson", 5, [ThresholdSpec.fixed(0.2)])
-        assert result.mean_fpr == float(np.mean([m.fpr for m in result.per_replicate]))
-        assert result.mean_edge_count == float(
-            np.mean([m.edge_count for m in result.per_replicate]))
+        rows = result.counts.tolist()
+        agg = result.aggregate()
+        assert agg["mean_fpr"] == float(np.mean([reference_rates(*m)[0] for m in rows]))
+        assert agg["mean_fnr"] == float(np.mean([reference_rates(*m)[1] for m in rows]))
+        assert agg["mean_edge_count"] == float(np.mean([tp + fp for tp, fp, _, _ in rows]))
+        assert [agg[k] for k in ("mean_tp", "mean_fp", "mean_tn", "mean_fn")] == [
+            float(np.mean(column)) for column in zip(*rows)]
 
     def test_q_converts_through_true_nonedges(self):
         sim = SimConfig(scenario="D", n=50, p=20, seed=1)
         result, = run_experiments(sim, "kendall", 1, [ThresholdSpec.fpr(q=0.1)])
         gt = generate_ground_truth(sim)
-        assert result.f_used == pytest.approx(0.1 * gt.nonedge_count())
-        assert result.q_convention == "q-times-true-nonedges"
         agg = result.aggregate()
+        assert agg["f_used"] == pytest.approx(0.1 * gt.nonedge_count())
         assert agg["q"] == 0.1 and agg["q_convention"] == "q-times-true-nonedges"
 
 
@@ -148,7 +172,6 @@ class TestRunExperiment:
     def test_direct_f_is_every_replicates_budget(self, tmp_path):
         sim = SimConfig(scenario="A", n=30, p=20, seed=3)
         result, = run_experiments(sim, "kendall", 3, [ThresholdSpec.fpr(f=2.0)])
-        assert result.q_convention == "f-direct"
         assert result.f_per_replicate == (2.0,) * 3
         agg = result.aggregate()
         assert (agg["f_used"], agg["f_min"], agg["f_max"]) == (2.0, 2.0, 2.0)
@@ -162,8 +185,8 @@ class TestRunExperiment:
     def test_fixed_mode_has_no_budget(self, tmp_path):
         sim = SimConfig(scenario="A", n=30, p=20, seed=3)
         result, = run_experiments(sim, "kendall", 3, [ThresholdSpec.fixed(0.3)])
-        assert result.q_convention is None and result.f_per_replicate is None
-        assert "f_used" not in result.aggregate()
+        assert result.f_per_replicate is None
+        assert not {"f_used", "q_convention"} & set(result.aggregate())
         path = tmp_path / "rows.csv"
         write_experiment_csv(path, experiment_rows(result))
         lines = path.read_text().splitlines()
@@ -175,7 +198,7 @@ class TestRunExperiment:
         sim = SimConfig(scenario="A", n=30, p=40, seed=9)
         a, = run_experiments(sim, "kendall", 5, [ThresholdSpec.fpr(q=0.05)], threads=1)
         b, = run_experiments(sim, "kendall", 5, [ThresholdSpec.fpr(q=0.05)], threads=3)
-        assert a.per_replicate == b.per_replicate
+        assert np.array_equal(a.counts, b.counts)
         assert a.f_per_replicate == b.f_per_replicate
         assert len(set(a.f_per_replicate)) > 1
         assert a.aggregate() == b.aggregate()
@@ -357,9 +380,10 @@ def reference_sweep(sim, estimator, replicates, grid):
         gt, corr = replicate_draw(sim, estimator, r)
         rep_tpr, rep_fpr = [], []
         for gamma in grid:
-            m = confusion(screen_edges(corr, np.full((sim.p, sim.p), gamma)), gt.edges)
-            rep_tpr.append(1.0 - m.fnr)
-            rep_fpr.append(m.fpr)
+            fpr, fnr = reference_rates(*confusion(
+                screen_edges(corr, np.full((sim.p, sim.p), gamma)), gt.edges))
+            rep_tpr.append(1.0 - fnr)
+            rep_fpr.append(fpr)
         tprs.append(tuple(rep_tpr))
         fprs.append(tuple(rep_fpr))
     return tuple(tprs), tuple(fprs)
@@ -432,7 +456,7 @@ class TestSweepMatchesScreenLoop:
 
 
 def reference_cells(estimator, thresholds, gt, data):
-    """Each threshold's (metrics, f) from its own ``threshold_matrix``,
+    """Each threshold's ((tp, fp, tn, fn), f) from its own ``threshold_matrix``,
     ``screen_edges`` and ``confusion`` on the same draw."""
     fpr = any(t.mode == "fpr" for t in thresholds)
     tau, jack = jackknife_matrix(data) if fpr else (None, None)
@@ -446,6 +470,17 @@ def reference_cells(estimator, thresholds, gt, data):
         est = screen_edges(corr, threshold_matrix(t, data.n, data.p, jack=jack))
         cells.append((confusion(est, gt.edges), f))
     return cells
+
+
+def assert_cells_match_reference(estimator, thresholds, gt, data):
+    """``_score_cells`` gives the reference's counts, one int row per
+    threshold, and its budgets; returns the counts."""
+    counts, budgets = evalbench._score_cells(estimator, thresholds, gt, data)
+    reference = reference_cells(estimator, thresholds, gt, data)
+    assert counts.tolist() == [list(m) for m, _ in reference]
+    assert budgets == tuple(f for _, f in reference)
+    assert counts.shape == (len(thresholds), 4) and np.issubdtype(counts.dtype, np.integer)
+    return counts
 
 
 def observed_strengths(estimator, gt, data):
@@ -477,10 +512,8 @@ class TestScoreCells:
             thresholds[1:1] = [ThresholdSpec.fpr(q=0.1), ThresholdSpec.fpr(f=4.0)]
             thresholds.append(ThresholdSpec.fpr(q=0.3))
         thresholds = tuple(thresholds)
-        cells = evalbench._score_cells(estimator, thresholds, gt, data)
-        assert cells == reference_cells(estimator, thresholds, gt, data)
-        assert all(type(v) is int for m, _ in cells for v in (m.tp, m.fp, m.tn, m.fn))
-        assert len({m.edge_count for m, _ in cells}) > 2
+        counts = assert_cells_match_reference(estimator, thresholds, gt, data)
+        assert len(set((counts[:, 0] + counts[:, 1]).tolist())) > 2
 
     @pytest.mark.filterwarnings("ignore:degenerate pair")
     @pytest.mark.parametrize("estimator", ["kendall", "pearson"])
@@ -492,9 +525,8 @@ class TestScoreCells:
         strength, _ = observed_strengths(estimator, gt, data)
         thresholds = (ThresholdSpec.fpr(q=0.3), ThresholdSpec.fixed(float(np.median(strength))),
                       ThresholdSpec.fpr(f=2.0), ThresholdSpec.rate(0.6, 0.25))
-        cells = evalbench._score_cells(estimator, thresholds, gt, data)
-        assert cells == reference_cells(estimator, thresholds, gt, data)
-        assert cells[0][0].edge_count > 0
+        counts = assert_cells_match_reference(estimator, thresholds, gt, data)
+        assert counts[0, 0] + counts[0, 1] > 0
 
     @pytest.mark.filterwarnings("ignore:degenerate pair")
     def test_constant_column_is_not_kept_at_its_zero_cutoff(self):
@@ -507,8 +539,7 @@ class TestScoreCells:
         data = DataMatrix(values)
         assert (0, 1) in as_set(gt.edges)
         thresholds = (ThresholdSpec.fpr(q=0.5), ThresholdSpec.fpr(f=30.0), ThresholdSpec.fixed(0.0))
-        cells = evalbench._score_cells("kendall", thresholds, gt, data)
-        assert cells == reference_cells("kendall", thresholds, gt, data)
+        assert_cells_match_reference("kendall", thresholds, gt, data)
 
 
 class TestRunExperiments:
@@ -531,7 +562,7 @@ class TestRunExperiments:
             (sim, estimator, t) for t in thresholds]
         for result, t in zip(results, thresholds):
             single, = run_experiments(sim, estimator, 3, [t], threads=1)
-            assert result.per_replicate == single.per_replicate
+            assert np.array_equal(result.counts, single.counts)
             assert result.f_per_replicate == single.f_per_replicate
             assert result.aggregate() == single.aggregate()
             assert experiment_rows(result) == experiment_rows(single)
@@ -560,8 +591,9 @@ class TestRunExperiments:
         gamma = float(np.median(observed_strengths(estimator, gt, data)[0]))
         table, = run_experiments(sim, estimator, 3, [ThresholdSpec.fixed(gamma)])
         tprs, fprs = replicate_sweeps(sim, estimator, 3, (0.1, gamma, 0.9))
+        fpr, fnr = table.rates()
         assert [(t[1], f[1]) for t, f in zip(tprs, fprs)] == [
-            (1.0 - m.fnr, m.fpr) for m in table.per_replicate]
+            (1.0 - b, a) for a, b in zip(fpr.tolist(), fnr.tolist())]
 
 
 class TestAuc:
@@ -577,7 +609,9 @@ class TestAuc:
     def test_hand_polyline(self):
         # points (0.2, 0.6), (0.5, 0.9) plus anchors:
         # trapezoids: 0.2*0.3 + 0.3*0.75 + 0.5*0.95 = 0.76
-        assert auc_points((0.2, 0.5), (0.6, 0.9)) == pytest.approx(0.76)
+        # a sweep lists them by ascending gamma, so by descending FPR
+        sweep = SweepResult(grid=(0.1, 0.3), mean_tpr=(0.9, 0.6), mean_fpr=(0.5, 0.2))
+        assert auc(sweep) == pytest.approx(0.76)
 
     def test_needs_two_points(self):
         sweep = SweepResult(grid=(0.5,), mean_tpr=(0.5,), mean_fpr=(0.5,))
