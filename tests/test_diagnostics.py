@@ -174,22 +174,17 @@ class TestHoeffdingBound:
     (lambda gt: hoeffding_bound(100, math.inf), "t > 0 and finite"),
     (lambda gt: check_assumptions(gt, 10**400, 0.6, 0.25, 0.3, 1.0, 0.5),
      "n is too large to convert to a float"),
+    (lambda gt: check_proposition1(gt, 10**400, 0.6, 0.25, 0.3),
+     "n is too large to convert to a float"),
+    (lambda gt: neighborhood_size_bound(gt, 10**400, 0.6, 0.25),
+     "n is too large to convert to a float"),
+    (lambda gt: hoeffding_bound(10**400, 0.1), "n is too large to convert to a float"),
 ], ids=["bound-c1-nan", "bound-c1-inf", "bound-kappa-nan", "bound-kappa-inf", "bound-n-one",
         "prop1-c1-nan", "prop1-c1-inf", "prop1-xi-nan", "prop1-n-one",
-        "hoeffding-t-nan", "hoeffding-t-inf", "assumptions-n-past-float"])
+        "hoeffding-t-nan", "hoeffding-t-inf", "assumptions-n-past-float",
+        "prop1-n-past-float", "bound-n-past-float", "hoeffding-n-past-float"])
 def test_library_refuses_constant_out_of_domain(call, message):
     with pytest.raises(InvalidInputError, match=re.escape(message)):
-        call(gen_correlation_C(10))
-
-
-@pytest.mark.parametrize("call", [
-    lambda gt: check_proposition1(gt, 10**400, 0.6, 0.25, 0.3),
-    lambda gt: neighborhood_size_bound(gt, 10**400, 0.6, 0.25),
-    lambda gt: hoeffding_bound(10**400, 0.1),
-], ids=["proposition1", "neighborhood-bound", "hoeffding"])
-def test_n_past_the_float_range_is_refused(call):
-    # as check_constants refuses it, not as a raw OverflowError
-    with pytest.raises(InvalidInputError, match="^n is too large to convert to a float$"):
         call(gen_correlation_C(10))
 
 
