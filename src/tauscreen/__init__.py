@@ -28,7 +28,6 @@ from .linalg import (
 from .rankcorr import (
     CorrMatrix,
     DataMatrix,
-    JackknifeVarMatrix,
     jackknife_matrix,
     jackknife_variance,
     kendall_matrix,

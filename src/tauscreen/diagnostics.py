@@ -254,9 +254,9 @@ def normality_check(n: int, rho: float, replicates: int, rng: RngStream) -> tupl
     stats = []
     for lo in range(0, replicates, 25):
         draws = [rng.standard_normal((n, 2)) for _ in range(min(25, replicates - lo))]
-        tau, jack = jackknife_matrix(np.column_stack(
+        tau, omega2 = jackknife_matrix(np.column_stack(
             [col for z in draws for col in (z[:, 0], rho * z[:, 0] + mix * z[:, 1])]))
         for x in range(0, 2 * len(draws), 2):
-            tau_hat, omega2 = float(tau.entries[x, x + 1]), float(jack.entries[x, x + 1])
-            stats.append(math.sqrt(n) * (tau_hat - tau_true) / math.sqrt(omega2))
+            tau_hat = float(tau.entries[x, x + 1])
+            stats.append(math.sqrt(n) * (tau_hat - tau_true) / math.sqrt(omega2[x, x + 1]))
     return float(np.mean(stats)), float(np.var(stats, ddof=1))

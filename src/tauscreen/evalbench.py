@@ -129,11 +129,11 @@ def screen_data(data: DataMatrix, estimator: str, spec: ThresholdSpec,
     """The screened correlation estimate of ``data`` and its edges under
     ``spec``. In fpr mode one sign pass gives both the kendall estimator's
     tau and the thresholds' jackknife omega^2; ``threads`` splits it by rows."""
-    tau = jack = None
+    tau = omega2 = None
     if spec.mode == "fpr":
-        tau, jack = jackknife_matrix(data, threads=threads)
+        tau, omega2 = jackknife_matrix(data, threads=threads)
     corr = estimator_matrix(data, estimator, tau=tau, threads=threads)
-    return corr, screen_edges(corr, threshold_matrix(spec, data.n, data.p, jack=jack))
+    return corr, screen_edges(corr, threshold_matrix(spec, data.n, data.p, omega2=omega2))
 
 
 def _replicate(sim: SimConfig, score, r: int):
@@ -155,7 +155,7 @@ def _score_cells(estimator: str, thresholds: tuple, gt, data) -> tuple[np.ndarra
     does: an fpr cell compares with its :func:`threshold_matrix`, and all
     scalar cutoffs are counted by one search of each sorted strength vector."""
     is_fpr = np.array([t.mode == "fpr" for t in thresholds])
-    tau, jack = jackknife_matrix(data) if is_fpr.any() else (None, None)
+    tau, omega2 = jackknife_matrix(data) if is_fpr.any() else (None, None)
     corr = estimator_matrix(data, estimator, tau=tau)
     upper, truth = np.triu_indices(data.p, 1), tuple(gt.edges.edges.T)
     strength, true_strength = np.abs(corr.entries[upper]), np.abs(corr.entries[truth])
@@ -172,7 +172,7 @@ def _score_cells(estimator: str, thresholds: tuple, gt, data) -> tuple[np.ndarra
         if t.f is None and gt.nonedge_count() == 0:
             raise InvalidInputError("the true graph has no non-edges, so q sets no budget")
         budgets[i] = t.f if t.f is not None else t.q * gt.nonedge_count()
-        cut = threshold_matrix(ThresholdSpec.fpr(f=budgets[i]), data.n, data.p, jack=jack)
+        cut = threshold_matrix(ThresholdSpec.fpr(f=budgets[i]), data.n, data.p, omega2=omega2)
         kept[i] = np.count_nonzero(strength > cut[upper])
         hits[i] = np.count_nonzero(true_strength > cut[truth])
     counts = np.stack([hits, kept - hits, total - edges - kept + hits, edges - hits], axis=1)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InvalidInputError, MissingInputError
 from .io import write_rows
-from .rankcorr import CorrMatrix, JackknifeVarMatrix
+from .rankcorr import CorrMatrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,20 +158,22 @@ class ThresholdSpec:
         return (2.0 / 3.0) * self.c1 * float(n) ** (-self.kappa)
 
 
-def threshold_matrix(spec: ThresholdSpec, n: int, p: int, jack: JackknifeVarMatrix | None = None) -> np.ndarray:
+def threshold_matrix(spec: ThresholdSpec, n: int, p: int, omega2: np.ndarray | None = None) -> np.ndarray:
     """Materialize the p x p matrix of per-pair cutoffs for a threshold rule.
 
-    The diagonal is set to 0 and never used (screening only inspects j < k).
+    The fpr rule reads ``omega2``, the jackknife variances that
+    :func:`rankcorr.jackknife_matrix` returns; only its shape is checked. The
+    diagonal is set to 0 and never used (screening only inspects j < k).
     """
     if p < 1 or n < 2:
         raise InvalidInputError("need p >= 1 and n >= 2")
     if spec.mode != "fpr":
         out = np.full((p, p), spec.cutoff(n), dtype=np.float64)
     else:
-        if jack is None:
+        if omega2 is None:
             raise MissingInputError("fpr mode requires a jackknife variance matrix")
-        if jack.dim != p:
-            raise InvalidInputError(f"variance matrix is {jack.dim}x{jack.dim}, expected p={p}")
+        if omega2.shape != (p, p):
+            raise InvalidInputError(f"variance matrix has shape {omega2.shape}, expected p={p}")
         if n < 3:
             raise InvalidInputError("fpr mode needs n >= 3")
         if p < 2:
@@ -181,7 +183,7 @@ def threshold_matrix(spec: ThresholdSpec, n: int, p: int, jack: JackknifeVarMatr
             raise InvalidInputError(f"need f < p(p-1)/2, got f={f} with p={p}")
         level = 1.0 - f / (p * (p - 1))
         z = math.inf if level == 1.0 else NormalDist().inv_cdf(level)
-        omega = np.sqrt(jack.entries)
+        omega = np.sqrt(omega2)
         if np.any(omega[~np.eye(p, dtype=bool)] == 0.0):
             warnings.warn(
                 "degenerate pair(s) with zero jackknife variance: "

@@ -230,8 +230,8 @@ class TestScreen:
                                                               data.values[:, k])
             tau = CorrMatrix(tau, "kendall-raw")
         corr = sine_transform(tau)
-        _, jack = jackknife_matrix(data)
-        gammas = threshold_matrix(ThresholdSpec.fpr(q=0.05), data.n, data.p, jack=jack)
+        _, omega2 = jackknife_matrix(data)
+        gammas = threshold_matrix(ThresholdSpec.fpr(q=0.05), data.n, data.p, omega2=omega2)
         edges = screen_edges(corr, gammas)
         ref_edges, ref_comp = tmp_path / "ref.tsv", tmp_path / "ref.components.tsv"
         write_edges_tsv(ref_edges, edges, corr)

@@ -209,9 +209,9 @@ class TestNormalityCheck:
         for _ in range(replicates):
             z = rng.standard_normal((n, 2))
             pair = np.column_stack([z[:, 0], rho * z[:, 0] + math.sqrt(1 - rho * rho) * z[:, 1]])
-            tau, jack = jackknife_matrix(pair)
+            tau, omega2 = jackknife_matrix(pair)
             stats.append(math.sqrt(n) * (float(tau.entries[0, 1]) - tau_true)
-                         / math.sqrt(float(jack.entries[0, 1])))
+                         / math.sqrt(float(omega2[0, 1])))
         expect = (float(np.mean(stats)), float(np.var(stats, ddof=1)))
         assert normality_check(n, rho, replicates, RngStream(8)) == expect
 

@@ -266,9 +266,9 @@ class TestScreenData:
         # kendall needs the one sign pass for tau, pearson only for fpr's omega^2
         assert sign_passes == ["_sign_moments"] * (estimator == "kendall" or fpr)
 
-        tau, jack = jackknife_matrix(data) if fpr else (None, None)
+        tau, omega2 = jackknife_matrix(data) if fpr else (None, None)
         ref_corr = estimator_matrix(data, estimator, tau=tau)
-        ref = screen_edges(ref_corr, threshold_matrix(tspec, data.n, data.p, jack=jack))
+        ref = screen_edges(ref_corr, threshold_matrix(tspec, data.n, data.p, omega2=omega2))
         assert np.array_equal(corr.entries, ref_corr.entries)
         assert np.array_equal(edges.edges, ref.edges)
         assert len(edges) > 0
@@ -459,7 +459,7 @@ def reference_cells(estimator, thresholds, gt, data):
     """Each threshold's ((tp, fp, tn, fn), f) from its own ``threshold_matrix``,
     ``screen_edges`` and ``confusion`` on the same draw."""
     fpr = any(t.mode == "fpr" for t in thresholds)
-    tau, jack = jackknife_matrix(data) if fpr else (None, None)
+    tau, omega2 = jackknife_matrix(data) if fpr else (None, None)
     corr = estimator_matrix(data, estimator, tau=tau)
     cells = []
     for t in thresholds:
@@ -467,7 +467,7 @@ def reference_cells(estimator, thresholds, gt, data):
         if t.mode == "fpr":
             f = t.f if t.f is not None else t.q * gt.nonedge_count()
             t = ThresholdSpec.fpr(f=f)
-        est = screen_edges(corr, threshold_matrix(t, data.n, data.p, jack=jack))
+        est = screen_edges(corr, threshold_matrix(t, data.n, data.p, omega2=omega2))
         cells.append((confusion(est, gt.edges), f))
     return cells
 
@@ -520,8 +520,8 @@ class TestScoreCells:
     def test_three_rows_with_zero_variance_pairs(self, estimator):
         sim = SimConfig(scenario="B", n=3, p=10, seed=4)
         gt, data = replicate_data(sim, 0)
-        _, jack = jackknife_matrix(data)
-        assert np.any(jack.entries[np.triu_indices(10, 1)] == 0.0)
+        _, omega2 = jackknife_matrix(data)
+        assert np.any(omega2[np.triu_indices(10, 1)] == 0.0)
         strength, _ = observed_strengths(estimator, gt, data)
         thresholds = (ThresholdSpec.fpr(q=0.3), ThresholdSpec.fixed(float(np.median(strength))),
                       ThresholdSpec.fpr(f=2.0), ThresholdSpec.rate(0.6, 0.25))

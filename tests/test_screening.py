@@ -12,7 +12,6 @@ from tauscreen import (
     CorrMatrix,
     EdgeSet,
     InvalidInputError,
-    JackknifeVarMatrix,
     MissingInputError,
     Partition,
     ThresholdSpec,
@@ -72,17 +71,17 @@ class TestThresholdMatrix:
     def test_fpr_hand_value(self):
         # unit variance estimate, n=100, f/(p(p-1)) = 0.025:
         # gamma = (pi/2) * PhiInv(0.975) / 10 ~= 0.30787
-        jack = JackknifeVarMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        t = threshold_matrix(ThresholdSpec.fpr(f=0.05), n=100, p=2, jack=jack)
+        omega2 = np.array([[0.0, 1.0], [1.0, 0.0]])
+        t = threshold_matrix(ThresholdSpec.fpr(f=0.05), n=100, p=2, omega2=omega2)
         assert t[0, 1] == pytest.approx(0.30787, abs=5e-5)
         assert t[0, 1] == pytest.approx(np.pi / 2 * ndtri(0.975) / 10.0, abs=1e-12)
 
     def test_fpr_z_matches_scipy_ndtri(self):
         # unit variance estimate, p=2: the cutoff is (pi/2) * PhiInv(1 - f/2) / sqrt(n)
-        jack = JackknifeVarMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        omega2 = np.array([[0.0, 1.0], [1.0, 0.0]])
         half_f = np.geomspace(1e-15, 0.4999, 10_000)
         mine = np.array([
-            threshold_matrix(ThresholdSpec.fpr(f=2.0 * h), n=100, p=2, jack=jack)[0, 1]
+            threshold_matrix(ThresholdSpec.fpr(f=2.0 * h), n=100, p=2, omega2=omega2)[0, 1]
             for h in half_f.tolist()
         ])
         ref = np.pi / 2 * ndtri(1.0 - half_f) / 10.0
@@ -90,14 +89,14 @@ class TestThresholdMatrix:
 
     def test_fpr_budget_rounding_to_one_gives_inf(self):
         # f / (p(p-1)) = 1e-300 / 2: 1 - that rounds to 1.0, so z is infinite
-        jack = JackknifeVarMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        t = threshold_matrix(ThresholdSpec.fpr(f=1e-300), n=100, p=2, jack=jack)
+        omega2 = np.array([[0.0, 1.0], [1.0, 0.0]])
+        t = threshold_matrix(ThresholdSpec.fpr(f=1e-300), n=100, p=2, omega2=omega2)
         assert t[0, 1] == t[1, 0] == np.inf
 
     def test_zero_variance_pair_keeps_zero_cutoff_at_infinite_z(self):
-        jack = JackknifeVarMatrix(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0], [1.0, 2.0, 0.0]]))
+        omega2 = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0], [1.0, 2.0, 0.0]])
         with pytest.warns(UserWarning) as record:
-            t = threshold_matrix(ThresholdSpec.fpr(f=1e-300), n=100, p=3, jack=jack)
+            t = threshold_matrix(ThresholdSpec.fpr(f=1e-300), n=100, p=3, omega2=omega2)
         assert [w.category for w in record] == [UserWarning]
         assert np.array_equal(t, [[0.0, 0.0, np.inf], [0.0, 0.0, np.inf], [np.inf, np.inf, 0.0]])
 
@@ -105,15 +104,20 @@ class TestThresholdMatrix:
         with pytest.raises(MissingInputError):
             threshold_matrix(ThresholdSpec.fpr(q=0.1), n=100, p=3)
 
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3)])
+    def test_variance_shape_must_match_p(self, shape):
+        with pytest.raises(InvalidInputError, match="variance matrix has shape"):
+            threshold_matrix(ThresholdSpec.fpr(f=0.5), n=100, p=2, omega2=np.ones(shape))
+
     def test_fpr_budget_too_large(self):
-        jack = JackknifeVarMatrix(np.zeros((2, 2)))
+        omega2 = np.zeros((2, 2))
         with pytest.raises(InvalidInputError):
-            threshold_matrix(ThresholdSpec.fpr(f=1.0), n=100, p=2, jack=jack)
+            threshold_matrix(ThresholdSpec.fpr(f=1.0), n=100, p=2, omega2=omega2)
 
     def test_degenerate_pair_warns_and_gets_zero_threshold(self):
-        jack = JackknifeVarMatrix(np.array([[0.0, 0.0], [0.0, 0.0]]))
+        omega2 = np.array([[0.0, 0.0], [0.0, 0.0]])
         with pytest.warns(UserWarning):
-            t = threshold_matrix(ThresholdSpec.fpr(f=0.5), n=100, p=2, jack=jack)
+            t = threshold_matrix(ThresholdSpec.fpr(f=0.5), n=100, p=2, omega2=omega2)
         assert t[0, 1] == 0.0
 
 
