@@ -184,7 +184,9 @@ def threshold_matrix(spec: ThresholdSpec, n: int, p: int, omega2: np.ndarray | N
         level = 1.0 - f / (p * (p - 1))
         z = math.inf if level == 1.0 else NormalDist().inv_cdf(level)
         omega = np.sqrt(omega2)
-        if np.any(omega[~np.eye(p, dtype=bool)] == 0.0):
+        zero = omega == 0.0
+        # a zero off the diagonal is a degenerate pair
+        if np.count_nonzero(zero) > np.count_nonzero(np.diagonal(zero)):
             warnings.warn(
                 "degenerate pair(s) with zero jackknife variance: "
                 "their threshold is 0 and they are kept whenever |corr| > 0",
@@ -192,7 +194,7 @@ def threshold_matrix(spec: ThresholdSpec, n: int, p: int, omega2: np.ndarray | N
             )
         with np.errstate(invalid="ignore"):  # 0 * inf when z is inf
             out = (np.pi / 2.0) * omega * z / np.sqrt(n)
-        out[omega == 0.0] = 0.0
+        out[zero] = 0.0
     np.fill_diagonal(out, 0.0)
     return out
 
