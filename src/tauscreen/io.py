@@ -7,9 +7,9 @@ lines and splits each line into cells. Every table the package writes, the
 edge and partition TSVs included, goes out through one streaming row writer,
 :func:`write_rows`: UTF-8 text with ``\n`` line ends, cells joined by one
 delimiter, and floats at 17 significant digits so doubles round-trip exactly;
-a cell that holds the delimiter is refused. Data, matrix and price tables
-share one row parse, :func:`_parse_row`: float64 cells, nan where ``float()``
-refuses a cell.
+a cell that holds the delimiter or a line break (``\n`` or ``\r``) is
+refused. Data, matrix and price tables share one row parse,
+:func:`_parse_row`: float64 cells, nan where ``float()`` refuses a cell.
 
 Data CSVs hold one observation per row. The delimiter (comma or tab) is
 auto-detected from the first non-blank line, and an optional single header
@@ -69,12 +69,15 @@ def read_rows(path):
 
 def _line(path, cells, delimiter: str) -> str:
     """One output line: a ``float`` cell as ``%.17g``, any other with ``str``;
-    a cell that holds the delimiter is refused."""
+    a cell that holds the delimiter or a line break is refused."""
     text = [_FMT % v if isinstance(v, float) else str(v) for v in cells]
     line = delimiter.join(text)
     if line.count(delimiter) >= max(len(text), 1):  # k cells need only k - 1
         cell = next(c for c in text if delimiter in c)
         raise InvalidInputError(f"{path}: cell {cell!r} holds the delimiter {delimiter!r}")
+    if "\n" in line or "\r" in line:  # read_rows would split the row there
+        cell = next(c for c in text if "\n" in c or "\r" in c)
+        raise InvalidInputError(f"{path}: cell {cell!r} holds a line break")
     return line + "\n"
 
 

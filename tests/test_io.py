@@ -378,3 +378,18 @@ def test_writer_refuses_a_cell_holding_the_delimiter(tmp_path, rows, header):
         assert not path.exists()  # the header is checked before the file opens
     write_rows(path, [("a,b", 1)], delimiter="\t")  # a comma is fine in a TSV
     assert path.read_bytes() == b"a,b\t1\n"
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r"], ids=["lf", "cr"])
+@pytest.mark.parametrize("where", ["row-cell", "header-cell"])
+def test_writer_refuses_a_cell_holding_a_line_break(tmp_path, where, brk):
+    # the reader splits lines first, so such a cell would read back as two rows
+    path = tmp_path / "out.csv"
+    cell = f"x{brk}y"
+    rows, header = ([("ok", 1.5), (cell, 2)], None) if where == "row-cell" else \
+        ([("ok", 1.5)], ("a", cell))
+    with pytest.raises(InvalidInputError) as err:
+        write_rows(path, rows, header=header)
+    assert str(err.value) == f"{path}: cell {cell!r} holds a line break"
+    if header is not None:
+        assert not path.exists()  # the header is checked before the file opens
