@@ -61,7 +61,6 @@ from .diagnostics import (
     check_proposition1,
     hoeffding_bound,
     neighborhood_size_bound,
-    normality_check,
 )
 from .evalbench import (
     ExperimentResult,

@@ -4,8 +4,8 @@ Given a solved ground truth, these report how strongly edges separate from
 non-edges on the correlation scale, the eigenvalue spread of the covariance,
 the conditioning-based sufficient conditions that re-express those
 requirements in terms of the precision matrix, an explicit upper bound on any
-node's screened-neighborhood size, and Monte Carlo checks of the tau
-statistic's concentration and asymptotic normality.
+node's screened-neighborhood size, and the large-deviation bound of the tau
+statistic.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .linalg import eig_extremes
-from .rankcorr import jackknife_matrix
-from .simgen import GroundTruth, RngStream
+from .simgen import GroundTruth
 
 # Default cutoff under which the finite-n surrogate for the vanishing
 # non-edge-correlation condition is flagged as "small". Heuristic.
@@ -232,31 +231,3 @@ def hoeffding_bound(n: int, t: float) -> float:
     if not 0 < t < math.inf:
         raise InvalidInputError("need t > 0 and finite")
     return min(1.0, 2.0 * math.exp(-(n // 2) * t * t / 2.0))
-
-
-def normality_check(n: int, rho: float, replicates: int, rng: RngStream) -> tuple[float, float]:
-    """Mean and sample variance of sqrt(n) (tau_hat - tau) / omega_hat across
-    seeded bivariate-Gaussian replicates with latent correlation ``rho``.
-
-    tau_hat and omega_hat^2 come from :func:`rankcorr.jackknife_matrix`, the
-    fpr rule's statistic, called once per 25 replicates on their stacked
-    (x, y) columns: the kernel is exact per pair and call-bound at small p.
-    The reference tau is the exact arcsine relation tau = (2/pi) asin(rho).
-    """
-    if n < 10:
-        raise InvalidInputError("need n >= 10")
-    if not abs(rho) < 1:
-        raise InvalidInputError("need |rho| < 1")
-    if replicates < 100:
-        raise InvalidInputError("need at least 100 replicates")
-    tau_true = (2.0 / math.pi) * math.asin(rho)
-    mix = math.sqrt(1.0 - rho * rho)
-    stats = []
-    for lo in range(0, replicates, 25):
-        draws = [rng.standard_normal((n, 2)) for _ in range(min(25, replicates - lo))]
-        tau, omega2 = jackknife_matrix(np.column_stack(
-            [col for z in draws for col in (z[:, 0], rho * z[:, 0] + mix * z[:, 1])]))
-        for x in range(0, 2 * len(draws), 2):
-            tau_hat = float(tau.entries[x, x + 1])
-            stats.append(math.sqrt(n) * (tau_hat - tau_true) / math.sqrt(omega2[x, x + 1]))
-    return float(np.mean(stats)), float(np.var(stats, ddof=1))

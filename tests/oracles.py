@@ -1,12 +1,14 @@
 """Reference helpers that only the tests call: an edge set as a Python set,
 the edges of a written edge TSV, set-based confusion counts (tp, fp, tn, fn),
-and partition equality up to relabelling."""
+partition equality up to relabelling, and the Monte Carlo normality check of
+the standardized tau statistic."""
 
+import math
 from pathlib import Path
 
 import numpy as np
 
-from tauscreen import EdgeSet, InvalidInputError, Partition
+from tauscreen import EdgeSet, InvalidInputError, Partition, RngStream, jackknife_matrix
 
 
 def as_set(edges: EdgeSet) -> set[tuple[int, int]]:
@@ -49,3 +51,31 @@ def compare_partitions(a: Partition, b: Partition) -> bool:
         elif remap[la] != lb:
             return False
     return len(set(remap.values())) == len(remap)
+
+
+def normality_check(n: int, rho: float, replicates: int, rng: RngStream) -> tuple[float, float]:
+    """Mean and sample variance of sqrt(n) (tau_hat - tau) / omega_hat across
+    seeded bivariate-Gaussian replicates with latent correlation ``rho``.
+
+    tau_hat and omega_hat^2 come from :func:`tauscreen.jackknife_matrix`, the
+    fpr rule's statistic, called once per 25 replicates on their stacked
+    (x, y) columns: the kernel is exact per pair and call-bound at small p.
+    The reference tau is the exact arcsine relation tau = (2/pi) asin(rho).
+    """
+    if n < 10:
+        raise InvalidInputError("need n >= 10")
+    if not abs(rho) < 1:
+        raise InvalidInputError("need |rho| < 1")
+    if replicates < 100:
+        raise InvalidInputError("need at least 100 replicates")
+    tau_true = (2.0 / math.pi) * math.asin(rho)
+    mix = math.sqrt(1.0 - rho * rho)
+    stats = []
+    for lo in range(0, replicates, 25):
+        draws = [rng.standard_normal((n, 2)) for _ in range(min(25, replicates - lo))]
+        tau, omega2 = jackknife_matrix(np.column_stack(
+            [col for z in draws for col in (z[:, 0], rho * z[:, 0] + mix * z[:, 1])]))
+        for x in range(0, 2 * len(draws), 2):
+            tau_hat = float(tau.entries[x, x + 1])
+            stats.append(math.sqrt(n) * (tau_hat - tau_true) / math.sqrt(omega2[x, x + 1]))
+    return float(np.mean(stats)), float(np.var(stats, ddof=1))

@@ -19,7 +19,7 @@ from scipy.special import ndtri
 import tauscreen as ts
 from tauscreen.cli import main as cli_main
 
-from oracles import as_set, compare_partitions
+from oracles import as_set, compare_partitions, normality_check
 
 
 def report(num, name, ok, details):
@@ -214,7 +214,7 @@ def test_criterion_06_hoeffding_bound_never_violated():
 
 def test_criterion_07_asymptotic_normality():
     """Standardized statistic at n=500, rho=0.5, 1000 replicates."""
-    mean, var = ts.normality_check(500, 0.5, 1000, ts.RngStream(99))
+    mean, var = normality_check(500, 0.5, 1000, ts.RngStream(99))
     ok = abs(mean) < 0.1 and 0.85 <= var <= 1.15
     assert report(7, "asymptotic-normality", ok,
                   f"mean={mean:.4f} (|.| < 0.1), variance={var:.4f} (in [0.85, 1.15])")

@@ -1,4 +1,4 @@
-"""Tests for the assumption reports and Monte Carlo checks."""
+"""Tests for the assumption reports and the Monte Carlo normality check."""
 
 import json
 import math
@@ -19,8 +19,9 @@ from tauscreen import (
     hoeffding_bound,
     jackknife_matrix,
     neighborhood_size_bound,
-    normality_check,
 )
+
+from oracles import normality_check
 
 
 def identity_truth(p=4):
