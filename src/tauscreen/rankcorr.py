@@ -81,8 +81,8 @@ class CorrMatrix:
 
     ``kind`` records which estimator produced it: "kendall-raw" for plain tau,
     "kendall-sine" for the sine-mapped latent-correlation estimate, "pearson"
-    for the linear baseline. Only the kind and the square shape are checked,
-    in O(1); the module docstring says why the entries are not.
+    for the linear baseline. Only the kind and the square shape are
+    checked; the module docstring says why the entries are not.
     """
 
     entries: np.ndarray
