@@ -36,8 +36,6 @@ from .rankcorr import (
     sine_transform,
 )
 from .screening import (
-    EdgeSet,
-    Partition,
     ThresholdSpec,
     connected_components,
     screen_edges,

@@ -287,9 +287,9 @@ def screen(**params):
     write_edges_tsv(params["out"], edges, corr)
     summary = {"edge_count": len(edges), "n": data.n, "p": data.p}
     if comp_path is not None:
-        part = connected_components(edges)
-        write_partition_tsv(comp_path, part)
-        summary["components"] = part.n_components
+        labels = connected_components(data.p, edges)
+        write_partition_tsv(comp_path, labels)
+        summary["components"] = int(labels.max())
     _echo_json(summary)
 
 

@@ -92,7 +92,7 @@ def _corr_extremes(gt: GroundTruth) -> tuple[float, float]:
     p = gt.p
     absd = np.abs(gt.sigma)
     edge_mask = np.zeros((p, p), dtype=bool)
-    edge_mask[gt.edges.edges[:, 0], gt.edges.edges[:, 1]] = True
+    edge_mask[tuple(gt.edges.T)] = True
     triu = np.triu(np.ones((p, p), dtype=bool), 1)
     nonedge_mask = triu & ~edge_mask
     min_edge = float(np.min(absd[edge_mask])) if edge_mask.any() else float("nan")
@@ -110,7 +110,7 @@ def _spread(gt: GroundTruth) -> tuple[float, float, float, float]:
 def _min_scaled_precision(gt: GroundTruth, nu: float) -> float:
     if len(gt.edges) == 0:
         return float("nan")
-    return nu * nu * np.abs(gt.omega[gt.edges.edges[:, 0], gt.edges.edges[:, 1]]).min()
+    return nu * nu * np.abs(gt.omega[tuple(gt.edges.T)]).min()
 
 
 def _check_n(n: int) -> None:

@@ -37,7 +37,7 @@ from .rankcorr import (
     pearson_matrix,
     sine_transform,
 )
-from .screening import EdgeSet, ThresholdSpec, screen_edges, threshold_matrix
+from .screening import ThresholdSpec, screen_edges, threshold_matrix
 from .simgen import RngStream, SimConfig, generate_ground_truth, sample
 
 ESTIMATORS = ("kendall", "pearson")
@@ -125,7 +125,7 @@ def estimator_matrix(data: DataMatrix, estimator: str, tau: CorrMatrix | None = 
 
 
 def screen_data(data: DataMatrix, estimator: str, spec: ThresholdSpec,
-                threads: int = 1) -> tuple[CorrMatrix, EdgeSet]:
+                threads: int = 1) -> tuple[CorrMatrix, np.ndarray]:
     """The screened correlation estimate of ``data`` and its edges under
     ``spec``. In fpr mode one sign pass gives both the kendall estimator's
     tau and the thresholds' jackknife omega^2; ``threads`` splits it by rows."""
@@ -157,7 +157,7 @@ def _score_cells(estimator: str, thresholds: tuple, gt, data) -> tuple[np.ndarra
     is_fpr = np.array([t.mode == "fpr" for t in thresholds])
     tau, omega2 = jackknife_matrix(data) if is_fpr.any() else (None, None)
     corr = estimator_matrix(data, estimator, tau=tau)
-    upper, truth = np.triu_indices(data.p, 1), tuple(gt.edges.edges.T)
+    upper, truth = np.triu_indices(data.p, 1), tuple(gt.edges.T)
     strength, true_strength = np.abs(corr.entries[upper]), np.abs(corr.entries[truth])
     total, edges = strength.size, true_strength.size
     kept, hits = np.empty(len(thresholds), np.int64), np.empty(len(thresholds), np.int64)

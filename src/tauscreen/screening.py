@@ -13,8 +13,11 @@ Three threshold rules are supported:
   to 1, so z is infinite and every cutoff is infinite, except the cutoff 0
   of a zero-variance pair.
 
-Edges are kept on strict inequality |corr| > gamma. Node indices are 0-based
-in memory and 1-based in the edge and partition TSVs the package writes.
+Edges are kept on strict inequality |corr| > gamma. An edge set is an edge
+array: the read-only (E, 2) intp array of its pairs (j, k), j < k, in
+lexicographic order, which :func:`upper_pairs` alone builds. A partition is a
+read-only array of one component label per node. Node indices are 0-based in
+memory and 1-based in the edge and partition TSVs the package writes.
 """
 
 from __future__ import annotations
@@ -29,62 +32,6 @@ import numpy as np
 from .errors import InvalidInputError, MissingInputError
 from .io import write_rows
 from .rankcorr import CorrMatrix
-
-
-@dataclass(frozen=True, eq=False)
-class EdgeSet:
-    """An undirected graph on p nodes. ``edges`` is a read-only (E, 2) intp
-    array of the pairs (j, k), j < k, in lexicographic order; the constructor
-    accepts any sequence of pairs."""
-
-    p: int
-    edges: np.ndarray
-
-    def __post_init__(self):
-        if self.p < 1:
-            raise InvalidInputError("node count must be >= 1")
-        pairs = np.array(self.edges, dtype=np.intp)
-        if pairs.size == 0:
-            pairs = pairs.reshape(0, 2)
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise InvalidInputError(f"edges must be (j, k) pairs, got shape {pairs.shape}")
-        j, k = pairs.T
-        bad = np.flatnonzero((j < 0) | (j >= k) | (k >= self.p))
-        if bad.size:
-            raise InvalidInputError(f"edge ({j[bad[0]]}, {k[bad[0]]}) out of range for p={self.p}")
-        pairs = pairs[np.lexsort((k, j))]
-        repeat = np.flatnonzero((pairs[1:] == pairs[:-1]).all(axis=1))
-        if repeat.size:
-            a, b = pairs[repeat[0]]
-            raise InvalidInputError(f"duplicate edge ({a}, {b})")
-        pairs.flags.writeable = False
-        object.__setattr__(self, "edges", pairs)
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Connected-component labels, 1..k in order of first appearance."""
-
-    p: int
-    component_id: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.p < 1:
-            raise InvalidInputError("node count must be >= 1")
-        if len(self.component_id) != self.p:
-            raise InvalidInputError("component_id length must equal p")
-        labels = tuple(int(c) for c in self.component_id)
-        k = max(labels)
-        if sorted(set(labels)) != list(range(1, k + 1)):
-            raise InvalidInputError("component labels must form a contiguous range 1..k")
-        object.__setattr__(self, "component_id", labels)
-
-    @property
-    def n_components(self) -> int:
-        return max(self.component_id)
 
 
 @dataclass(frozen=True)
@@ -199,8 +146,17 @@ def threshold_matrix(spec: ThresholdSpec, n: int, p: int, omega2: np.ndarray | N
     return out
 
 
-def screen_edges(corr: CorrMatrix, thresholds: np.ndarray) -> EdgeSet:
-    """Edges (j, k), j < k, with |corr[j, k]| strictly above thresholds[j, k]."""
+def upper_pairs(mask: np.ndarray) -> np.ndarray:
+    """The edge array of the pairs (j, k), j < k, where the p x p boolean
+    ``mask`` is true."""
+    pairs = np.argwhere(np.triu(mask, 1))
+    pairs.flags.writeable = False
+    return pairs
+
+
+def screen_edges(corr: CorrMatrix, thresholds: np.ndarray) -> np.ndarray:
+    """The edge array of the pairs (j, k), j < k, with |corr[j, k]| strictly
+    above thresholds[j, k]."""
     if not isinstance(corr, CorrMatrix):
         raise InvalidInputError("screen_edges expects a CorrMatrix")
     if corr.kind not in ("kendall-sine", "pearson"):
@@ -209,17 +165,18 @@ def screen_edges(corr: CorrMatrix, thresholds: np.ndarray) -> EdgeSet:
     p = corr.dim
     if t.shape != (p, p):
         raise InvalidInputError(f"threshold matrix shape {t.shape} does not match p={p}")
-    return EdgeSet(p, np.argwhere(np.triu(np.abs(corr.entries) > t, 1)))
+    return upper_pairs(np.abs(corr.entries) > t)
 
 
-def connected_components(e: EdgeSet) -> Partition:
-    """Partition of the nodes of ``e`` into connected components, labelled
-    1..k in order of each component's lowest node."""
+def connected_components(p: int, edges: np.ndarray) -> np.ndarray:
+    """The connected components of the graph on p nodes with the edge array
+    ``edges``: a read-only array of each node's label, 1..k in order of each
+    component's lowest node."""
     # Hook and shortcut: each node points at a lower or equal node, and after
     # the shortcut at its tree's root, the tree's lowest node. While an edge
     # joins two trees, the higher root hooks onto the lowest root it meets.
-    roots = np.arange(e.p)
-    j, k = e.edges.T
+    roots = np.arange(p)
+    j, k = edges.T
     while True:
         rj, rk = roots[j], roots[k]
         apart = rj != rk
@@ -232,21 +189,23 @@ def connected_components(e: EdgeSet) -> Partition:
             if np.array_equal(jumped, roots):
                 break
             roots = jumped
-    _, labels = np.unique(roots, return_inverse=True)
-    return Partition(e.p, tuple((labels + 1).tolist()))
+    labels = np.unique(roots, return_inverse=True)[1] + 1
+    labels.flags.writeable = False
+    return labels
 
 
-def write_edges_tsv(path, edges: EdgeSet, values: np.ndarray | CorrMatrix) -> None:
-    """Write an edge list as TSV with 1-based indices and per-edge values."""
+def write_edges_tsv(path, edges: np.ndarray, values: np.ndarray | CorrMatrix) -> None:
+    """Write an edge array as TSV with 1-based indices and the value of each
+    edge in the square matrix ``values``."""
     v = values.entries if isinstance(values, CorrMatrix) else np.asarray(values, dtype=np.float64)
-    if v.shape != (edges.p, edges.p):
-        raise InvalidInputError("value matrix shape does not match edge set")
-    j, k = edges.edges.T
+    if v.ndim != 2 or v.shape[0] != v.shape[1]:
+        raise InvalidInputError(f"value matrix has shape {v.shape}, expected a square matrix")
+    j, k = edges.T
     write_rows(path, zip((j + 1).tolist(), (k + 1).tolist(), v[j, k].tolist()),
                delimiter="\t", header=("j", "j'", "value"))
 
 
-def write_partition_tsv(path, part: Partition) -> None:
-    """Write a node-to-component table as TSV with 1-based node indices."""
-    write_rows(path, enumerate(part.component_id, 1), delimiter="\t",
+def write_partition_tsv(path, labels: np.ndarray) -> None:
+    """Write each node's component label as TSV with 1-based node indices."""
+    write_rows(path, enumerate(labels.tolist(), 1), delimiter="\t",
                header=("node", "component"))

@@ -43,7 +43,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .linalg import cholesky_lower, eig_extremes, invert_pd, rescale_to_unit_diagonal
 from .rankcorr import DataMatrix
-from .screening import EdgeSet
+from .screening import upper_pairs
 
 SCENARIOS = ("A", "B", "C", "D")
 BASES = ("gaussian", "student-t")
@@ -191,7 +191,7 @@ class GroundTruth:
         return self.sigma.shape[0]
 
     @cached_property
-    def edges(self) -> EdgeSet:
+    def edges(self) -> np.ndarray:
         """The true graph, :func:`precision_support` of omega (computed once)."""
         return precision_support(self.omega)
 
@@ -211,10 +211,11 @@ class GroundTruth:
             raise InvalidInputError(f"sigma * omega deviates from identity by {resid:.3g}")
 
 
-def precision_support(omega: np.ndarray) -> EdgeSet:
-    """The true graph of a precision matrix: the pairs (j, k), j < k, with
-    |omega[j, k]| > 1e-12, the partial correlations that are not zero."""
-    return EdgeSet(len(omega), np.argwhere(np.triu(np.abs(omega) > 1e-12, 1)))
+def precision_support(omega: np.ndarray) -> np.ndarray:
+    """The true graph of a precision matrix: the edge array of the pairs
+    (j, k), j < k, with |omega[j, k]| > 1e-12, the partial correlations that
+    are not zero."""
+    return upper_pairs(np.abs(omega) > 1e-12)
 
 
 def _finish_from_precision(precision: np.ndarray, block_slices: list[slice]) -> GroundTruth:

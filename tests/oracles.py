@@ -1,5 +1,5 @@
-"""Reference helpers that only the tests call: an edge set as a Python set,
-the edges of a written edge TSV, set-based confusion counts (tp, fp, tn, fn),
+"""Reference helpers that only the tests call: an edge array as a Python set,
+the edge array of a written edge TSV, set-based confusion counts (tp, fp, tn, fn),
 partition equality up to relabelling, and the Monte Carlo normality check of
 the standardized tau statistic."""
 
@@ -8,31 +8,42 @@ from pathlib import Path
 
 import numpy as np
 
-from tauscreen import EdgeSet, InvalidInputError, Partition, RngStream, jackknife_matrix
+from tauscreen import InvalidInputError, RngStream, jackknife_matrix
 
 
-def as_set(edges: EdgeSet) -> set[tuple[int, int]]:
-    """The edges as a set of (j, k) pairs, j < k."""
-    return set(map(tuple, edges.edges.tolist()))
+def as_set(edges: np.ndarray) -> set[tuple[int, int]]:
+    """An edge array as a set of (j, k) pairs, j < k."""
+    return set(map(tuple, edges.tolist()))
 
 
-def read_edge_pairs(path, p: int) -> tuple[EdgeSet, dict[tuple[int, int], float]]:
-    """The edges and per-edge values of an edge TSV that ``screen`` or
+def edge_array(pairs) -> np.ndarray:
+    """The (E, 2) intp array of (j, k) pairs, j < k, in lexicographic order:
+    the form of the package's edge arrays."""
+    return np.array(sorted(map(tuple, pairs)), dtype=np.intp).reshape(-1, 2)
+
+
+def read_edge_pairs(path, p: int) -> tuple[np.ndarray, dict[tuple[int, int], float]]:
+    """The edge array and per-edge values of an edge TSV that ``screen`` or
     ``simulate`` wrote: a header line, then ``j<TAB>j'<TAB>value`` per edge
-    with 1-based j < j'."""
+    with 1-based j < j' <= p, the lines in strictly increasing (j, j') order."""
     _, *lines = Path(path).read_text(encoding="utf-8").splitlines()
-    values = {(int(j) - 1, int(k) - 1): float(v) for j, k, v in map(str.split, lines)}
-    return EdgeSet(p, tuple(values)), values
+    rows = [line.split() for line in lines]
+    pairs = np.array([(int(j) - 1, int(k) - 1) for j, k, _ in rows], dtype=np.intp).reshape(-1, 2)
+    j, k = pairs.T
+    assert np.all((0 <= j) & (j < k) & (k < p)), f"{path}: a pair out of range for p={p}"
+    codes = j * p + k
+    assert np.all(codes[1:] > codes[:-1]), f"{path}: pairs not sorted and unique"
+    return pairs, {(a, b): float(v) for (a, b), (_, _, v) in zip(pairs.tolist(), rows)}
 
 
-def confusion(est: EdgeSet, truth: EdgeSet) -> tuple[int, int, int, int]:
-    """The (tp, fp, tn, fn) counts of an estimated edge set against the truth
-    on the same node set, over all unordered node pairs."""
-    if est.p != truth.p:
-        raise InvalidInputError(f"node counts differ: {est.p} vs {truth.p}")
-    total = est.p * (est.p - 1) // 2
-    # pair (j, k) as the code j * p + k, unique within each edge set
-    est_codes, truth_codes = (e.edges[:, 0] * e.p + e.edges[:, 1] for e in (est, truth))
+def confusion(est: np.ndarray, truth: np.ndarray, p: int) -> tuple[int, int, int, int]:
+    """The (tp, fp, tn, fn) counts of an estimated edge array against the
+    true one on the same p nodes, over all unordered node pairs."""
+    if any(len(e) and e[:, 1].max() >= p for e in (est, truth)):
+        raise InvalidInputError(f"an edge lies outside the {p} nodes")
+    total = p * (p - 1) // 2
+    # pair (j, k) as the code j * p + k, unique within each edge array
+    est_codes, truth_codes = (e[:, 0] * p + e[:, 1] for e in (est, truth))
     tp = len(np.intersect1d(est_codes, truth_codes, assume_unique=True))
     fp = len(est) - tp
     fn = len(truth) - tp
@@ -40,12 +51,12 @@ def confusion(est: EdgeSet, truth: EdgeSet) -> tuple[int, int, int, int]:
     return tp, fp, tn, fn
 
 
-def compare_partitions(a: Partition, b: Partition) -> bool:
-    """True iff the two partitions induce the same equivalence relation."""
-    if a.p != b.p:
-        raise InvalidInputError(f"partition sizes differ: {a.p} vs {b.p}")
+def compare_partitions(a: np.ndarray, b: np.ndarray) -> bool:
+    """True iff the two label arrays induce the same equivalence relation."""
+    if len(a) != len(b):
+        raise InvalidInputError(f"partition sizes differ: {len(a)} vs {len(b)}")
     remap: dict[int, int] = {}
-    for la, lb in zip(a.component_id, b.component_id):
+    for la, lb in zip(a.tolist(), b.tolist()):
         if la not in remap:
             remap[la] = lb
         elif remap[la] != lb:

@@ -150,12 +150,11 @@ def test_criterion_05_component_recovery():
     """
     p, kappa = 50, 0.25
     gt = ts.gen_precision_D(p)
-    truth = ts.connected_components(gt.edges)
-    labels = np.asarray(truth.component_id)
+    truth = ts.connected_components(p, gt.edges)
     strength = np.abs(gt.sigma)
     links = []
-    for block in np.unique(labels):
-        idx = np.flatnonzero(labels == block)
+    for block in np.unique(truth):
+        idx = np.flatnonzero(truth == block)
         # every off-diagonal weight 2 - |rho| is positive, so the block graph is complete
         tree = minimum_spanning_tree(np.triu(2.0 - strength[np.ix_(idx, idx)], 1))
         jj, kk = tree.nonzero()
@@ -167,7 +166,7 @@ def test_criterion_05_component_recovery():
     gamma = ts.threshold_matrix(ts.ThresholdSpec.rate(c1, kappa), n, p)
 
     population = ts.screen_edges(ts.CorrMatrix(gt.sigma, "kendall-sine"), gamma)
-    assert compare_partitions(ts.connected_components(population), truth), \
+    assert compare_partitions(ts.connected_components(p, population), truth), \
         "thresholding the true |Sigma| at gamma does not give the true blocks"
 
     hits = 0
@@ -175,10 +174,10 @@ def test_criterion_05_component_recovery():
         rng = ts.RngStream(515151 ^ r)
         data = ts.sample(gt, ts.SimConfig(scenario="D", n=n, p=p, seed=0), rng)
         est = ts.screen_edges(ts.sine_transform(ts.kendall_matrix(data)), gamma)
-        hits += compare_partitions(ts.connected_components(est), truth)
+        hits += compare_partitions(ts.connected_components(p, est), truth)
     ok = hits >= 48
     assert report(5, "component-recovery", ok,
-                  f"{hits}/50 replicates recovered the {labels.max()}-block partition, "
+                  f"{hits}/50 replicates recovered the {truth.max()}-block partition, "
                   f"need >= 48; n={n}, gamma={gamma[0, 1]:.4f}, rho_min={rho_min:.4f}")
 
 

@@ -235,7 +235,7 @@ class TestScreen:
         edges = screen_edges(corr, gammas)
         ref_edges, ref_comp = tmp_path / "ref.tsv", tmp_path / "ref.components.tsv"
         write_edges_tsv(ref_edges, edges, corr)
-        write_partition_tsv(ref_comp, connected_components(edges))
+        write_partition_tsv(ref_comp, connected_components(data.p, edges))
         assert out.read_bytes() == ref_edges.read_bytes()
         assert (tmp_path / "edges.tsv.components.tsv").read_bytes() == ref_comp.read_bytes()
 
@@ -1236,7 +1236,7 @@ class TestPipelineConsistency:
                         "--rate", "0.5,0.25", "--out", str(edges_out)])
         est, _ = read_edge_pairs(edges_out, p=12)
         truth, _ = read_edge_pairs(sim_dir / "sim_edges.tsv", p=12)
-        cli_metrics = confusion(est, truth)
+        cli_metrics = confusion(est, truth, 12)
 
         result, = run_experiments(sim, "kendall", 1, [ThresholdSpec.rate(0.5, 0.25)])
         assert result.counts.tolist() == [list(cli_metrics)]
@@ -1254,7 +1254,7 @@ class TestPipelineConsistency:
                         "--fpr-f", f"{f:.17g}", "--out", str(edges_out)])
         est, _ = read_edge_pairs(edges_out, p=20)
         truth, _ = read_edge_pairs(sim_dir / "sim_edges.tsv", p=20)
-        cli_metrics = confusion(est, truth)
+        cli_metrics = confusion(est, truth, 20)
 
         result, = run_experiments(sim, "kendall", 1, [ThresholdSpec.fpr(q=0.1)])
         assert result.counts.tolist() == [list(cli_metrics)]

@@ -137,7 +137,7 @@ class TestNeighborhoodBound:
         gt = gen_correlation_C(50)
         bound = neighborhood_size_bound(gt, n=100, c1=0.3, kappa=0.25)
         degrees = np.zeros(50, dtype=int)
-        for j, k in gt.edges.edges:
+        for j, k in gt.edges:
             degrees[j] += 1
             degrees[k] += 1
         assert degrees.max() <= bound

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from tauscreen import (
     DataMatrix,
-    EdgeSet,
     ExperimentResult,
     InvalidInputError,
     RngStream,
@@ -38,7 +37,7 @@ from tauscreen.evalbench import (
     write_sweep_csv,
 )
 
-from oracles import as_set, confusion
+from oracles import as_set, confusion, edge_array
 
 
 def reference_rates(tp, fp, tn, fn):
@@ -49,27 +48,27 @@ def reference_rates(tp, fp, tn, fn):
 
 class TestConfusion:
     def test_perfect(self):
-        t = EdgeSet(4, ((0, 1), (2, 3)))
-        assert confusion(t, t) == (2, 0, 4, 0)
+        t = edge_array(((0, 1), (2, 3)))
+        assert confusion(t, t, 4) == (2, 0, 4, 0)
 
     def test_empty_estimate(self):
-        t = EdgeSet(4, ((0, 1),))
-        assert confusion(EdgeSet(4, ()), t) == (0, 0, 5, 1)
+        t = edge_array(((0, 1),))
+        assert confusion(edge_array(()), t, 4) == (0, 0, 5, 1)
 
     def test_hand_counts(self):
-        truth = EdgeSet(4, ((0, 1), (2, 3)))
-        est = EdgeSet(4, ((0, 1), (0, 2)))
-        assert confusion(est, truth) == (1, 1, 3, 1)
+        truth = edge_array(((0, 1), (2, 3)))
+        est = edge_array(((0, 1), (0, 2)))
+        assert confusion(est, truth, 4) == (1, 1, 3, 1)
 
     def test_degenerate_denominators(self):
-        empty_truth = EdgeSet(3, ())
-        assert confusion(EdgeSet(3, ()), empty_truth) == (0, 0, 3, 0)
-        complete = EdgeSet(3, ((0, 1), (0, 2), (1, 2)))
-        assert confusion(complete, complete) == (3, 0, 0, 0)
+        empty = edge_array(())
+        assert confusion(empty, empty, 3) == (0, 0, 3, 0)
+        complete = edge_array(((0, 1), (0, 2), (1, 2)))
+        assert confusion(complete, complete, 3) == (3, 0, 0, 0)
 
     def test_size_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            confusion(EdgeSet(3, ()), EdgeSet(4, ()))
+        with pytest.raises(InvalidInputError, match="outside the 3 nodes"):
+            confusion(edge_array(()), edge_array(((0, 3),)), 3)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.integers(min_value=1, max_value=12), st.randoms(use_true_random=False))
@@ -77,7 +76,7 @@ class TestConfusion:
         pairs = [(j, k) for j in range(p) for k in range(j + 1, p)]
         est_pairs = rnd.sample(pairs, rnd.randint(0, len(pairs)))
         truth_pairs = rnd.sample(pairs, rnd.randint(0, len(pairs)))
-        m = confusion(EdgeSet(p, est_pairs), EdgeSet(p, truth_pairs))
+        m = confusion(edge_array(est_pairs), edge_array(truth_pairs), p)
         e, t = set(est_pairs), set(truth_pairs)
         tp, fp, fn = len(e & t), len(e - t), len(t - e)
         assert m == (tp, fp, len(pairs) - tp - fp - fn, fn)
@@ -117,7 +116,7 @@ class TestRunExperiment:
         data = sample(gt, sim, rng)
         corr = estimator_matrix(data, "kendall")
         gammas = threshold_matrix(ThresholdSpec.rate(0.5, 0.25), 80, 10)
-        expect = confusion(screen_edges(corr, gammas), gt.edges)
+        expect = confusion(screen_edges(corr, gammas), gt.edges, 10)
         assert result.counts.tolist() == [list(expect)]
 
     def test_deterministic(self):
@@ -270,7 +269,7 @@ class TestScreenData:
         ref_corr = estimator_matrix(data, estimator, tau=tau)
         ref = screen_edges(ref_corr, threshold_matrix(tspec, data.n, data.p, omega2=omega2))
         assert np.array_equal(corr.entries, ref_corr.entries)
-        assert np.array_equal(edges.edges, ref.edges)
+        assert np.array_equal(edges, ref)
         assert len(edges) > 0
 
 
@@ -381,7 +380,7 @@ def reference_sweep(sim, estimator, replicates, grid):
         rep_tpr, rep_fpr = [], []
         for gamma in grid:
             fpr, fnr = reference_rates(*confusion(
-                screen_edges(corr, np.full((sim.p, sim.p), gamma)), gt.edges))
+                screen_edges(corr, np.full((sim.p, sim.p), gamma)), gt.edges, sim.p))
             rep_tpr.append(1.0 - fnr)
             rep_fpr.append(fpr)
         tprs.append(tuple(rep_tpr))
@@ -468,7 +467,7 @@ def reference_cells(estimator, thresholds, gt, data):
             f = t.f if t.f is not None else t.q * gt.nonedge_count()
             t = ThresholdSpec.fpr(f=f)
         est = screen_edges(corr, threshold_matrix(t, data.n, data.p, omega2=omega2))
-        cells.append((confusion(est, gt.edges), f))
+        cells.append((confusion(est, gt.edges, data.p), f))
     return cells
 
 
@@ -487,7 +486,7 @@ def observed_strengths(estimator, gt, data):
     """The upper-triangle |corr| values and the true edges' |corr| values."""
     corr = estimator_matrix(data, estimator).entries
     return (np.abs(corr[np.triu_indices(data.p, 1)]),
-            np.abs(corr[tuple(gt.edges.edges.T)]))
+            np.abs(corr[tuple(gt.edges.T)]))
 
 
 class TestScoreCells:

@@ -22,7 +22,7 @@ from tauscreen.io import (
 from tauscreen.evalbench import SweepResult, write_experiment_csv, write_sweep_csv
 from tauscreen.io import write_rows
 from tauscreen.rankcorr import DataMatrix
-from tauscreen.screening import EdgeSet, Partition, write_edges_tsv, write_partition_tsv
+from tauscreen.screening import write_edges_tsv, write_partition_tsv
 
 
 class TestDataCsv:
@@ -286,10 +286,10 @@ WRITTEN = [
      b"a,b\n0.10000000000000001,-0\n3,1e-300\n"),
     (write_matrix_csv, ([[0.1, -0.0], [3, 2.5]],),
      b"0.10000000000000001,-0\n3,2.5\n"),
-    (write_edges_tsv, (EdgeSet(3, [(1, 2), (0, 2)]),
+    (write_edges_tsv, (np.array([[0, 2], [1, 2]]),
                        np.array([[0, 0, 0.1], [0, 0, -0.0], [0, 0, 0]])),
      b"j\tj'\tvalue\n1\t3\t0.10000000000000001\n2\t3\t-0\n"),
-    (write_partition_tsv, (Partition(3, (1, 2, 1)),),
+    (write_partition_tsv, (np.array([1, 2, 1]),),
      b"node\tcomponent\n1\t1\n2\t2\n3\t1\n"),
     (write_experiment_csv, ([(0, 0.1, "kendall", "C", 1, 0, 2, 0, 0.0, -0.0, 1, ""),
                              (1, 0.25, "pearson", "B", 2, 1, 0, 0, 1.0, 0.0, 3, 1.5)],),

@@ -1,8 +1,8 @@
-"""Tests for thresholding, edge sets, and connected components."""
+"""Tests for thresholding, edge arrays, and connected components."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import coo_array
 from scipy.sparse.csgraph import connected_components as csgraph_components
@@ -10,18 +10,20 @@ from scipy.special import ndtri
 
 from tauscreen import (
     CorrMatrix,
-    EdgeSet,
     InvalidInputError,
     MissingInputError,
-    Partition,
+    RngStream,
+    SimConfig,
     ThresholdSpec,
     connected_components,
     screen_edges,
+    generate_ground_truth,
     threshold_matrix,
 )
 from tauscreen.screening import write_edges_tsv
+from tauscreen.simgen import SCENARIOS, precision_support
 
-from oracles import as_set, compare_partitions, read_edge_pairs
+from oracles import as_set, compare_partitions, edge_array, read_edge_pairs
 
 
 def corr_from_offdiag(p, pairs, kind="kendall-sine"):
@@ -125,21 +127,21 @@ class TestScreening:
     def test_thresholds_above_one_give_empty(self):
         corr = corr_from_offdiag(3, {(0, 1): 0.9, (0, 2): -1.0})
         edges = screen_edges(corr, np.full((3, 3), 1.1))
-        assert np.array_equal(edges.edges, np.empty((0, 2)))
+        assert np.array_equal(edges, np.empty((0, 2)))
 
     def test_zero_threshold_gives_complete_graph(self):
         corr = corr_from_offdiag(3, {(0, 1): 0.2, (0, 2): -0.4, (1, 2): 0.1})
         edges = screen_edges(corr, np.zeros((3, 3)))
-        assert np.array_equal(edges.edges, [[0, 1], [0, 2], [1, 2]])
+        assert np.array_equal(edges, [[0, 1], [0, 2], [1, 2]])
 
     def test_selective(self):
         corr = corr_from_offdiag(3, {(0, 1): 0.6, (0, 2): 0.2, (1, 2): -0.7})
         edges = screen_edges(corr, np.full((3, 3), 0.5))
-        assert np.array_equal(edges.edges, [[0, 1], [1, 2]])
+        assert np.array_equal(edges, [[0, 1], [1, 2]])
 
     def test_strict_inequality_at_threshold(self):
         corr = corr_from_offdiag(2, {(0, 1): 0.5})
-        assert np.array_equal(screen_edges(corr, np.full((2, 2), 0.5)).edges, np.empty((0, 2)))
+        assert np.array_equal(screen_edges(corr, np.full((2, 2), 0.5)), np.empty((0, 2)))
 
     def test_raw_kind_rejected(self):
         corr = corr_from_offdiag(2, {(0, 1): 0.5}, kind="kendall-raw")
@@ -171,19 +173,94 @@ class TestScreening:
         assert as_set(e_flip) == as_set(e_lo)
 
 
+def assert_edge_array(edges, p, pairs):
+    """``edges`` is the read-only (E, 2) intp array of ``pairs`` on p nodes,
+    each (j, k) with 0 <= j < k < p, rows strictly increasing in
+    lexicographic order."""
+    assert edges.ndim == 2 and edges.shape == (len(edges), 2)
+    assert edges.dtype == np.intp and not edges.flags.writeable
+    j, k = edges.T
+    assert np.all((0 <= j) & (j < k) & (k < p))
+    assert np.all((j[1:] > j[:-1]) | ((j[1:] == j[:-1]) & (k[1:] > k[:-1])))
+    assert as_set(edges) == pairs and len(edges) == len(pairs)
+
+
+def assert_labels(labels, p):
+    """``labels`` is a read-only array of p labels 1..k without gaps, each
+    label first seen after every lower one: at its component's lowest node."""
+    assert labels.shape == (p,) and np.issubdtype(labels.dtype, np.integer)
+    assert not labels.flags.writeable
+    seen = 0
+    for label in labels.tolist():
+        assert 1 <= label <= seen + 1
+        seen = max(seen, label)
+
+
+# correlation values and cutoffs drawn from one small pool, so that ties
+# |corr| == cutoff are common
+TIE_POOL = (0.0, 0.25, 0.5, 1.0)
+
+
+@st.composite
+def screens(draw):
+    """A p x p correlation matrix and cutoffs: per pair from the tie pool,
+    or one cutoff that keeps no pair (1) or every pair (-1)."""
+    p = draw(st.integers(min_value=1, max_value=9))
+    m = p * (p - 1) // 2
+    signs = draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=m, max_size=m))
+    values = draw(st.lists(st.sampled_from(TIE_POOL), min_size=m, max_size=m))
+    corr = np.eye(p)
+    upper = np.triu_indices(p, 1)
+    corr[upper] = np.multiply(signs, values)
+    corr.T[upper] = corr[upper]
+    rule = draw(st.sampled_from(("pool", "none", "all")))
+    if rule == "pool":
+        cuts = draw(st.lists(st.sampled_from(TIE_POOL), min_size=p * p, max_size=p * p))
+        return corr, np.reshape(cuts, (p, p))
+    return corr, np.full((p, p), 1.0 if rule == "none" else -1.0)
+
+
+class TestEdgeArrays:
+    """What the two producers of edge arrays, ``screen_edges`` and
+    ``precision_support``, and ``connected_components`` guarantee."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(screens())
+    def test_screen_edges(self, screen):
+        corr, cuts = screen
+        p = len(corr)
+        edges = screen_edges(CorrMatrix(corr, "kendall-sine"), cuts)
+        expect = {(j, k) for j in range(p) for k in range(j + 1, p)
+                  if abs(corr[j, k]) > cuts[j, k]}
+        assert_edge_array(edges, p, expect)
+        labels = connected_components(p, edges)
+        assert_labels(labels, p)
+        assert labels.tolist() == TestComponents.csgraph_labels(p, edges)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from(SCENARIOS), st.sampled_from((10, 20, 30)), st.integers(0, 50))
+    @example("A", 3, 2)  # no true edge: simulate --scenario A --n 20 --p 3 --seed 2
+    def test_precision_support(self, scenario, p, seed):
+        sim = SimConfig(scenario=scenario, n=20, p=p, seed=seed)
+        gt = generate_ground_truth(sim, RngStream(seed))
+        expect = {(j, k) for j in range(p) for k in range(j + 1, p)
+                  if abs(gt.omega[j, k]) > 1e-12}
+        assert_edge_array(precision_support(gt.omega), p, expect)
+        assert gt.edges is gt.edges
+        assert_edge_array(gt.edges, p, expect)
+        assert_labels(connected_components(p, gt.edges), p)
+
+
 class TestComponents:
     def test_empty_edges(self):
-        part = connected_components(EdgeSet(4, ()))
-        assert part.component_id == (1, 2, 3, 4)
+        assert connected_components(4, edge_array(())).tolist() == [1, 2, 3, 4]
 
     def test_chain(self):
-        part = connected_components(EdgeSet(4, ((0, 1), (1, 2))))
-        assert part.component_id == (1, 1, 1, 2)
+        assert connected_components(4, edge_array(((0, 1), (1, 2)))).tolist() == [1, 1, 1, 2]
 
     def test_complete(self):
-        edges = tuple((j, k) for j in range(5) for k in range(j + 1, 5))
-        part = connected_components(EdgeSet(5, edges))
-        assert part.n_components == 1
+        edges = edge_array((j, k) for j in range(5) for k in range(j + 1, 5))
+        assert connected_components(5, edges).max() == 1
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(st.integers(min_value=1, max_value=14), st.randoms(use_true_random=False))
@@ -208,17 +285,18 @@ class TestComponents:
                     if not expect[other]:
                         expect[other] = label
                         queue.append(other)
-        part = connected_components(EdgeSet(p, edges))
-        assert part.component_id == tuple(expect)
+        labels = connected_components(p, edge_array(edges))
+        assert labels.tolist() == expect
+        assert_labels(labels, p)
 
     def test_single_node(self):
-        assert connected_components(EdgeSet(1, ())).component_id == (1,)
+        assert connected_components(1, edge_array(())).tolist() == [1]
 
     @staticmethod
-    def _csgraph_labels(e):
-        j, k = e.edges.T
-        graph = coo_array((np.ones(len(e), dtype=np.int8), (j, k)), shape=(e.p, e.p))
-        return tuple((csgraph_components(graph, directed=False)[1] + 1).tolist())
+    def csgraph_labels(p, edges):
+        j, k = edges.T
+        graph = coo_array((np.ones(len(edges), dtype=np.int8), (j, k)), shape=(p, p))
+        return (csgraph_components(graph, directed=False)[1] + 1).tolist()
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.integers(min_value=1, max_value=60).flatmap(lambda p: st.tuples(
@@ -227,106 +305,34 @@ class TestComponents:
     def test_matches_csgraph(self, graph):
         # empty edge sets, p = 1, isolated nodes and repeated draws all occur
         p, drawn = graph
-        edges = {(min(a, b), max(a, b)) for a, b in drawn if a != b}
-        e = EdgeSet(p, tuple(edges))
-        assert connected_components(e).component_id == self._csgraph_labels(e)
+        edges = edge_array({(min(a, b), max(a, b)) for a, b in drawn if a != b})
+        labels = connected_components(p, edges)
+        assert labels.tolist() == self.csgraph_labels(p, edges)
+        assert_labels(labels, p)
 
     @pytest.mark.parametrize("p", [2, 1000, 5000])
     def test_long_shuffled_path_matches_csgraph(self, p):
         order = np.random.default_rng(p).permutation(p)
-        pairs = np.sort(np.column_stack([order[:-1], order[1:]]), axis=1)
-        e = EdgeSet(p + 3, pairs)  # three isolated nodes at the end
-        part = connected_components(e)
-        assert part.component_id == self._csgraph_labels(e)
-        assert part.component_id == (1,) * p + (2, 3, 4)
+        edges = edge_array(np.sort(np.column_stack([order[:-1], order[1:]]), axis=1).tolist())
+        labels = connected_components(p + 3, edges)  # three isolated nodes at the end
+        assert labels.tolist() == self.csgraph_labels(p + 3, edges)
+        assert labels.tolist() == [1] * p + [2, 3, 4]
 
     def test_compare_partitions(self):
-        a = Partition(3, (1, 1, 2))
-        relabeled = Partition(3, (2, 2, 1))
+        a = np.array([1, 1, 2])
         assert compare_partitions(a, a)
-        assert compare_partitions(a, relabeled)
-        assert not compare_partitions(Partition(3, (1, 1, 2)), Partition(3, (1, 2, 2)))
+        assert compare_partitions(a, np.array([2, 2, 1]))
+        assert not compare_partitions(a, np.array([1, 2, 2]))
         with pytest.raises(InvalidInputError):
-            compare_partitions(a, Partition(2, (1, 2)))
+            compare_partitions(a, np.array([1, 2]))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=12))
     def test_relabeling_invariance(self, labels):
-        # canonicalize: remap to first-appearance order to build a Partition
-        remap = {}
-        canon = []
-        for l in labels:
-            if l not in remap:
-                remap[l] = len(remap) + 1
-            canon.append(remap[l])
-        a = Partition(len(canon), tuple(canon))
-        # arbitrary relabeling preserved under comparison
-        perm = {l: len(remap) + 1 - l for l in set(canon)}
-        relabeled = [perm[l] for l in canon]
-        remap2 = {}
-        canon2 = []
-        for l in relabeled:
-            if l not in remap2:
-                remap2[l] = len(remap2) + 1
-            canon2.append(remap2[l])
-        b = Partition(len(canon2), tuple(canon2))
-        assert compare_partitions(a, b)
-
-
-class TestEdgeSetType:
-    def test_validation(self):
-        with pytest.raises(InvalidInputError):
-            EdgeSet(3, ((0, 0),))
-        with pytest.raises(InvalidInputError):
-            EdgeSet(3, ((2, 1),))
-        with pytest.raises(InvalidInputError):
-            EdgeSet(3, ((0, 3),))
-        with pytest.raises(InvalidInputError):
-            EdgeSet(3, ((0, 1), (0, 1)))
-
-    def test_sorted_storage(self):
-        e = EdgeSet(4, ((2, 3), (0, 1)))
-        assert np.array_equal(e.edges, [[0, 1], [2, 3]])
-
-
-    def test_messages(self):
-        with pytest.raises(InvalidInputError, match=r"edge \(1, 3\) out of range for p=3"):
-            EdgeSet(3, ((0, 1), (1, 3)))
-        with pytest.raises(InvalidInputError, match=r"duplicate edge \(0, 2\)"):
-            EdgeSet(3, ((0, 2), (0, 1), (0, 2)))
-        with pytest.raises(InvalidInputError, match="must be \\(j, k\\) pairs"):
-            EdgeSet(3, (0, 1))
-
-    def test_input_forms(self):
-        unsorted = EdgeSet(5, [(3, 4), (0, 2), (1, 4), (0, 1)])
-        assert np.array_equal(unsorted.edges, [[0, 1], [0, 2], [1, 4], [3, 4]])
-        assert unsorted.edges.dtype == np.intp
-        source = np.array([[3, 4], [0, 2], [1, 4], [0, 1]])
-        from_array = EdgeSet(5, source)
-        assert np.array_equal(from_array.edges, unsorted.edges)
-        assert source[0, 0] == 3  # the caller's array is not sorted in place
-        for empty in ((), [], np.empty((0, 2), dtype=int)):
-            e = EdgeSet(3, empty)
-            assert e.edges.shape == (0, 2) and len(e) == 0 and as_set(e) == set()
-        assert [(j, k) for j, k in unsorted.edges] == [(0, 1), (0, 2), (1, 4), (3, 4)]
-        assert as_set(unsorted) == {(0, 1), (0, 2), (1, 4), (3, 4)}
-
-    def test_edges_read_only(self):
-        e = EdgeSet(4, ((0, 1), (2, 3)))
-        with pytest.raises(ValueError):
-            e.edges[0, 0] = 2
-        assert np.array_equal(e.edges, [[0, 1], [2, 3]])
-
-
-class TestPartitionType:
-    @pytest.mark.parametrize("p,labels,message", [
-        (0, (), "node count must be >= 1"),
-        (3, (1, 2), "component_id length must equal p"),
-        (2, (1, 3), "component labels must form a contiguous range 1..k"),
-    ], ids=["no-nodes", "short", "label-gap"])
-    def test_validation(self, p, labels, message):
-        with pytest.raises(InvalidInputError, match=message):
-            Partition(p, labels)
+        # an arbitrary relabelling induces the same partition
+        a = np.array(labels)
+        perm = {l: 5 - l for l in set(labels)}
+        assert compare_partitions(a, np.array([perm[l] for l in labels]))
 
 
 class TestSerialization:

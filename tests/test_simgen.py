@@ -118,9 +118,8 @@ class TestScenarioB:
 
     def test_components_are_the_ten_blocks(self):
         gt = gen_precision_B(50, RngStream(2))
-        part = connected_components(gt.edges)
-        assert part.n_components == 10
-        assert part.component_id == tuple(np.repeat(np.arange(1, 11), 5).tolist())
+        labels = connected_components(50, gt.edges)
+        assert labels.tolist() == np.repeat(np.arange(1, 11), 5).tolist()
 
     def test_min_eigenvalue_pinned(self):
         j, k = np.triu_indices(40, 1)
@@ -144,7 +143,7 @@ class TestScenarioB:
         assert (0, 1) not in as_set(gt.edges)
         assert len(gt.edges) == 9  # ten within-block pairs, one of weight 0
         gt.validate()
-        assert np.array_equal(gt.edges.edges, precision_support(gt.omega).edges)
+        assert np.array_equal(gt.edges, precision_support(gt.omega))
 
     def test_divisibility_enforced(self):
         with pytest.raises(InvalidInputError):
@@ -183,7 +182,7 @@ class TestScenarioC:
 
     def test_min_edge_correlation_exact(self):
         gt = gen_correlation_C(30)
-        vals = [abs(gt.sigma[j, k]) for j, k in gt.edges.edges]
+        vals = [abs(gt.sigma[j, k]) for j, k in gt.edges]
         assert min(vals) == 0.3
 
 
