@@ -288,22 +288,28 @@ def pearson_matrix(data) -> CorrMatrix:
     """Sample Pearson correlation matrix.
 
     Columns are centered and scaled to unit variance (divisor n) first, so the
-    result is a correlation matrix even for unstandardized input.
+    result is a correlation matrix even for unstandardized input. A column
+    whose values all equal its first is refused as constant.
     """
     dm = as_data_matrix(data)
     v = dm.values
     n = dm.n
+    constant = np.flatnonzero(np.all(v == v[0], axis=0))
+    if constant.size:
+        raise DegenerateColumnError(dm.column_name(int(constant[0])))
     centered = v - v.mean(axis=0)
     # the mean or the centering of values near the float limit can overflow
     over = np.flatnonzero(~np.all(np.isfinite(centered), axis=0))
     if over.size:
         name = dm.column_name(int(over[0]))
         raise InvalidInputError(f"column {name!r} overflows the float range when centered")
-    sd = np.sqrt(np.mean(centered**2, axis=0))
-    zero = np.flatnonzero(sd == 0.0)
-    if zero.size:
-        j = int(zero[0])
-        raise DegenerateColumnError(dm.column_name(j))
+    with np.errstate(over="ignore", under="ignore"):
+        sd = np.sqrt(np.mean(centered**2, axis=0))
+        # squares of deviations past ~1e154 overflow, below ~1e-162 underflow:
+        # those columns are divided by their largest |deviation| first
+        for j in np.flatnonzero((sd == 0.0) | (sd == np.inf)).tolist():
+            centered[:, j] /= np.max(np.abs(centered[:, j]))
+            sd[j] = np.sqrt(np.mean(centered[:, j] ** 2))
     z = centered / sd
     corr = (z.T @ z) / n
     corr = (corr + corr.T) / 2.0

@@ -202,6 +202,30 @@ class TestPearson:
             pearson_matrix(data)
         assert err.value.column == "flat"
 
+    @pytest.mark.parametrize("others", [
+        np.array([[0.5, 2, 1.5], [1.5, 1, 0.5], [2.5, 4, 3.5], [3.5, 3, 2.5],
+                  [4.5, 6, 5.5], [5.5, 5, 4.5], [6.5, 7, 0.25]]),
+        np.random.default_rng(1).standard_normal((7, 3)),
+    ], ids=["table", "normal"])
+    def test_constant_column_with_inexact_mean_refused(self, others):
+        # seven 0.1s average to 0.09999999999999999: the deviations are not 0
+        tenth = np.full(7, 0.1)
+        assert tenth.mean() != 0.1
+        data = DataMatrix(np.column_stack([others, tenth]), labels=("u", "v", "w", "c"))
+        with pytest.raises(DegenerateColumnError) as err:
+            pearson_matrix(data)
+        assert err.value.column == "c"
+
+    @pytest.mark.parametrize("scale", [1e300, 5e-324], ids=["huge", "subnormal"])
+    def test_deviations_at_the_ends_of_the_float_range(self, scale):
+        # the squared deviations of the scaled column overflow or underflow;
+        # it still correlates as its unscaled pattern does, with no warning
+        pattern, other = np.arange(0.0, 10.0, 2.0), np.array([1.0, 3.0, 2.0, 5.0, 4.0])
+        expected = pearson_matrix(np.column_stack([pattern, other])).entries
+        with np.errstate(all="raise"):
+            got = pearson_matrix(np.column_stack([scale * pattern, other])).entries
+        assert got == pytest.approx(expected, rel=1e-12)
+
     def test_column_overflowing_when_centered_named(self):
         # the mean of "big" overflows to inf; finite data, no finite Pearson estimate
         data = DataMatrix(np.column_stack([np.arange(4.0), [1.7e308, 1.7e308, -1e308, 0.0]]),
@@ -440,11 +464,9 @@ def assert_built_matrices_hold(values):
         assert_finite_symmetric(omega2)
         assert np.all(omega2 >= 0.0) and np.all(np.diag(omega2) == 0.0)
     try:
-        # squared deviations of the 1e300 pool overflow: sd is inf, z is 0
-        with np.errstate(over="ignore"):
-            corrs.append(pearson_matrix(values))
+        corrs.append(pearson_matrix(values))
     except DegenerateColumnError:
-        pass  # a constant column, or one whose squared deviations underflow to 0
+        assert np.any(np.all(values == values[0], axis=0))  # refused for a constant column only
     for corr in corrs:
         e = corr.entries
         assert_finite_symmetric(e)
