@@ -209,11 +209,13 @@ def log_returns(prices: DataMatrix) -> DataMatrix:
 
 def standardize_columns(data: DataMatrix) -> DataMatrix:
     """Center each column and scale to unit sample standard deviation
-    (divisor rows-1). Constant columns are rejected."""
+    (divisor rows-1). A column whose values are all equal, or whose sd is
+    0, is rejected."""
     v = data.values
     centered = v - v.mean(axis=0)
     sd = np.sqrt(np.sum(centered**2, axis=0) / (v.shape[0] - 1))
-    zero = np.flatnonzero(sd == 0.0)
+    # an inexact mean leaves an all-equal column nonzero deviations
+    zero = np.flatnonzero(np.all(v == v[0], axis=0) | (sd == 0.0))
     if zero.size:
         j = int(zero[0])
         raise DegenerateColumnError(

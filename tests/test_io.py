@@ -169,6 +169,18 @@ class TestPrices:
         with pytest.raises(DegenerateColumnError):
             ingest_prices(table)
 
+    def test_constant_growth_with_inexact_mean_rejected(self):
+        # seven equal log returns of 1.1x growth whose mean is not exact
+        prices = [1.0]
+        for _ in range(7):
+            prices.append(prices[-1] * 1.1)
+        table = price_table(np.column_stack([prices, [10, 11, 10.5, 12, 11.5, 13, 12.5, 14]]))
+        returns = log_returns(table).values[:, 0]
+        assert len(set(returns.tolist())) == 1 and returns.mean() != returns[0]
+        with pytest.raises(DegenerateColumnError) as err:
+            ingest_prices(table)
+        assert str(err.value) == "column 'T0' has zero variance after log returns"
+
     def test_read_price_csv(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("date,AAA,BBB\n2020-01-01,10,20\n2020-01-02,11,19\n2020-01-03,12,21\n")
