@@ -196,6 +196,13 @@ def assert_labels(labels, p):
         seen = max(seen, label)
 
 
+def csgraph_labels(p, edges):
+    """scipy's component labels of the graph, shifted to 1..k."""
+    j, k = edges.T
+    graph = coo_array((np.ones(len(edges), dtype=np.int8), (j, k)), shape=(p, p))
+    return (csgraph_components(graph, directed=False)[1] + 1).tolist()
+
+
 # correlation values and cutoffs drawn from one small pool, so that ties
 # |corr| == cutoff are common
 TIE_POOL = (0.0, 0.25, 0.5, 1.0)
@@ -235,7 +242,7 @@ class TestEdgeArrays:
         assert_edge_array(edges, p, expect)
         labels = connected_components(p, edges)
         assert_labels(labels, p)
-        assert labels.tolist() == TestComponents.csgraph_labels(p, edges)
+        assert labels.tolist() == csgraph_labels(p, edges)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.sampled_from(SCENARIOS), st.sampled_from((10, 20, 30)), st.integers(0, 50))
@@ -292,12 +299,6 @@ class TestComponents:
     def test_single_node(self):
         assert connected_components(1, edge_array(())).tolist() == [1]
 
-    @staticmethod
-    def csgraph_labels(p, edges):
-        j, k = edges.T
-        graph = coo_array((np.ones(len(edges), dtype=np.int8), (j, k)), shape=(p, p))
-        return (csgraph_components(graph, directed=False)[1] + 1).tolist()
-
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.integers(min_value=1, max_value=60).flatmap(lambda p: st.tuples(
         st.just(p), st.lists(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)),
@@ -307,7 +308,7 @@ class TestComponents:
         p, drawn = graph
         edges = edge_array({(min(a, b), max(a, b)) for a, b in drawn if a != b})
         labels = connected_components(p, edges)
-        assert labels.tolist() == self.csgraph_labels(p, edges)
+        assert labels.tolist() == csgraph_labels(p, edges)
         assert_labels(labels, p)
 
     @pytest.mark.parametrize("p", [2, 1000, 5000])
@@ -315,7 +316,7 @@ class TestComponents:
         order = np.random.default_rng(p).permutation(p)
         edges = edge_array(np.sort(np.column_stack([order[:-1], order[1:]]), axis=1).tolist())
         labels = connected_components(p + 3, edges)  # three isolated nodes at the end
-        assert labels.tolist() == self.csgraph_labels(p + 3, edges)
+        assert labels.tolist() == csgraph_labels(p + 3, edges)
         assert labels.tolist() == [1] * p + [2, 3, 4]
 
     def test_compare_partitions(self):
